@@ -16,7 +16,7 @@ from .errors import (
     DatasetFormatError,
     IngestionError,
 )
-from .experiments import ALL_PAIRS, ExperimentPlan, ResultTable, emit_report, run_ablation, run_plan
+from .experiments import ALL_PAIRS, ExperimentPlan, ResultTable, emit_report, run_plan
 from .gin import ClassifierHead, GinEncoder
 from .graphs import (
     DensityPartition,
@@ -30,7 +30,7 @@ from .graphs import (
     write_tudataset,
 )
 from .trainer import TrainConfig, TrainState, build_state, evaluate, train, train_epoch
-from .wl import GknHead, WlRefinement, gram_matrix, kernel, pseudo_label
+from .wl import GknHead, WlRefinement, gram_matrix, kernel
 
 __version__ = "0.1.0"
 
@@ -69,8 +69,6 @@ __all__ = [
     "load_checkpoint",
     "parse_tudataset",
     "perturbation_step",
-    "pseudo_label",
-    "run_ablation",
     "run_plan",
     "save_checkpoint",
     "split_by_density",

@@ -100,7 +100,6 @@ class PerturbationStore:
     epsilon: float
     delta: list[np.ndarray]
     zeta: list[np.ndarray]
-    step_count: int = 0
     audit: list[PerturbationStep] = field(default_factory=list)
 
     def __post_init__(self):
@@ -162,7 +161,6 @@ def perturbation_step(store: PerturbationStore, slot: str,
         entries[index] = new
         records.append(PerturbationStep(index, float(np.linalg.norm(step)),
                                         float(np.linalg.norm(new))))
-    store.step_count += 1
     store.audit.extend(records)
     return records
 

@@ -3,11 +3,10 @@
 Tensors are 2-D float64 arrays; a :class:`Tape` records executed
 operations and replays their adjoints in exact reverse order. The
 primitive set is deliberately small (matrix multiply, row-broadcast add,
-elementwise multiply, scalar scale, relu, softmax, row reductions,
-concatenation, softmax cross-entropy, and a clamped log-sigmoid), which
-keeps every adjoint hand-checkable. Gradients flow to any leaf created
-with ``requires_grad=True``, including input tensors, not just
-parameters.
+scalar scale, relu, softmax, row reductions, concatenation, softmax
+cross-entropy, and a clamped log-sigmoid), which keeps every adjoint
+hand-checkable. Gradients flow to any leaf created with
+``requires_grad=True``, including input tensors, not just parameters.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import ContractViolation, DatasetFormatError
+from .fileio import atomic_write
 
 # Probabilities are clamped to [SIGMOID_EPS, 1 - SIGMOID_EPS] before logs.
 SIGMOID_EPS = 1e-7
@@ -144,16 +144,6 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ContractViolation(f"add shape mismatch: {a.shape} + {b.shape}")
     return _result(tape, (a, b), a.data + b.data, backward_fn)
-
-
-def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ContractViolation(f"mul shape mismatch: {a.shape} * {b.shape}")
-
-    def backward_fn(g):
-        return (g * b.data, g * a.data)
-
-    return _result(tape, (a, b), a.data * b.data, backward_fn)
 
 
 def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
@@ -341,9 +331,11 @@ class Adam:
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
     """Write a flat key -> array map as versioned text.
 
-    Values use ``repr`` so floats round-trip exactly.
+    Values use ``repr`` so floats round-trip exactly. The file is written
+    atomically: a failure part-way (such as a key containing a space)
+    leaves no file at ``path``.
     """
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_HEADER + "\n")
         for key in arrays:
             arr = np.asarray(arrays[key], dtype=np.float64)
@@ -372,10 +364,17 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             parts = meta.split()
             if len(parts) != 3:
                 raise DatasetFormatError(f"bad checkpoint entry {meta!r}", line=lineno)
-            key, rows, cols = parts[0], int(parts[1]), int(parts[2])
+            try:
+                key, rows, cols = parts[0], int(parts[1]), int(parts[2])
+            except ValueError:
+                raise DatasetFormatError(f"bad checkpoint shape in {meta!r}", line=lineno)
             values = fh.readline()
             lineno += 1
-            flat = np.array([float(v) for v in values.split()], dtype=np.float64)
+            try:
+                flat = np.array([float(v) for v in values.split()], dtype=np.float64)
+            except ValueError:
+                raise DatasetFormatError(f"checkpoint entry {key!r}: non-numeric value",
+                                         line=lineno)
             if flat.size != rows * cols:
                 raise DatasetFormatError(
                     f"checkpoint entry {key!r}: {flat.size} values for shape ({rows}, {cols})",

@@ -9,25 +9,37 @@ from pathlib import Path
 
 from .errors import DagrlError
 from .experiments import ALL_PAIRS, ExperimentPlan, PlanExecutionError, emit_report, run_plan
+from .fileio import atomic_write
 from .graphs import write_tudataset
 from .synthetic import make_benchmark
 from .trainer import TrainConfig
 
+# --variant spellings and the TrainConfig fields each sets; p1 and p2 are
+# the full model with the delta or the zeta perturbation switched off.
 VARIANT_FLAGS = {
-    "full": "full",
-    "p1": "p1",
-    "p2": "p2",
-    "gin-only": "gin_only_dual",
-    "gkn-only": "gkn_only_dual",
-    "source-only": "source_only",
+    "full": {"variant": "full"},
+    "p1": {"variant": "full", "delta_enabled": False},
+    "p2": {"variant": "full", "zeta_enabled": False},
+    "gin-only": {"variant": "gin_only_dual"},
+    "gkn-only": {"variant": "gkn_only_dual"},
+    "source-only": {"variant": "source_only"},
 }
+
+BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(BOOLEANS)}") from None
 
 
 def parse_config_file(path) -> dict:
     """Flat key=value config; keys mirror TrainConfig fields."""
     types = {f.name: f.type for f in fields(TrainConfig)}
-    casts = {"int": int, "float": float, "str": str,
-             "bool": lambda v: v.strip().lower() in ("1", "true", "yes", "on")}
+    casts = {"int": int, "float": float, "str": str, "bool": _parse_bool}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         text = line.strip()
@@ -40,7 +52,12 @@ def parse_config_file(path) -> dict:
             raise DagrlError(f"{path}: set seeds via --seeds, not the config file")
         if key not in types:
             raise DagrlError(f"{path}: unknown config key {key!r}")
-        values[key] = casts[str(types[key])](raw)
+        kind = str(types[key])
+        try:
+            values[key] = casts[kind](raw)
+        except ValueError as exc:
+            raise DagrlError(f"{path}: line {lineno}: {key} needs a {kind} value, "
+                             f"got {raw!r} ({exc})") from None
     return values
 
 
@@ -49,10 +66,11 @@ def parse_pairs(raw: str):
         return ALL_PAIRS
     pairs = []
     for chunk in raw.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise DagrlError(f"bad pair {chunk!r}; expected 's,t'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            s, t = (int(part) for part in chunk.split(","))
+        except ValueError:
+            raise DagrlError(f"bad pair {chunk!r}; expected 's,t' group indices") from None
+        pairs.append((s, t))
     return tuple(pairs)
 
 
@@ -89,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 def command_run(args) -> int:
     overrides = parse_config_file(args.config) if args.config else {}
     if args.variant is not None:
-        overrides["variant"] = VARIANT_FLAGS[args.variant]
+        overrides.update(VARIANT_FLAGS[args.variant])
     config = replace(TrainConfig(), **overrides)
     plan = ExperimentPlan(
         data_root=args.data_root,
@@ -104,8 +122,9 @@ def command_run(args) -> int:
     except PlanExecutionError as exc:
         manifest = Path(args.out) / "failures.txt"
         manifest.parent.mkdir(parents=True, exist_ok=True)
-        manifest.write_text("".join(
-            f"{s}->{t} seed={seed}: {message}\n" for s, t, seed, message in exc.failures))
+        with atomic_write(manifest) as fh:
+            fh.writelines(f"{s}->{t} seed={seed}: {message}\n"
+                          for s, t, seed, message in exc.failures)
         for s, t, seed, message in exc.failures:
             print(f"FAILED {s}->{t} seed={seed}: {message}", file=sys.stderr)
         print(f"failure manifest written to {manifest}", file=sys.stderr)

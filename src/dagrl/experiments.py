@@ -3,15 +3,13 @@
 A plan names a dataset, a set of ordered (source_group, target_group)
 pairs over the four density quartiles, a training config, and seeds.
 Each (pair, seed) cell trains one model and records final-epoch target
-accuracy. Cells are independent; ``DAGRL_THREADS`` caps how many run
-concurrently. Reports are written deterministically: identical plans and
-seeds produce byte-identical CSV files.
+accuracy. Cells run one after another. Reports are written
+deterministically and atomically: identical plans and seeds produce
+byte-identical CSV files, and no output file is ever left half-written.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -19,8 +17,9 @@ import numpy as np
 
 from .autodiff import save_checkpoint
 from .errors import ConfigurationError, DagrlError
+from .fileio import atomic_write
 from .graphs import parse_tudataset, split_by_density, subset_as_source, subset_as_target
-from .trainer import VARIANTS, TrainConfig, evaluate, export_loss_history, train
+from .trainer import TrainConfig, evaluate, export_loss_history, train
 
 # Ordered as in the transfer-result tables: both directions of each
 # unordered group pair, lowest-density groups first.
@@ -98,15 +97,6 @@ class PlanExecutionError(DagrlError):
         self.partial = partial
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("DAGRL_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"DAGRL_THREADS must be an integer, got {raw!r}")
-    return max(1, workers)
-
-
 def _run_cell(plan: ExperimentPlan, dataset, groups, pair, seed: int) -> RunResult:
     s, t = pair
     config = replace(plan.config, seed=seed)
@@ -130,33 +120,17 @@ def run_plan(plan: ExperimentPlan) -> ResultTable:
     groups = split_by_density(dataset).groups
     Path(plan.out_dir).mkdir(parents=True, exist_ok=True)
 
-    cells = [(pair, seed) for pair in plan.pairs for seed in plan.seeds]
     table = ResultTable(dataset_name=plan.dataset_name, pairs=plan.pairs)
     failures = []
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {pool.submit(_run_cell, plan, dataset, groups, pair, seed): (pair, seed)
-                   for pair, seed in cells}
-        outcomes = {}
-        for future, (pair, seed) in futures.items():
+    for pair in plan.pairs:
+        for seed in plan.seeds:
             try:
-                outcomes[(pair, seed)] = future.result()
+                table.rows.append(_run_cell(plan, dataset, groups, pair, seed))
             except Exception as exc:  # noqa: BLE001 - manifest reports every failure
                 failures.append((pair[0], pair[1], seed, f"{type(exc).__name__}: {exc}"))
-    for pair, seed in cells:
-        if (pair, seed) in outcomes:
-            table.rows.append(outcomes[(pair, seed)])
     if failures:
         raise PlanExecutionError(failures, table)
     return table
-
-
-def run_ablation(plan: ExperimentPlan, variant: str) -> ResultTable:
-    """Run the plan under a model variant substitution."""
-    if variant not in VARIANTS:
-        raise ConfigurationError(
-            f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}"
-        )
-    return run_plan(replace(plan, config=replace(plan.config, variant=variant)))
 
 
 def emit_report(table: ResultTable, out_dir) -> tuple[Path, Path]:
@@ -172,13 +146,13 @@ def emit_report(table: ResultTable, out_dir) -> tuple[Path, Path]:
     results_path = out / "results.csv"
     summary_path = out / "summary.csv"
 
-    with results_path.open("w") as fh:
+    with atomic_write(results_path) as fh:
         fh.write("source,target,seed,accuracy\n")
         for r in table.rows:
             fh.write(f"{table.group_name(r.source_group)},{table.group_name(r.target_group)},"
                      f"{r.seed},{r.accuracy!r}\n")
 
-    with summary_path.open("w") as fh:
+    with atomic_write(summary_path) as fh:
         fh.write("source,target,mean_pct,std_pct,mean_accuracy\n")
         for pair in table.pairs:
             mean = table.pair_mean(pair)

@@ -1,0 +1,27 @@
+"""Crash-safe output files."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_write(path):
+    """Open ``path`` for text writing; the file appears only when the block completes.
+
+    Text goes to a temp file in the same directory, and ``os.replace``
+    moves it onto ``path`` once the block has finished, so a killed or
+    failing writer never leaves a truncated file at ``path``. If the
+    block raises, the temp file is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,12 +1,12 @@
 """Implicit-topology encoder branch.
 
-Two message-passing layers in the sum-aggregation style: each node merges
-``(1 + eps) * self`` with the sum of its neighbors' embeddings and pushes
-the result through a two-layer MLP. Graph-level representations come from
-a sum readout, and an MLP head maps them to class probabilities. A batch
-of graphs is processed as one disjoint union; readout uses a constant
-graph-membership matrix, so batching is mathematically identical to
-per-graph processing.
+Two message-passing layers in the sum-aggregation style: each node adds
+its own embedding to the sum of its neighbors' embeddings (the GIN update
+with its self-weight eps fixed at 0) and pushes the result through a
+two-layer MLP. Graph-level representations come from a sum readout, and
+an MLP head maps them to class probabilities. A batch of graphs is
+processed as one disjoint union; readout uses a constant graph-membership
+matrix, so batching is mathematically identical to per-graph processing.
 """
 
 from __future__ import annotations
@@ -95,12 +95,10 @@ class GinLayer:
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden_dim: int):
         self.lin1 = ad.Linear(rng, in_dim, hidden_dim)
         self.lin2 = ad.Linear(rng, hidden_dim, hidden_dim)
-        self.eps = 0.0  # self-weight, fixed (not learned)
 
     def __call__(self, tape: ad.Tape, h: ad.Tensor, adjacency) -> ad.Tensor:
         agg = ad.matmul_const(tape, adjacency, h)
-        self_term = h if self.eps == 0.0 else ad.scale(tape, h, 1.0 + self.eps)
-        combined = ad.add(tape, self_term, agg)
+        combined = ad.add(tape, h, agg)
         return self.lin2(tape, ad.relu(tape, self.lin1(tape, combined)))
 
     def params(self):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .graphs import SOURCE, DomainDataset, Graph, subset_as_target
 
 MOTIF_LABEL = 2
@@ -88,8 +89,14 @@ def make_benchmark(seed: int, graphs_per_block: int = 40) -> DomainDataset:
 
     Block k uses an increasing background edge probability and a
     class-correlation that fades with k, so density-quartile transfer
-    tasks on the written files exhibit a real shift.
+    tasks on the written files exhibit a real shift. Each block holds
+    ``graphs_per_block // NUM_CLASSES`` graphs per class, so it must be
+    at least ``NUM_CLASSES``.
     """
+    if graphs_per_block < NUM_CLASSES:
+        raise ConfigurationError(
+            f"graphs_per_block must be at least {NUM_CLASSES} (one graph per class), "
+            f"got {graphs_per_block}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E]))
     specs = [
         DomainSpec(edge_prob=0.06, background_label1_prob=(0.05, 0.95)),

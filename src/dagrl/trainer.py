@@ -15,7 +15,7 @@ one seed sequence, so structural variants stay bit-comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,11 +30,13 @@ from .adversarial import (
     perturbation_step,
 )
 from .errors import ConfigurationError, ContractViolation
+from .fileio import atomic_write
 from .gin import ClassifierHead, GinEncoder, GraphBatch
 from .graphs import SOURCE, TARGET, DomainDataset
 from .wl import GknHead, WlRefinement
 
-VARIANTS = ("full", "p1", "p2", "gin_only_dual", "gkn_only_dual", "source_only")
+# Branch structures; perturbations are switched by delta_enabled/zeta_enabled.
+VARIANTS = ("full", "gin_only_dual", "gkn_only_dual", "source_only")
 PERTURBATION_SLOTS = ("delta", "zeta")
 
 
@@ -50,8 +52,8 @@ class TrainConfig:
     wl_depth: int = 2
     seed: int = 0
     variant: str = "full"
-    # Perturbation switches on top of the variant; p1/p2/source_only
-    # force the respective switch off.
+    # Perturbation switches for the first (delta) and second (zeta)
+    # branch; source_only forces both off.
     delta_enabled: bool = True
     zeta_enabled: bool = True
 
@@ -180,9 +182,7 @@ class TrainState:
         cfg = self.config
         if cfg.variant == "source_only":
             return (False, False)
-        first = cfg.delta_enabled and cfg.variant != "p1"
-        second = cfg.zeta_enabled and cfg.variant != "p2"
-        return (first, second)
+        return (cfg.delta_enabled, cfg.zeta_enabled)
 
     def all_params(self):
         out = []
@@ -308,12 +308,6 @@ def source_loss(tape: ad.Tape, branches, graphs, labels, perturbations_per_branc
     for term in ce_terms[1:]:
         total = ad.add(tape, total, term)
     return ad.scale(tape, total, 1.0 / len(ce_terms)), outputs
-
-
-def total_loss(l_s: float, l_da_c: float, l_da_k: float,
-               lambda1: float, lambda2: float) -> float:
-    """Combined objective L = L_S - lambda1 * L_DA_C - lambda2 * L_DA_K."""
-    return l_s - lambda1 * l_da_c - lambda2 * l_da_k
 
 
 def fuse_predictions(prob_blocks) -> np.ndarray:
@@ -461,8 +455,8 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
 
 
 def export_loss_history(path, history) -> None:
-    """Write per-epoch losses and target accuracy as CSV."""
-    with open(path, "w") as fh:
+    """Write per-epoch losses and target accuracy as CSV, atomically."""
+    with atomic_write(path) as fh:
         fh.write("epoch,L_S,L_DA_C,L_DA_K,L,target_accuracy\n")
         for e in history:
             acc = "" if e.target_accuracy is None else repr(e.target_accuracy)
@@ -488,10 +482,3 @@ def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
     z_t, p_t, _ = branch.forward(tape, list(target.graphs))
     return domain_accuracy(disc, z_s.data, p_s.data, z_t.data, p_t.data)
 
-
-def make_variant_config(config: TrainConfig, variant: str) -> TrainConfig:
-    if variant not in VARIANTS:
-        raise ConfigurationError(
-            f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}"
-        )
-    return replace(config, variant=variant)

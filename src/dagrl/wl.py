@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ConfigurationError, ContractViolation
-from .graphs import DomainDataset, Graph
+from .graphs import Graph
 
 UNKNOWN_LABEL = -1
 
@@ -159,16 +159,6 @@ def normalized_gram(gram: np.ndarray) -> np.ndarray:
     return gram / np.outer(diag, diag)
 
 
-def export_gram_csv(path, gram: np.ndarray, graph_ids=None) -> None:
-    """Write a Gram matrix as CSV, header row carrying graph ids."""
-    n = gram.shape[0]
-    ids = list(graph_ids) if graph_ids is not None else list(range(n))
-    with open(path, "w") as fh:
-        fh.write(",".join(str(i) for i in ids) + "\n")
-        for row in gram:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 class GknHead:
     """Embedding plus classifier over densified refinement histograms."""
 
@@ -208,33 +198,3 @@ class GknHead:
             "lin2/bias": self.lin2.bias,
         }
 
-
-def gkn_forward(tape: ad.Tape, head: GknHead, refinement: WlRefinement, g: Graph,
-                zeta=None) -> ad.Tensor:
-    """Probability row for one graph, with optional embedding perturbation."""
-    features = refinement.feature_row(g)
-    zeta_tensor = None
-    if zeta is not None:
-        zeta_tensor = zeta if isinstance(zeta, ad.Tensor) else ad.constant(zeta)
-    _, p, _ = head.forward(tape, features, zeta_tensor)
-    return p
-
-
-def select_by_similarity(similarities, labels) -> int:
-    """Label of the most similar entry; ties resolve to the lowest index."""
-    sims = np.asarray(similarities, dtype=np.float64)
-    if sims.size == 0:
-        raise ConfigurationError("cannot select from an empty similarity list")
-    return int(labels[int(np.argmax(sims))])
-
-
-def pseudo_label(refinement: WlRefinement, sources: DomainDataset, target_g: Graph) -> int:
-    """Assign the label of the nearest source graph under the normalized kernel."""
-    if len(sources.graphs) == 0:
-        raise ConfigurationError("pseudo-labeling needs a nonempty source dataset")
-    target_self = kernel(refinement, target_g, target_g)
-    sims = []
-    for g in sources.graphs:
-        val = kernel(refinement, target_g, g)
-        sims.append(val / np.sqrt(target_self * kernel(refinement, g, g)))
-    return select_by_similarity(sims, [g.graph_label for g in sources.graphs])

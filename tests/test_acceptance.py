@@ -198,10 +198,13 @@ def synthetic_shift_results():
     start = time.perf_counter()
     results = {}
     disc_accs = []
-    for variant in ("full", "source_only", "p1", "p2"):
+    # p1 and p2 are the full model without delta or without zeta.
+    variants = {"full": {}, "source_only": {"variant": "source_only"},
+                "p1": {"delta_enabled": False}, "p2": {"zeta_enabled": False}}
+    for variant, overrides in variants.items():
         accs = []
         for seed in SYNTH_SEEDS:
-            config = TrainConfig(seed=seed, variant=variant, **SYNTH_CONFIG)
+            config = TrainConfig(seed=seed, **overrides, **SYNTH_CONFIG)
             source, target = make_shifted_pair(seed=seed,
                                                graphs_per_class=SYNTH_GRAPHS_PER_CLASS)
             state = train(config, source, target)

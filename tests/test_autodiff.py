@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dagrl import autodiff as ad
-from dagrl.errors import ContractViolation
+from dagrl.errors import ContractViolation, DatasetFormatError
 from helpers import finite_difference, max_relative_error
 
 
@@ -43,10 +43,11 @@ def test_cross_entropy_uniform_logits():
 
 
 def test_bilinear_gradient():
+    # d(x . y)/dx = y for the inner product x @ y.T.
     tape = ad.Tape()
     x = ad.parameter([[1.0, 2.0, 3.0]])
     y = ad.constant([[4.0, 5.0, 6.0]])
-    tape.backward(sum_all(tape, ad.mul(tape, x, y)))
+    tape.backward(ad.matmul(tape, x, ad.constant(y.data.T)))
     assert np.array_equal(x.grad, y.data)
 
 
@@ -62,14 +63,14 @@ def test_accumulation_is_consumer_order_independent():
     # Integer-valued operands make float addition exact, so the two
     # registration orders must agree bit for bit.
     rng = np.random.default_rng(0)
-    a = rng.integers(-4, 5, size=(2, 3)).astype(float)
-    b = rng.integers(-4, 5, size=(2, 3)).astype(float)
-    c = rng.integers(-4, 5, size=(2, 3)).astype(float)
+    a = rng.integers(-4, 5, size=(3, 3)).astype(float)
+    b = rng.integers(-4, 5, size=(3, 3)).astype(float)
+    c = rng.integers(-4, 5, size=(3, 3)).astype(float)
     grads = []
     for order in ((a, b, c), (c, a, b), (b, c, a)):
         tape = ad.Tape()
         x = ad.parameter(np.ones((2, 3)))
-        terms = [ad.mul(tape, x, ad.constant(m)) for m in order]
+        terms = [ad.matmul(tape, x, ad.constant(m)) for m in order]
         total = terms[0]
         for t in terms[1:]:
             total = ad.add(tape, total, t)
@@ -119,8 +120,8 @@ def test_mlp_matches_finite_differences():
 
 
 PRIMITIVE_CASES = [
-    "matmul", "matmul_const", "matmul_const_sparse", "add", "add_bias", "mul",
-    "scale", "relu", "softmax", "sum_rows", "mean_rows", "concat0", "concat1",
+    "matmul", "matmul_const", "matmul_const_sparse", "add", "add_bias", "scale",
+    "relu", "softmax", "sum_rows", "mean_rows", "concat0", "concat1",
     "cross_entropy", "log_sigmoid",
 ]
 
@@ -161,9 +162,6 @@ def test_primitive_gradients(name, seed):
     elif name == "add_bias":
         a, b = leaf((3, 4)), leaf((1, 4))
         build = lambda tape: ad.add(tape, a, b)
-    elif name == "mul":
-        a, b = leaf((3, 4)), leaf((3, 4))
-        build = lambda tape: ad.mul(tape, a, b)
     elif name == "scale":
         a = leaf((3, 4))
         build = lambda tape: ad.scale(tape, a, -1.7)
@@ -198,13 +196,14 @@ def test_primitive_gradients(name, seed):
     weights = None
 
     def scalarize(tape, out):
-        # Random fixed linear functional makes the scalar sensitive to
-        # every output coordinate.
+        # Random fixed linear functional r^T out c makes the scalar
+        # sensitive to every output coordinate.
         nonlocal weights
         if weights is None:
-            weights = rng.uniform(0.5, 1.5, size=out.shape)
-        flat = ad.mul(tape, out, ad.constant(weights))
-        return ad.matmul(tape, ad.sum_rows(tape, flat), ad.constant(np.ones((out.shape[1], 1))))
+            weights = (rng.uniform(0.5, 1.5, size=(1, out.shape[0])),
+                       rng.uniform(0.5, 1.5, size=(out.shape[1], 1)))
+        rows, cols = weights
+        return ad.matmul(tape, ad.matmul_const(tape, rows, out), ad.constant(cols))
 
     def run():
         tape = ad.Tape()
@@ -278,6 +277,21 @@ class TestCheckpoint:
         path.write_text("not-a-checkpoint\n")
         with pytest.raises(Exception, match="header"):
             ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("body,line", [("w k 1\n1.0\n", 2), ("w 1 2\n1.0 abc\n", 3)],
+                             ids=["shape", "value"])
+    def test_malformed_entry_is_format_error(self, tmp_path, body, line):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("dagrl-ckpt-v1\n" + body)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            ad.load_checkpoint(path)
+        assert excinfo.value.line == line
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ContractViolation, match="space"):
+            ad.save_checkpoint(path, {"a": np.ones((2, 2)), "b c": np.ones((1, 1))})
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_log_sigmoid_clamps_probability():

@@ -1,0 +1,69 @@
+"""The benchmark in ``perfbench/`` patches dagrl attributes by name.
+
+A rename or deletion in ``src/`` would break ``perfbench/run.py --trace 1``
+only when the benchmark runs; these tests catch it with the unit tests.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from dagrl.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Span names the per-layer metrics read; each must be reached by a plan.
+LAYER_SPANS = {
+    "gin.batch_build", "gin.encode", "wl.fit", "wl.feature_row", "wl.head_forward",
+    "autodiff.backward", "autodiff.adam", "autodiff.checkpoint_write",
+    "adversarial.disc_update", "adversarial.domain_loss", "adversarial.perturbation_step",
+    "trainer.gin_forward", "trainer.gkn_forward", "trainer.evaluate", "trainer.build_state",
+    "trainer.history_write", "graphs.parse", "experiments.cell", "experiments.report",
+}
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans as module
+
+    yield module
+    sys.modules.pop("spans", None)
+
+
+def test_install_and_uninstall_restore_every_attribute(spans):
+    tracer = spans.Tracer("t")
+    spans.install_layers(tracer)
+    spans.install_plan_probes(tracer)
+    patched = list(tracer._patches)
+    assert patched
+    for owner, attr, _ in patched:
+        assert hasattr(owner, attr), f"{owner!r} lost {attr!r}"
+    tracer.uninstall()
+    # An attribute wrapped twice must end up as it was before the first wrap.
+    first = {}
+    for owner, attr, original in patched:
+        first.setdefault((id(owner), attr), (owner, attr, original))
+    for owner, attr, original in first.values():
+        assert getattr(owner, attr) is original
+
+
+def test_traced_plan_reaches_every_layer(spans, tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--name", "SynthBench", "--seed", "0",
+                 "--graphs-per-block", "8"]) == 0
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text("epochs = 1\nhidden_dim = 8\nbatch_size = 8\nwl_depth = 1\n")
+    tracer = spans.Tracer("t")
+    spans.install_layers(tracer)
+    try:
+        code = main(["run", "--data-root", str(data), "--dataset", "SynthBench",
+                     "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    seen = {name for _, name, *_ in tracer.spans}
+    assert LAYER_SPANS <= seen, f"never reached: {sorted(LAYER_SPANS - seen)}"
+    assert tracer.counts["autodiff.checkpoint_bytes"] > 0

@@ -27,6 +27,13 @@ def test_parse_pairs_malformed():
         parse_pairs("0-1")
 
 
+def test_run_non_integer_pairs_exit_2(tmp_path, synth_root, capsys):
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", "a,b", "--seeds", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "bad pair 'a,b'" in capsys.readouterr().err
+
+
 def test_parse_seeds():
     assert parse_seeds("0,1,2") == (0, 1, 2)
     with pytest.raises(DagrlError):
@@ -43,12 +50,13 @@ def test_config_file_round_trip(tmp_path):
         "batch_size = 16\n"
         "lambda1 = 0.2\n"
         "wl_depth = 1\n"
-        "variant = p2\n"
+        "variant = gkn_only_dual\n"
         "zeta_enabled = false\n"
     )
     values = parse_config_file(cfg)
     assert values == {"epochs": 1, "lr": 0.01, "hidden_dim": 8, "batch_size": 16,
-                      "lambda1": 0.2, "wl_depth": 1, "variant": "p2", "zeta_enabled": False}
+                      "lambda1": 0.2, "wl_depth": 1, "variant": "gkn_only_dual",
+                      "zeta_enabled": False}
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -56,6 +64,37 @@ def test_config_file_unknown_key(tmp_path):
     cfg.write_text("learning_rate = 0.1\n")
     with pytest.raises(DagrlError, match="unknown config key"):
         parse_config_file(cfg)
+
+
+@pytest.mark.parametrize("line", ["epochs = many", "zeta_enabled = flase"])
+def test_config_file_bad_value_exit_2(tmp_path, synth_root, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2" in err and repr(line.split(" = ")[1]) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,frozen,moved", [("p1", "delta/", "zeta/"),
+                                               ("p2", "zeta/", "delta/")])
+def test_p1_p2_flags_switch_off_one_perturbation(tmp_path, synth_root, flag, frozen, moved):
+    from dagrl.autodiff import load_checkpoint
+
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nlr = 0.01\nhidden_dim = 8\nbatch_size = 16\nwl_depth = 1\n")
+    out = tmp_path / "out"
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
+                 "--variant", flag, "--out", str(out)])
+    assert code == 0
+    arrays = load_checkpoint(out / "checkpoint_0_1_0.txt")
+    assert "branch0_gin/head/lin1/weight" in arrays and "branch1_gkn/head/lin1/weight" in arrays
+    assert all(not v.any() for k, v in arrays.items() if k.startswith(frozen))
+    assert any(v.any() for k, v in arrays.items() if k.startswith(moved))
 
 
 def test_run_end_to_end(tmp_path, synth_root, capsys):
@@ -78,7 +117,7 @@ def test_run_end_to_end(tmp_path, synth_root, capsys):
 def test_run_flag_overrides_config_variant(tmp_path, synth_root):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs = 1\nlr = 0.01\nhidden_dim = 8\nbatch_size = 16\n"
-                   "wl_depth = 1\nvariant = p1\n")
+                   "wl_depth = 1\nvariant = gkn_only_dual\n")
     out = tmp_path / "out"
     code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
                  "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
@@ -129,3 +168,10 @@ def test_synth_round_trips_through_parser(synth_root):
     assert len(ds.graphs) == 64
     part = split_by_density(ds)
     assert sorted(len(g) for g in part.groups) == [16, 16, 16, 16]
+
+
+def test_synth_too_few_graphs_per_block_exit_2(tmp_path, capsys):
+    code = main(["synth", "--out", str(tmp_path), "--name", "Empty", "--graphs-per-block", "1"])
+    assert code == 2
+    assert "graphs_per_block" in capsys.readouterr().err
+    assert not (tmp_path / "Empty").exists()

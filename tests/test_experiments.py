@@ -9,7 +9,6 @@ from dagrl.experiments import (
     ResultTable,
     RunResult,
     emit_report,
-    run_ablation,
     run_plan,
 )
 from dagrl.graphs import write_tudataset
@@ -51,11 +50,6 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             make_plan(bench_root, tmp_path, pairs=((0, 4),))
 
-    def test_unknown_ablation_variant_lists_valid_ones(self, bench_root, tmp_path):
-        plan = make_plan(bench_root, tmp_path)
-        with pytest.raises(ConfigurationError, match="gkn_only_dual"):
-            run_ablation(plan, "bogus")
-
 
 class TestRunPlan:
     def test_single_cell_shape(self, bench_root, tmp_path):
@@ -81,20 +75,6 @@ class TestRunPlan:
         for name in ("results.csv", "summary.csv", "loss_history_0_1_0.csv",
                      "loss_history_1_0_1.csv", "checkpoint_0_1_0.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_ablation_full_equals_run_plan(self, bench_root, tmp_path):
-        plan = make_plan(bench_root, tmp_path / "a")
-        base = run_plan(plan)
-        again = run_ablation(make_plan(bench_root, tmp_path / "b"), "full")
-        assert [r.accuracy for r in base.rows] == [r.accuracy for r in again.rows]
-
-    def test_parallel_workers_match_serial(self, bench_root, tmp_path, monkeypatch):
-        plan_serial = make_plan(bench_root, tmp_path / "s", pairs=((0, 1), (2, 3)), seeds=(0,))
-        table_serial = run_plan(plan_serial)
-        monkeypatch.setenv("DAGRL_THREADS", "4")
-        plan_parallel = make_plan(bench_root, tmp_path / "p", pairs=((0, 1), (2, 3)), seeds=(0,))
-        table_parallel = run_plan(plan_parallel)
-        assert [r.accuracy for r in table_serial.rows] == [r.accuracy for r in table_parallel.rows]
 
     def test_checkpoint_contains_model_and_perturbations(self, bench_root, tmp_path):
         from dagrl.autodiff import load_checkpoint

@@ -2,20 +2,8 @@ import numpy as np
 import pytest
 
 from dagrl import autodiff as ad
-from dagrl.errors import ConfigurationError
-from dagrl.graphs import SOURCE, DomainDataset, Graph
-from dagrl.wl import (
-    UNKNOWN_LABEL,
-    GknHead,
-    WlRefinement,
-    export_gram_csv,
-    gkn_forward,
-    gram_matrix,
-    kernel,
-    normalized_gram,
-    pseudo_label,
-    select_by_similarity,
-)
+from dagrl.graphs import Graph
+from dagrl.wl import UNKNOWN_LABEL, GknHead, WlRefinement, gram_matrix, kernel, normalized_gram
 from helpers import permute_graph, random_graph
 
 
@@ -146,16 +134,6 @@ class TestKernel:
         sym = (gram + gram.T) / 2.0
         assert np.linalg.eigvalsh(sym).min() >= -1e-8
 
-    def test_gram_csv_export(self, tmp_path):
-        rng = np.random.default_rng(9)
-        graphs = [random_graph(rng, max_nodes=4) for _ in range(3)]
-        ref = WlRefinement(depth=1).fit(graphs)
-        path = tmp_path / "gram.csv"
-        export_gram_csv(path, gram_matrix(ref, graphs), graph_ids=["g0", "g1", "g2"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "g0,g1,g2"
-        assert len(lines) == 4
-
 
 class TestGknHead:
     def test_zero_zeta_matches_unperturbed(self):
@@ -164,8 +142,8 @@ class TestGknHead:
         ref = WlRefinement(depth=2).fit([g])
         head = GknHead(np.random.default_rng(11), ref.vocab_size, num_classes=3, hidden_dim=8)
         tape = ad.Tape()
-        p_plain = gkn_forward(tape, head, ref, g)
-        p_zero = gkn_forward(tape, head, ref, g, zeta=np.zeros((1, 8)))
+        _, p_plain, _ = head.forward(tape, ref.feature_row(g))
+        _, p_zero, _ = head.forward(tape, ref.feature_row(g), ad.constant(np.zeros((1, 8))))
         assert np.array_equal(p_plain.data, p_zero.data)
 
     def test_zero_initialized_head_uniform(self):
@@ -176,7 +154,7 @@ class TestGknHead:
         for p in head.params():
             p.data[:] = 0.0
         tape = ad.Tape()
-        probs = gkn_forward(tape, head, ref, g)
+        _, probs, _ = head.forward(tape, ref.feature_row(g))
         assert np.allclose(probs.data, 0.25, atol=1e-15)
 
     def test_unseen_graph_buckets_to_unk_and_normalizes(self):
@@ -192,26 +170,5 @@ class TestGknHead:
         assert row.sum() == alien.node_count * 3
         head = GknHead(np.random.default_rng(14), ref.vocab_size, num_classes=3, hidden_dim=8)
         tape = ad.Tape()
-        probs = gkn_forward(tape, head, ref, alien)
+        _, probs, _ = head.forward(tape, row)
         assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPseudoLabel:
-    def test_identical_graph_takes_its_source_label(self):
-        rng = np.random.default_rng(15)
-        graphs = [random_graph(rng, max_nodes=5, label=i % 2) for i in range(5)]
-        target = graphs[3]
-        ds = DomainDataset(graphs=tuple(graphs), domain=SOURCE, num_classes=2,
-                           label_alphabet_size=3)
-        ref = WlRefinement(depth=2).fit(graphs)
-        assert pseudo_label(ref, ds, target) == graphs[3].graph_label
-
-    def test_argmax_selection(self):
-        assert select_by_similarity([0.2, 0.9, 0.5], [0, 1, 0]) == 1
-
-    def test_all_tied_takes_lowest_index(self):
-        assert select_by_similarity([0.4, 0.4, 0.4], [2, 1, 0]) == 2
-
-    def test_empty_source_rejected(self):
-        with pytest.raises(ConfigurationError):
-            select_by_similarity([], [])
