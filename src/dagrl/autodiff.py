@@ -124,9 +124,10 @@ def matmul_const(tape: Tape, m, x: Tensor) -> Tensor:
     """
     if m.shape[1] != x.shape[0]:
         raise ContractViolation(f"matmul shape mismatch: {m.shape} @ {x.shape}")
-    mt = m.T.tocsr() if sp.issparse(m) else m.T
 
     def backward_fn(g):
+        # Transposed only when a backward pass runs; evaluation forwards skip it.
+        mt = m.T.tocsr() if sp.issparse(m) else m.T
         return (np.asarray(mt @ g),)
 
     value = m @ x.data

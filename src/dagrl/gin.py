@@ -16,79 +16,63 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .graphs import Graph
-
-
-def one_hot_features(g: Graph, input_dim: int) -> np.ndarray:
-    x = np.zeros((g.node_count, input_dim))
-    for i, label in enumerate(g.node_labels):
-        if not 0 <= label < input_dim:
-            raise ContractViolation(f"node label {label} outside alphabet of size {input_dim}")
-        x[i, label] = 1.0
-    return x
-
-
-def adjacency_matrix(g: Graph) -> sp.csr_matrix:
-    n = g.node_count
-    if not g.edges:
-        return sp.csr_matrix((n, n))
-    rows, cols = [], []
-    for u, v in g.edges:
-        rows += [u, v]
-        cols += [v, u]
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+from .graphs import Graph, PackedGraphs
 
 
 class GraphBatch:
-    """Constant matrices for a disjoint union of graphs."""
+    """Constant matrices for the disjoint union of ``packed.graphs[indices]``.
 
-    def __init__(self, graphs, input_dim: int):
-        graphs = list(graphs)
-        self.graphs = graphs
-        self.input_dim = input_dim
-        self.node_counts = [g.node_count for g in graphs]
-        self.total_nodes = sum(self.node_counts)
-        self.features = (np.vstack([one_hot_features(g, input_dim) for g in graphs])
-                         if self.total_nodes else np.zeros((0, input_dim)))
-        self.adjacency = sp.block_diag([adjacency_matrix(g) for g in graphs], format="csr")
-        rows = np.repeat(np.arange(len(graphs)), self.node_counts)
-        cols = np.arange(self.total_nodes)
-        self.readout = sp.csr_matrix((np.ones(self.total_nodes), (rows, cols)),
-                                     shape=(len(graphs), self.total_nodes))
+    All three are index gathers from the packed arrays: the one-hot node
+    features, the adjacency (the graphs' row slices of the packed
+    adjacency, shifted to batch-local columns) and the sum readout, whose
+    ``indptr`` is the batch's node offsets.
+    """
 
-    def feature_tensor(self, tape: ad.Tape, perturbations=None) -> ad.Tensor:
-        """One-hot inputs, with optional per-graph additive perturbations.
+    def __init__(self, packed: PackedGraphs, indices, input_dim: int):
+        idx = np.asarray(indices, dtype=np.int64)
+        self.graphs = [packed.graphs[i] for i in idx]
+        starts = packed.node_offsets[idx]
+        counts = packed.node_offsets[idx + 1] - starts
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.total_nodes = total = int(offsets[-1])
+        # Batch node k is packed node k + shift[k]; columns move back by it.
+        shift = np.repeat(starts - offsets[:-1], counts)
+        nodes = np.arange(total) + shift
 
-        ``perturbations`` is a list aligned with the batch; entries may be
-        tensors (gradients flow), arrays (baked in), or ``None``.
-        """
-        if perturbations is None:
-            return ad.constant(self.features)
-        if len(perturbations) != len(self.graphs):
+        labels = packed.node_labels[nodes]
+        bad = (labels < 0) | (labels >= input_dim)
+        if bad.any():
             raise ContractViolation(
-                f"{len(perturbations)} perturbations for {len(self.graphs)} graphs"
-            )
-        parts = []
-        offset = 0
-        for g, pert in zip(self.graphs, perturbations):
-            block = self.features[offset:offset + g.node_count]
-            offset += g.node_count
-            if pert is None:
-                parts.append(ad.constant(block))
-                continue
-            shape = pert.shape
-            if shape != (g.node_count, self.input_dim):
-                raise ContractViolation(
-                    f"perturbation shape {shape} != {(g.node_count, self.input_dim)}"
-                )
-            if isinstance(pert, ad.Tensor):
-                parts.append(ad.add(tape, ad.constant(block), pert))
-            else:
-                parts.append(ad.constant(block + pert))
-        if len(parts) == 1:
-            return parts[0]
-        return ad.concat(tape, parts, axis=0)
+                f"node label {labels[bad][0]} outside alphabet of size {input_dim}")
+        self.features = np.zeros((total, input_dim))
+        self.features[np.arange(total), labels] = 1.0
+
+        adj = packed.adjacency
+        row_starts = adj.indptr[nodes]
+        row_sizes = adj.indptr[nodes + 1] - row_starts
+        indptr = np.concatenate(([0], np.cumsum(row_sizes)))
+        nnz = int(indptr[-1])
+        positions = np.arange(nnz) + np.repeat(row_starts - indptr[:-1], row_sizes)
+        cols = adj.indices[positions] - np.repeat(shift, row_sizes)
+        self.adjacency = sp.csr_matrix((np.ones(nnz), cols, indptr), shape=(total, total))
+        self.readout = sp.csr_matrix((np.ones(total), np.arange(total), offsets),
+                                     shape=(len(idx), total))
+
+    def feature_tensor(self, tape: ad.Tape, perturbation=None) -> ad.Tensor:
+        """One-hot inputs plus an optional additive perturbation of the whole batch.
+
+        ``perturbation`` is ``None``, an array (baked in) or a tensor
+        (gradients flow), shaped like the features: each graph's block is
+        its rows.
+        """
+        if perturbation is None:
+            return ad.constant(self.features)
+        if perturbation.shape != self.features.shape:
+            raise ContractViolation(
+                f"perturbation shape {perturbation.shape} != {self.features.shape}")
+        if isinstance(perturbation, ad.Tensor):
+            return ad.add(tape, ad.constant(self.features), perturbation)
+        return ad.constant(self.features + perturbation)
 
 
 class GinLayer:
@@ -118,9 +102,9 @@ class GinEncoder:
             self.layers.append(GinLayer(rng, in_dim, hidden_dim))
             in_dim = hidden_dim
 
-    def encode_batch(self, tape: ad.Tape, batch: GraphBatch, perturbations=None):
+    def encode_batch(self, tape: ad.Tape, batch: GraphBatch, perturbation=None):
         """Node embeddings for the disjoint union and per-graph readouts."""
-        h = batch.feature_tensor(tape, perturbations)
+        h = batch.feature_tensor(tape, perturbation)
         for layer in self.layers:
             h = layer(tape, h, batch.adjacency)
         z = ad.matmul_const(tape, batch.readout, h)
@@ -128,9 +112,8 @@ class GinEncoder:
 
     def encode(self, tape: ad.Tape, g: Graph, delta=None):
         """Single-graph encode; ``delta`` perturbs the one-hot inputs."""
-        batch = GraphBatch([g], self.input_dim)
-        perturbations = None if delta is None else [delta]
-        return self.encode_batch(tape, batch, perturbations)
+        batch = GraphBatch(PackedGraphs([g]), [0], self.input_dim)
+        return self.encode_batch(tape, batch, delta)
 
     def params(self):
         out = []

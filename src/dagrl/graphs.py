@@ -5,12 +5,21 @@ edge file, a ``_graph_indicator.txt`` node-to-graph map, plus graph and
 node label files). Parsing produces immutable :class:`Graph` records with
 0-indexed contiguous node ids; directed duplicate edges in the files are
 merged into single undirected edges.
+
+A dataset packs its graphs into flat arrays once, at first use
+(:class:`PackedGraphs`); batches are then gathered from those arrays by
+index instead of being rebuilt graph by graph.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, ContractViolation, DatasetFormatError, IngestionError
 
@@ -59,6 +68,33 @@ class Graph:
         return adj
 
 
+class PackedGraphs:
+    """A sequence of graphs as one disjoint union, stored as flat arrays.
+
+    Graph ``i`` owns the union's nodes ``node_offsets[i]:node_offsets[i + 1]``.
+    ``node_labels`` concatenates the graphs' node labels, and ``adjacency``
+    is the symmetric 0/1 block-diagonal adjacency of the union in CSR form
+    with sorted column indices.
+    """
+
+    def __init__(self, graphs):
+        self.graphs = tuple(graphs)
+        counts = np.fromiter((g.node_count for g in self.graphs), dtype=np.int64,
+                             count=len(self.graphs))
+        self.node_offsets = np.concatenate(([0], np.cumsum(counts)))
+        total = int(self.node_offsets[-1])
+        self.node_labels = np.fromiter(
+            (label for g in self.graphs for label in g.node_labels), dtype=np.int64, count=total)
+        edge_counts = [len(g.edges) for g in self.graphs]
+        ends = np.fromiter((v for g in self.graphs for edge in g.edges for v in edge),
+                           dtype=np.int64, count=2 * sum(edge_counts)).reshape(-1, 2)
+        ends += np.repeat(self.node_offsets[:-1], edge_counts)[:, None]
+        rows = np.concatenate((ends[:, 0], ends[:, 1]))
+        cols = np.concatenate((ends[:, 1], ends[:, 0]))
+        self.adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(total, total))
+        self.adjacency.sort_indices()
+
+
 @dataclass(frozen=True)
 class DomainDataset:
     """An ordered collection of graphs tagged as one adaptation domain.
@@ -92,6 +128,21 @@ class DomainDataset:
 
     def __len__(self) -> int:
         return len(self.graphs)
+
+    @cached_property
+    def packed(self) -> PackedGraphs:
+        """The graphs packed once, at first use; GIN batches are gathered from it."""
+        return PackedGraphs(self.graphs)
+
+    @cached_property
+    def feature_matrices(self) -> weakref.WeakKeyDictionary:
+        """``WlRefinement.feature_matrix`` of the graphs, weakly keyed by refinement.
+
+        Filled by ``WlRefinement.dataset_features``; an entry is dropped
+        with its refinement, so a dataset shared by many runs keeps no
+        finished run's rows.
+        """
+        return weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)

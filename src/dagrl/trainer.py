@@ -16,6 +16,7 @@ one seed sequence, so structural variants stay bit-comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,9 +84,8 @@ class GinBranch:
         self.encoder = GinEncoder(rng, input_dim, hidden_dim=hidden_dim)
         self.head = ClassifierHead(rng, hidden_dim, num_classes)
 
-    def forward(self, tape: ad.Tape, graphs, perturbations=None):
-        batch = GraphBatch(graphs, self.input_dim)
-        _, z = self.encoder.encode_batch(tape, batch, perturbations)
+    def forward(self, tape: ad.Tape, batch: Batch, perturbation=None):
+        _, z = self.encoder.encode_batch(tape, batch.union, perturbation)
         logits = self.head.logits(tape, z)
         return z, ad.softmax(tape, logits), logits
 
@@ -108,39 +108,15 @@ class GknBranch:
 
     def __init__(self, rng: np.random.Generator, refinement: WlRefinement,
                  num_classes: int, hidden_dim: int):
-        self.refinement = refinement
         self.hidden_dim = hidden_dim
         self.head = GknHead(rng, refinement.vocab_size, num_classes, hidden_dim=hidden_dim)
-        # Keyed by id(); the entry pins the graph so ids cannot be reused.
-        self._feature_cache: dict[int, tuple[object, sp.csr_matrix]] = {}
 
-    def _features(self, graphs):
-        rows = []
-        for g in graphs:
-            hit = self._feature_cache.get(id(g))
-            if hit is None:
-                hit = (g, self.refinement.feature_row(g))
-                self._feature_cache[id(g)] = hit
-            rows.append(hit[1])
-        return sp.vstack(rows, format="csr")
-
-    def forward(self, tape: ad.Tape, graphs, perturbations=None):
-        features = self._features(graphs)
-        zeta = None
-        if perturbations is not None:
-            if len(perturbations) != len(graphs):
-                raise ContractViolation(
-                    f"{len(perturbations)} perturbations for {len(graphs)} graphs"
-                )
-            if all(isinstance(p, ad.Tensor) for p in perturbations):
-                parts = list(perturbations)
-                zeta = parts[0] if len(parts) == 1 else ad.concat(tape, parts, axis=0)
-            elif all(isinstance(p, np.ndarray) for p in perturbations):
-                zeta = ad.constant(np.vstack(perturbations))
-            else:
-                raise ContractViolation("perturbations must be all tensors or all arrays")
-        z, p, logits = self.head.forward(tape, features, zeta)
-        return z, p, logits
+    def forward(self, tape: ad.Tape, batch: Batch, perturbation=None):
+        """``perturbation``: ``None``, an array or a tensor of shape (graphs, hidden)."""
+        zeta = perturbation
+        if zeta is not None and not isinstance(zeta, ad.Tensor):
+            zeta = ad.constant(zeta)
+        return self.head.forward(tape, batch.histograms, zeta)
 
     def perturbation_shape(self, g) -> tuple[int, int]:
         return (1, self.hidden_dim)
@@ -209,6 +185,29 @@ class TrainState:
         if self.store is not None:
             out.update(self.store.as_arrays())
         return out
+
+
+class Batch:
+    """The graphs ``dataset.graphs[indices]`` in the forms the branches read.
+
+    ``union`` (the GIN disjoint union) and ``histograms`` (the GKN
+    refinement-histogram rows) are each built at first use, then shared by
+    every branch and phase that reads this batch.
+    """
+
+    def __init__(self, state: TrainState, dataset: DomainDataset, indices):
+        self.dataset = dataset
+        self.indices = list(indices)
+        self._input_dim = state.input_dim
+        self._refinement = state.refinement
+
+    @cached_property
+    def union(self) -> GraphBatch:
+        return GraphBatch(self.dataset.packed, self.indices, self._input_dim)
+
+    @cached_property
+    def histograms(self) -> sp.csr_matrix:
+        return self._refinement.dataset_features(self.dataset)[self.indices]
 
 
 def _check_domains(source: DomainDataset, target: DomainDataset) -> None:
@@ -287,7 +286,7 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     )
 
 
-def source_loss(tape: ad.Tape, branches, graphs, labels, perturbations_per_branch=None):
+def source_loss(tape: ad.Tape, branches, batch: Batch, labels, perturbations_per_branch=None):
     """Mean cross-entropy over the branch heads on a labeled source batch.
 
     Returns the loss tensor and each branch's (representation,
@@ -301,7 +300,7 @@ def source_loss(tape: ad.Tape, branches, graphs, labels, perturbations_per_branc
     ce_terms = []
     outputs = []
     for branch, pert in zip(branches, perturbations_per_branch):
-        z, p, logits = branch.forward(tape, graphs, pert)
+        z, p, logits = branch.forward(tape, batch, pert)
         outputs.append((z, p))
         ce_terms.append(ad.softmax_cross_entropy(tape, logits, labels))
     total = ce_terms[0]
@@ -322,20 +321,21 @@ def _chunks(seq, size):
 
 
 def _store_constants(state: TrainState, branch_idx: int, indices):
+    """The batch's stored perturbations for one branch, stacked; ``None`` if off."""
     enabled = state.perturbation_enabled()[branch_idx]
     if not enabled or state.store is None:
         return None
     entries = state.store.slot(PERTURBATION_SLOTS[branch_idx])
-    return [entries[i] for i in indices]
+    return np.vstack([entries[i] for i in indices])
 
 
-def _phase_discriminators(state: TrainState, src_graphs, src_idx, tgt_graphs):
+def _phase_discriminators(state: TrainState, src: Batch, tgt: Batch):
     values = []
     for b, (branch, disc, opt) in enumerate(
             zip(state.branches, state.discriminators, state.disc_opts)):
         tape = ad.Tape()
-        z_s, p_s, _ = branch.forward(tape, src_graphs, _store_constants(state, b, src_idx))
-        z_t, p_t, _ = branch.forward(tape, tgt_graphs)
+        z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, b, src.indices))
+        z_t, p_t, _ = branch.forward(tape, tgt)
         loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
         discriminator_update(tape, loss, opt)
         state.zero_all_grads()
@@ -343,39 +343,40 @@ def _phase_discriminators(state: TrainState, src_graphs, src_idx, tgt_graphs):
     return values
 
 
-def _phase_perturbations(state: TrainState, src_graphs, src_idx):
+def _phase_perturbations(state: TrainState, src: Batch):
     enabled = state.perturbation_enabled()
     for b, branch in enumerate(state.branches):
         if not enabled[b]:
             continue
         slot = PERTURBATION_SLOTS[b]
         entries = state.store.slot(slot)
+        blocks = [entries[i] for i in src.indices]
+        # One leaf for the whole batch; each graph's gradient is its rows.
+        leaf = ad.parameter(np.vstack(blocks))
         tape = ad.Tape()
-        leaves = [ad.parameter(entries[i]) for i in src_idx]
-        z_s, p_s, _ = branch.forward(tape, src_graphs, leaves)
+        z_s, p_s, _ = branch.forward(tape, src, leaf)
         logit = state.discriminators[b].logits(tape, z_s, p_s)
         # Disjoint graphs: the gradient of the summed log D splits into
         # each graph's own gradient.
         tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
-        grads = {}
-        for i, leaf in zip(src_idx, leaves):
-            grads[i] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        perturbation_step(state.store, slot, grads)
+        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+        bounds = np.cumsum([block.shape[0] for block in blocks])[:-1]
+        perturbation_step(state.store, slot, dict(zip(src.indices, np.split(grad, bounds))))
         state.zero_all_grads()
 
 
-def _phase_model(state: TrainState, src_graphs, src_idx, labels, tgt_graphs):
+def _phase_model(state: TrainState, src: Batch, labels, tgt: Batch):
     cfg = state.config
     tape = ad.Tape()
-    perts = [_store_constants(state, b, src_idx) for b in range(len(state.branches))]
-    l_s, src_outputs = source_loss(tape, state.branches, src_graphs, labels, perts)
+    perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
+    l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
     total = l_s
     lambdas = (cfg.lambda1, cfg.lambda2)
     da_values: list[float | None] = [None, None]
     for b, branch in enumerate(state.branches):
         if lambdas[b] == 0.0 or state.discriminators is None:
             continue
-        z_t, p_t, _ = branch.forward(tape, tgt_graphs)
+        z_t, p_t, _ = branch.forward(tape, tgt)
         da = domain_loss(tape, state.discriminators[b], *src_outputs[b], z_t, p_t)
         da_values[b] = da.item()
         total = ad.add(tape, total, ad.scale(tape, da, -lambdas[b]))
@@ -386,7 +387,11 @@ def _phase_model(state: TrainState, src_graphs, src_idx, labels, tgt_graphs):
 
 
 def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset) -> TrainState:
-    """One pass over the source data with cycled target batches."""
+    """One pass over the source data with cycled target batches.
+
+    Each step gathers one source and one target batch; all three phases
+    read them.
+    """
     _check_domains(source, target)
     cfg = state.config
     src_order = [int(i) for i in state.rng_source.permutation(len(source.graphs))]
@@ -397,16 +402,16 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
     for src_idx in _chunks(src_order, cfg.batch_size):
         tgt_idx = [tgt_order[(cursor + k) % len(tgt_order)] for k in range(len(src_idx))]
         cursor += len(src_idx)
-        src_graphs = [source.graphs[i] for i in src_idx]
-        tgt_graphs = [target.graphs[i] for i in tgt_idx]
-        labels = [g.graph_label for g in src_graphs]
+        src = Batch(state, source, src_idx)
+        tgt = Batch(state, target, tgt_idx)
+        labels = [source.graphs[i].graph_label for i in src_idx]
 
         if state.discriminators is not None:
-            da_phase1 = _phase_discriminators(state, src_graphs, src_idx, tgt_graphs)
-            _phase_perturbations(state, src_graphs, src_idx)
+            da_phase1 = _phase_discriminators(state, src, tgt)
+            _phase_perturbations(state, src)
         else:
             da_phase1 = [0.0, 0.0]
-        l_s, total, da_phase3 = _phase_model(state, src_graphs, src_idx, labels, tgt_graphs)
+        l_s, total, da_phase3 = _phase_model(state, src, labels, tgt)
         da = [p3 if p3 is not None else p1 for p3, p1 in zip(da_phase3, da_phase1)]
         batch_stats.append((l_s, da[0], da[1], total))
 
@@ -443,11 +448,12 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
         if any(l is None for l in labels):
             raise ConfigurationError("dataset has no labels to evaluate against")
     predictions = []
-    for graphs in _chunks(list(dataset.graphs), state.config.batch_size):
+    for indices in _chunks(range(len(dataset.graphs)), state.config.batch_size):
+        batch = Batch(state, dataset, indices)
         probs = []
         for branch in state.branches:
             tape = ad.Tape()
-            _, p, _ = branch.forward(tape, graphs)
+            _, p, _ = branch.forward(tape, batch)
             probs.append(p.data)
         predictions.append(fuse_predictions(probs))
     predicted = np.concatenate(predictions)
@@ -475,10 +481,10 @@ def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
         raise ConfigurationError("this variant trains no discriminators")
     branch = state.branches[branch_idx]
     disc = state.discriminators[branch_idx]
-    src_indices = list(range(len(source.graphs)))
+    src = Batch(state, source, range(len(source.graphs)))
+    tgt = Batch(state, target, range(len(target.graphs)))
     tape = ad.Tape()
-    z_s, p_s, _ = branch.forward(tape, list(source.graphs),
-                                 _store_constants(state, branch_idx, src_indices))
-    z_t, p_t, _ = branch.forward(tape, list(target.graphs))
+    z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, branch_idx, src.indices))
+    z_t, p_t, _ = branch.forward(tape, tgt)
     return domain_accuracy(disc, z_s.data, p_s.data, z_t.data, p_t.data)
 

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ConfigurationError, ContractViolation
-from .graphs import Graph
+from .graphs import DomainDataset, Graph
 
 UNKNOWN_LABEL = -1
 
@@ -135,6 +135,18 @@ class WlRefinement:
         if not rows:
             raise ContractViolation("feature_matrix of zero graphs")
         return sp.vstack(rows, format="csr")
+
+    def dataset_features(self, dataset: DomainDataset) -> sp.csr_matrix:
+        """The feature matrix of ``dataset.graphs``, computed at first use.
+
+        Batches gather their rows from it. It is kept in
+        ``dataset.feature_matrices`` under this refinement, so every branch and
+        phase that shares the refinement shares the rows.
+        """
+        features = dataset.feature_matrices.get(self)
+        if features is None:
+            features = dataset.feature_matrices[self] = self.feature_matrix(dataset.graphs)
+        return features
 
 
 def kernel(refinement: WlRefinement, g1: Graph, g2: Graph) -> int:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,9 @@ PRIMITIVE_CASES = [
 @pytest.mark.parametrize("name", PRIMITIVE_CASES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_primitive_gradients(name, seed):
-    rng = np.random.default_rng(seed * 131 + hash(name) % 1000)
+    # crc32, not hash(): str hashes are salted per process, so a failing
+    # case would draw different inputs on every run.
+    rng = np.random.default_rng(seed * 131 + zlib.crc32(name.encode()) % 1000)
     import scipy.sparse as sp
 
     def sample(shape):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
-from dagrl.gin import ClassifierHead, GinEncoder, GraphBatch, one_hot_features
-from dagrl.graphs import Graph
+from dagrl.gin import ClassifierHead, GinEncoder, GraphBatch
+from dagrl.graphs import SOURCE, DomainDataset, Graph, PackedGraphs
+from dagrl.wl import WlRefinement
 from helpers import finite_difference, max_relative_error, path_graph, permute_graph, random_graph
 
 
@@ -28,9 +30,8 @@ def test_single_node_is_mlp_of_own_features():
     g = Graph(node_count=1, edges=(), node_labels=(2,), graph_label=0)
     tape = ad.Tape()
     h, z = enc.encode(tape, g)
-    # No neighbors: the aggregation term is zero, so layer 1 sees (1+eps)*x.
-    x = one_hot_features(g, 3)
-    expected = x
+    # No neighbors: the aggregation term is zero, so layer 1 sees x.
+    expected = np.array([[0.0, 0.0, 1.0]])
     for layer in enc.layers:
         pre = np.maximum(expected @ layer.lin1.weight.data + layer.lin1.bias.data, 0.0)
         expected = pre @ layer.lin2.weight.data + layer.lin2.bias.data
@@ -148,10 +149,86 @@ def test_batch_matches_per_graph_encode():
     rng = np.random.default_rng(21)
     graphs = [random_graph(rng, max_nodes=5) for _ in range(4)]
     tape = ad.Tape()
-    _, z_batch = enc.encode_batch(tape, GraphBatch(graphs, 3))
+    _, z_batch = enc.encode_batch(tape, GraphBatch(PackedGraphs(graphs), range(4), 3))
     singles = []
     for g in graphs:
         t = ad.Tape()
         _, z = enc.encode(t, g)
         singles.append(z.data)
     assert np.allclose(z_batch.data, np.vstack(singles), atol=1e-12)
+
+
+def reference_batch(graphs, input_dim):
+    """Per-graph construction: one CSR per graph, then ``block_diag``."""
+    features, blocks, members = [], [], []
+    for k, g in enumerate(graphs):
+        x = np.zeros((g.node_count, input_dim))
+        for i, label in enumerate(g.node_labels):
+            x[i, label] = 1.0
+        features.append(x)
+        rows = [u for u, v in g.edges] + [v for u, v in g.edges]
+        cols = [v for u, v in g.edges] + [u for u, v in g.edges]
+        blocks.append(sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                                    shape=(g.node_count, g.node_count)))
+        members += [k] * g.node_count
+    total = len(members)
+    readout = sp.csr_matrix((np.ones(total), (members, np.arange(total))),
+                            shape=(len(graphs), total))
+    return np.vstack(features), sp.block_diag(blocks, format="csr"), readout
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+
+class TestPackedBatch:
+    @pytest.fixture
+    def packed(self):
+        rng = np.random.default_rng(30)
+        graphs = [random_graph(rng, max_nodes=7, num_labels=4, edge_prob=0.5)
+                  for _ in range(12)]
+        graphs[3] = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
+        graphs[8] = Graph(node_count=4, edges=(), node_labels=(3, 0, 2, 1), graph_label=0)
+        return PackedGraphs(graphs)
+
+    def test_matches_per_graph_reference(self, packed):
+        indices = np.random.default_rng(31).permutation(len(packed.graphs))
+        batch = GraphBatch(packed, indices, 4)
+        picked = [packed.graphs[i] for i in indices]
+        features, adjacency, readout = reference_batch(picked, 4)
+        assert batch.graphs == picked
+        assert np.array_equal(batch.features, features)
+        assert_same_csr(batch.adjacency, adjacency)
+        assert_same_csr(batch.readout, readout)
+
+    def test_subset_with_empty_graph_matches_reference(self, packed):
+        indices = [8, 3, 0, 3]
+        batch = GraphBatch(packed, indices, 4)
+        features, adjacency, readout = reference_batch([packed.graphs[i] for i in indices], 4)
+        assert np.array_equal(batch.features, features)
+        assert_same_csr(batch.adjacency, adjacency)
+        assert_same_csr(batch.readout, readout)
+
+    def test_label_outside_alphabet_names_the_label(self, packed):
+        with pytest.raises(ContractViolation, match="node label 3 "):
+            GraphBatch(packed, [8], 3)
+
+    def test_wrong_shape_perturbation_rejected(self, packed):
+        batch = GraphBatch(packed, [0, 1], 4)
+        wrong = np.zeros((batch.total_nodes + 1, 4))
+        with pytest.raises(ContractViolation, match="perturbation shape"):
+            batch.feature_tensor(ad.Tape(), wrong)
+        with pytest.raises(ContractViolation, match="perturbation shape"):
+            batch.feature_tensor(ad.Tape(), ad.parameter(wrong))
+
+    def test_gathered_kernel_rows_equal_feature_rows(self, packed):
+        dataset = DomainDataset(graphs=packed.graphs, domain=SOURCE, num_classes=1,
+                                label_alphabet_size=4)
+        ref = WlRefinement(depth=2).fit(dataset.graphs)
+        indices = [5, 3, 11, 0, 8]
+        rows = ref.dataset_features(dataset)[indices]
+        assert ref.dataset_features(dataset) is ref.dataset_features(dataset)
+        for k, i in enumerate(indices):
+            assert_same_csr(rows[k], ref.feature_row(dataset.graphs[i]))

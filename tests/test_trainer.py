@@ -5,7 +5,9 @@ from dagrl import autodiff as ad
 from dagrl.errors import ConfigurationError, ContractViolation
 from dagrl.graphs import SOURCE, DomainDataset, Graph, subset_as_target
 from dagrl.synthetic import make_shifted_pair
+from dagrl import trainer
 from dagrl.trainer import (
+    Batch,
     GinBranch,
     GknBranch,
     TrainConfig,
@@ -66,7 +68,7 @@ class TestSourceLoss:
         state = build_state(toy_config(), source, target)
         tape = ad.Tape()
         with pytest.raises(ContractViolation, match="unlabeled"):
-            source_loss(tape, state.branches, list(target.graphs[:2]), [None, None])
+            source_loss(tape, state.branches, Batch(state, target, [0, 1]), [None, None])
 
     def test_uniform_heads_give_log_c(self, tiny_pair):
         source, target = tiny_pair
@@ -75,9 +77,8 @@ class TestSourceLoss:
             for p in branch.params():
                 p.data[:] = 0.0
         tape = ad.Tape()
-        graphs = list(source.graphs[:4])
-        loss, _ = source_loss(tape, state.branches, graphs,
-                              [g.graph_label for g in graphs])
+        loss, _ = source_loss(tape, state.branches, Batch(state, source, range(4)),
+                              [g.graph_label for g in source.graphs[:4]])
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_mean_of_extreme_and_uniform(self):
@@ -266,3 +267,58 @@ class TestEvaluate:
             eval_labels=tuple(target.eval_labels[i] for i in order),
         )
         assert evaluate(state, shuffled) == pytest.approx(acc, abs=1e-12)
+
+
+class TestAssemblyReuse:
+    """Each step gathers its batches once; kernel rows are computed once per graph."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from collections import Counter
+
+        from dagrl.wl import WlRefinement
+
+        builds = []
+        rows = Counter()
+        batch_cls, feature_row = trainer.GraphBatch, WlRefinement.feature_row
+
+        def counting_batch(*args, **kwargs):
+            builds.append(1)
+            return batch_cls(*args, **kwargs)
+
+        def counting_row(self, g):
+            rows[(id(self), id(g))] += 1
+            return feature_row(self, g)
+
+        monkeypatch.setattr(trainer, "GraphBatch", counting_batch)
+        monkeypatch.setattr(WlRefinement, "feature_row", counting_row)
+        return builds, rows
+
+    def run_two_epochs(self, tiny_pair, variant):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant=variant), source, target)
+        for _ in range(2):
+            train_epoch(state, source, target)
+        return source, target
+
+    def test_full_builds_two_batches_per_step(self, tiny_pair, counts):
+        source, target = self.run_two_epochs(tiny_pair, "full")
+        builds, _ = counts
+        steps = -(-len(source.graphs) // 8)
+        eval_chunks = -(-len(target.graphs) // 8)
+        assert len(builds) == 2 * (2 * steps + eval_chunks)
+
+    def test_gkn_only_builds_no_gin_batch(self, tiny_pair, counts):
+        self.run_two_epochs(tiny_pair, "gkn_only_dual")
+        builds, rows = counts
+        assert builds == []
+        assert rows
+
+    @pytest.mark.parametrize("variant", ["full", "gin_only_dual", "gkn_only_dual",
+                                         "source_only"])
+    def test_feature_row_at_most_once_per_graph(self, tiny_pair, counts, variant):
+        source, target = self.run_two_epochs(tiny_pair, variant)
+        _, rows = counts
+        assert all(n == 1 for n in rows.values())
+        if variant != "gin_only_dual":
+            assert len(rows) == len(source.graphs) + len(target.graphs)
