@@ -40,8 +40,8 @@ class DomainDiscriminator:
 
     def probabilities(self, z: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Evaluation-only domain probabilities, clamped inside (0, 1)."""
-        tape = ad.Tape()
-        logit = self.logits(tape, ad.constant(z), ad.constant(p))
+        with ad.frozen(self.params()):
+            logit = self.logits(ad.Tape(), ad.constant(z), ad.constant(p))
         return ad.sigmoid_probabilities(logit.data)
 
     def params(self):

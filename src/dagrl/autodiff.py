@@ -7,12 +7,18 @@ scalar scale, relu, softmax, row reductions, concatenation, softmax
 cross-entropy, and a clamped log-sigmoid), which keeps every adjoint
 hand-checkable. Gradients flow to any leaf created with
 ``requires_grad=True``, including input tensors, not just parameters.
+
+An operation whose inputs all have ``requires_grad=False`` is neither
+recorded nor differentiated. :func:`frozen` clears the flag on a set of
+parameters for the duration of a block, so a forward pass records, and
+a backward pass computes, only what flows to the tensors still free.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import ContractViolation, DatasetFormatError
@@ -54,8 +60,11 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A fresh array equal to zeros + g: -0.0 becomes +0.0, and an
+            # array handed to several inputs (add's backward) is not shared.
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -67,6 +76,26 @@ def constant(data) -> Tensor:
 
 def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
+
+
+@contextmanager
+def frozen(params):
+    """Treat ``params`` as constants inside the block.
+
+    Operations whose inputs are all frozen or constant are not recorded,
+    and no gradient reaches the frozen tensors. Run the backward pass
+    inside the block as well: backward reads the flags when it runs. Each
+    flag is restored on exit, also when the block raises.
+    """
+    params = list(params)
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
 
 
 class Tape:
@@ -126,9 +155,7 @@ def matmul_const(tape: Tape, m, x: Tensor) -> Tensor:
         raise ContractViolation(f"matmul shape mismatch: {m.shape} @ {x.shape}")
 
     def backward_fn(g):
-        # Transposed only when a backward pass runs; evaluation forwards skip it.
-        mt = m.T.tocsr() if sp.issparse(m) else m.T
-        return (np.asarray(mt @ g),)
+        return (np.asarray(m.T @ g),)
 
     value = m @ x.data
     return _result(tape, (x,), np.asarray(value), backward_fn)
@@ -141,7 +168,7 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
             return (g, g)
     elif b.shape == (1, a.shape[1]):
         def backward_fn(g):
-            return (g, g.sum(axis=0, keepdims=True))
+            return (g, g.sum(axis=0, keepdims=True) if b.requires_grad else None)
     else:
         raise ContractViolation(f"add shape mismatch: {a.shape} + {b.shape}")
     return _result(tape, (a, b), a.data + b.data, backward_fn)
@@ -295,7 +322,9 @@ class Adam:
     """Adaptive-moment optimizer with bias correction.
 
     Moment buffers persist per parameter; ``step`` consumes the gradients
-    currently stored on the parameters.
+    currently stored on the parameters. It updates the moments and the
+    parameters in place through two scratch arrays per parameter. All
+    four arrays are allocated at the first step, not at construction.
     """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -306,23 +335,38 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._buffers: list[tuple[np.ndarray, ...]] | None = None
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ContractViolation(f"parameter {i} has no gradient; run backward first")
+        if self._buffers is None:
+            # Per parameter: first moment, second moment and two scratch arrays.
+            self._buffers = [tuple(np.zeros_like(p.data) for _ in range(4))
+                             for p in self.params]
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p, (m, v, upd, den) in zip(self.params, self._buffers):
             g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=upd)
+            m += upd
+            v *= b2
+            np.multiply(g, g, out=den)
+            den *= 1.0 - b2
+            v += den
+            # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+            np.divide(m, bc1, out=upd)
+            upd *= lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            upd /= den
+            p.data -= upd
 
     def zero_grad(self) -> None:
         for p in self.params:

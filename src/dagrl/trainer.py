@@ -160,18 +160,11 @@ class TrainState:
             return (False, False)
         return (cfg.delta_enabled, cfg.zeta_enabled)
 
-    def all_params(self):
-        out = []
-        for b in self.branches:
-            out.extend(b.params())
-        if self.discriminators:
-            for d in self.discriminators:
-                out.extend(d.params())
-        return out
+    def branch_params(self) -> list[ad.Tensor]:
+        return [p for b in self.branches for p in b.params()]
 
-    def zero_all_grads(self) -> None:
-        for p in self.all_params():
-            p.grad = None
+    def discriminator_params(self) -> list[ad.Tensor]:
+        return [p for d in self.discriminators or () for p in d.params()]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -330,59 +323,65 @@ def _store_constants(state: TrainState, branch_idx: int, indices):
 
 
 def _phase_discriminators(state: TrainState, src: Batch, tgt: Batch):
+    """Branches are frozen: each backward reaches one discriminator only."""
     values = []
-    for b, (branch, disc, opt) in enumerate(
-            zip(state.branches, state.discriminators, state.disc_opts)):
-        tape = ad.Tape()
-        z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, b, src.indices))
-        z_t, p_t, _ = branch.forward(tape, tgt)
-        loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
-        discriminator_update(tape, loss, opt)
-        state.zero_all_grads()
-        values.append(loss.item())
+    with ad.frozen(state.branch_params()):
+        for b, (branch, disc, opt) in enumerate(
+                zip(state.branches, state.discriminators, state.disc_opts)):
+            tape = ad.Tape()
+            z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, b, src.indices))
+            z_t, p_t, _ = branch.forward(tape, tgt)
+            loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
+            discriminator_update(tape, loss, opt)
+            opt.zero_grad()
+            values.append(loss.item())
     return values
 
 
 def _phase_perturbations(state: TrainState, src: Batch):
+    """Branches and discriminators are frozen: only the batch leaf gets a gradient."""
     enabled = state.perturbation_enabled()
-    for b, branch in enumerate(state.branches):
-        if not enabled[b]:
-            continue
-        slot = PERTURBATION_SLOTS[b]
-        entries = state.store.slot(slot)
-        blocks = [entries[i] for i in src.indices]
-        # One leaf for the whole batch; each graph's gradient is its rows.
-        leaf = ad.parameter(np.vstack(blocks))
-        tape = ad.Tape()
-        z_s, p_s, _ = branch.forward(tape, src, leaf)
-        logit = state.discriminators[b].logits(tape, z_s, p_s)
-        # Disjoint graphs: the gradient of the summed log D splits into
-        # each graph's own gradient.
-        tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
-        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        bounds = np.cumsum([block.shape[0] for block in blocks])[:-1]
-        perturbation_step(state.store, slot, dict(zip(src.indices, np.split(grad, bounds))))
-        state.zero_all_grads()
+    with ad.frozen(state.branch_params() + state.discriminator_params()):
+        for b, branch in enumerate(state.branches):
+            if not enabled[b]:
+                continue
+            slot = PERTURBATION_SLOTS[b]
+            entries = state.store.slot(slot)
+            blocks = [entries[i] for i in src.indices]
+            # One leaf for the whole batch; each graph's gradient is its rows.
+            leaf = ad.parameter(np.vstack(blocks))
+            tape = ad.Tape()
+            z_s, p_s, _ = branch.forward(tape, src, leaf)
+            logit = state.discriminators[b].logits(tape, z_s, p_s)
+            # Disjoint graphs: the gradient of the summed log D splits into
+            # each graph's own gradient.
+            tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
+            grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+            bounds = np.cumsum([block.shape[0] for block in blocks])[:-1]
+            perturbation_step(state.store, slot,
+                              dict(zip(src.indices, np.split(grad, bounds))))
 
 
 def _phase_model(state: TrainState, src: Batch, labels, tgt: Batch):
+    """Discriminators are frozen: the backward reaches the branches only."""
     cfg = state.config
-    tape = ad.Tape()
-    perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
-    l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
-    total = l_s
-    lambdas = (cfg.lambda1, cfg.lambda2)
-    da_values: list[float | None] = [None, None]
-    for b, branch in enumerate(state.branches):
-        if lambdas[b] == 0.0 or state.discriminators is None:
-            continue
-        z_t, p_t, _ = branch.forward(tape, tgt)
-        da = domain_loss(tape, state.discriminators[b], *src_outputs[b], z_t, p_t)
-        da_values[b] = da.item()
-        total = ad.add(tape, total, ad.scale(tape, da, -lambdas[b]))
-    tape.backward(total)
+    with ad.frozen(state.discriminator_params()):
+        tape = ad.Tape()
+        perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
+        l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
+        total = l_s
+        lambdas = (cfg.lambda1, cfg.lambda2)
+        da_values: list[float | None] = [None, None]
+        for b, branch in enumerate(state.branches):
+            if lambdas[b] == 0.0 or state.discriminators is None:
+                continue
+            z_t, p_t, _ = branch.forward(tape, tgt)
+            da = domain_loss(tape, state.discriminators[b], *src_outputs[b], z_t, p_t)
+            da_values[b] = da.item()
+            total = ad.add(tape, total, ad.scale(tape, da, -lambdas[b]))
+        tape.backward(total)
     state.model_opt.step()
-    state.zero_all_grads()
+    state.model_opt.zero_grad()
     return l_s.item(), total.item(), da_values
 
 
@@ -448,14 +447,14 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
         if any(l is None for l in labels):
             raise ConfigurationError("dataset has no labels to evaluate against")
     predictions = []
-    for indices in _chunks(range(len(dataset.graphs)), state.config.batch_size):
-        batch = Batch(state, dataset, indices)
-        probs = []
-        for branch in state.branches:
-            tape = ad.Tape()
-            _, p, _ = branch.forward(tape, batch)
-            probs.append(p.data)
-        predictions.append(fuse_predictions(probs))
+    with ad.frozen(state.branch_params()):
+        for indices in _chunks(range(len(dataset.graphs)), state.config.batch_size):
+            batch = Batch(state, dataset, indices)
+            probs = []
+            for branch in state.branches:
+                _, p, _ = branch.forward(ad.Tape(), batch)
+                probs.append(p.data)
+            predictions.append(fuse_predictions(probs))
     predicted = np.concatenate(predictions)
     return float(np.mean(predicted == np.asarray(labels)))
 
@@ -483,8 +482,9 @@ def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
     disc = state.discriminators[branch_idx]
     src = Batch(state, source, range(len(source.graphs)))
     tgt = Batch(state, target, range(len(target.graphs)))
-    tape = ad.Tape()
-    z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, branch_idx, src.indices))
-    z_t, p_t, _ = branch.forward(tape, tgt)
+    with ad.frozen(branch.params()):
+        tape = ad.Tape()
+        z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, branch_idx, src.indices))
+        z_t, p_t, _ = branch.forward(tape, tgt)
     return domain_accuracy(disc, z_s.data, p_s.data, z_t.data, p_t.data)
 

@@ -61,6 +61,26 @@ def test_reuse_accumulates():
     assert np.array_equal(x.grad, [[2.0]])
 
 
+def test_first_contribution_negative_zero_is_stored_as_positive_zero():
+    # zeros + g, as a zero-initialized buffer would give.
+    x = ad.parameter(np.ones((1, 2)))
+    x.accumulate_grad(np.array([[-0.0, -1.5]]))
+    assert np.array_equal(x.grad, [[0.0, -1.5]])
+    assert not np.signbit(x.grad[0, 0])
+
+
+def test_add_of_one_input_twice_doubles_without_aliasing():
+    tape = ad.Tape()
+    x = ad.parameter(np.arange(4.0).reshape(2, 2))
+    y = ad.add(tape, x, x)
+    tape.backward(sum_all(tape, ad.scale(tape, y, 3.0)))
+    # add's backward hands one array to both inputs; y's gradient must not
+    # be the buffer that x accumulates into.
+    assert np.array_equal(x.grad, np.full((2, 2), 6.0))
+    assert np.array_equal(y.grad, np.full((2, 2), 3.0))
+    assert not np.shares_memory(x.grad, y.grad)
+
+
 def test_accumulation_is_consumer_order_independent():
     # Integer-valued operands make float addition exact, so the two
     # registration orders must agree bit for bit.
@@ -119,6 +139,64 @@ def test_mlp_matches_finite_differences():
     for t in (w1, b1, w2, b2, x):
         numeric = finite_difference(lambda: run()[1].item(), t.data)
         assert max_relative_error(t.grad, numeric) <= 1e-4
+
+
+class TestFrozen:
+    @staticmethod
+    def mlp(seed=3):
+        rng = np.random.default_rng(seed)
+        params = [ad.parameter(rng.uniform(-1, 1, size=s))
+                  for s in ((4, 5), (1, 5), (5, 3), (1, 3))]
+        x = ad.parameter(rng.uniform(-2, 2, size=(6, 4)))
+        return params, x
+
+    @staticmethod
+    def loss(tape, params, x):
+        w1, b1, w2, b2 = params
+        h = ad.relu(tape, ad.add(tape, ad.matmul(tape, x, w1), b1))
+        logits = ad.add(tape, ad.matmul(tape, h, w2), b2)
+        return ad.softmax_cross_entropy(tape, logits, [0, 1, 2, 0, 1, 2])
+
+    def test_ops_on_frozen_parameters_are_not_recorded(self):
+        params, _ = self.mlp()
+        x = ad.constant(np.ones((6, 4)))
+        tape = ad.Tape()
+        with ad.frozen(params):
+            loss = self.loss(tape, params, x)
+        assert len(tape) == 0
+        assert not loss.requires_grad
+        unfrozen = ad.Tape()
+        self.loss(unfrozen, params, x)
+        assert len(unfrozen) == 6
+
+    def test_flags_restored_after_block(self):
+        params, x = self.mlp()
+        const = ad.constant(np.zeros((1, 1)))
+        with ad.frozen(params + [const]):
+            assert not any(p.requires_grad for p in params)
+        assert all(p.requires_grad for p in params)
+        assert not const.requires_grad
+
+    def test_flags_restored_when_block_raises(self):
+        params, _ = self.mlp()
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.frozen(params):
+                raise RuntimeError("inside")
+        assert all(p.requires_grad for p in params)
+
+    def test_free_leaf_gradient_is_bitwise_unchanged(self):
+        params, x = self.mlp()
+        tape = ad.Tape()
+        tape.backward(self.loss(tape, params, x))
+        reference = x.grad.copy()
+        for p in params + [x]:
+            p.grad = None
+
+        scoped = ad.Tape()
+        with ad.frozen(params):
+            scoped.backward(self.loss(scoped, params, x))
+        assert np.array_equal(x.grad, reference)
+        assert all(p.grad is None for p in params)
 
 
 PRIMITIVE_CASES = [
@@ -258,6 +336,32 @@ class TestAdam:
 
         first, second = run(), run()
         assert np.array_equal(first, second)
+
+
+    def test_in_place_step_equals_textbook_formula(self):
+        rng = np.random.default_rng(11)
+        start = rng.uniform(-1, 1, size=(3, 4))
+        grads = [rng.normal(size=(3, 4)) for _ in range(5)]
+        for g in grads:
+            g[0, :2] = (0.0, -0.0)
+        grads[2][:] = -0.0
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+
+        p = ad.parameter(start)
+        data = p.data
+        opt = ad.Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t, g in enumerate(grads, start=1):
+            p.grad = g.copy()
+            opt.step()
+            opt.zero_grad()
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(p.data, ref), t
+        assert p.data is data
 
 
 class TestCheckpoint:

@@ -322,3 +322,61 @@ class TestAssemblyReuse:
         assert all(n == 1 for n in rows.values())
         if variant != "gin_only_dual":
             assert len(rows) == len(source.graphs) + len(target.graphs)
+
+
+class TestPhaseScope:
+    """Each phase's backward reaches only the tensors that phase updates."""
+
+    def test_each_backward_reaches_only_its_phase(self, tiny_pair, monkeypatch):
+        source, target = tiny_pair
+        state = build_state(toy_config(), source, target)
+        params = state.branch_params() + state.discriminator_params()
+        owner = {id(p): f"branch{i}" for i, b in enumerate(state.branches) for p in b.params()}
+        owner.update({id(p): f"disc{i}"
+                      for i, d in enumerate(state.discriminators) for p in d.params()})
+        phase = [None]
+        seen = []
+        backward = ad.Tape.backward
+
+        def recording_backward(self, loss):
+            backward(self, loss)
+            seen.append((phase[0], [owner[id(p)] for p in params if p.grad is not None]))
+
+        def entering(name):
+            original = getattr(trainer, name)
+
+            def wrapped(*args, **kwargs):
+                phase[0] = name
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(trainer, name, wrapped)
+
+        for name in ("_phase_discriminators", "_phase_perturbations", "_phase_model"):
+            entering(name)
+        monkeypatch.setattr(ad.Tape, "backward", recording_backward)
+        train_epoch(state, source, target)
+
+        steps = -(-len(source.graphs) // 8)
+        by_phase = {}
+        for name, holders in seen:
+            by_phase.setdefault(name, []).append(holders)
+        disc = by_phase["_phase_discriminators"]
+        assert len(disc) == 2 * steps
+        for k, holders in enumerate(disc):
+            assert holders == [f"disc{k % 2}"] * len(state.discriminators[k % 2].params())
+        assert by_phase["_phase_perturbations"] == [[]] * (2 * steps)
+        branch_owners = [owner[id(p)] for p in state.branch_params()]
+        assert by_phase["_phase_model"] == [branch_owners] * steps
+        assert all(p.requires_grad for p in params)
+
+    def test_inference_records_nothing(self, tiny_pair, monkeypatch):
+        source, target = tiny_pair
+        state = train(toy_config(epochs=1), source, target)
+        records = []
+        monkeypatch.setattr(ad.Tape, "record", lambda self, *args: records.append(args))
+        evaluate(state, target)
+        for b in range(2):
+            trainer.discriminator_domain_accuracy(state, source, target, b)
+        assert records == []
+        assert all(p.requires_grad
+                   for p in state.branch_params() + state.discriminator_params())
