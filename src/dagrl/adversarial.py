@@ -9,17 +9,19 @@ representation conditioned on the branch's class prediction
 maximized over discriminator parameters and minimized over per-graph
 source perturbations. Perturbations move by a normalized gradient step
 of exact length epsilon and are projected back onto the epsilon
-Frobenius ball after every update.
+Frobenius ball after every update (the l2 projected-gradient step).
+They live in one flat array per branch, indexed like the packed graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
+from .graphs import gather_rows
 
 DEGENERATE_GRADIENT_NORM = 1e-12
 
@@ -82,87 +84,82 @@ def discriminator_update(tape: ad.Tape, loss: ad.Tensor, optimizer: ad.Adam) -> 
 
 
 @dataclass
-class PerturbationStep:
-    """Audit record for one per-graph perturbation update."""
-    graph_index: int
-    raw_step_norm: float  # length of the normalized-gradient step, 0.0 for no-ops
-    post_norm: float      # Frobenius norm after projection
-
-
-@dataclass
 class PerturbationStore:
     """Persistent per-source-graph perturbations for the two branches.
 
-    Slot 0 ("delta") perturbs the first branch, slot 1 ("zeta") the
-    second. Entries stay inside the epsilon Frobenius ball at all times.
+    Slot ``b`` ("delta", then "zeta") perturbs branch ``b``: source graph
+    ``i`` owns rows ``offsets[b][i]:offsets[b][i + 1]`` of ``rows[b]``.
+    Entries stay inside the epsilon Frobenius ball. The counters cover
+    every step so far, no-ops (``degenerate_steps``) included; the maxima
+    are of |step length - epsilon| and of the norm a step leaves.
     """
 
     epsilon: float
-    delta: list[np.ndarray]
-    zeta: list[np.ndarray]
-    audit: list[PerturbationStep] = field(default_factory=list)
+    rows: list[np.ndarray]
+    offsets: list[np.ndarray]
+    steps: int = 0
+    degenerate_steps: int = 0
+    max_step_error: float = 0.0
+    max_post_norm: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ContractViolation(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ContractViolation(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @classmethod
-    def zeros(cls, epsilon: float, delta_shapes, zeta_shapes) -> "PerturbationStore":
+    def zeros(cls, epsilon: float, layouts) -> "PerturbationStore":
+        """One zero slot per ``(offsets, width)`` layout."""
         return cls(epsilon=epsilon,
-                   delta=[np.zeros(s) for s in delta_shapes],
-                   zeta=[np.zeros(s) for s in zeta_shapes])
+                   rows=[np.zeros((int(offsets[-1]), width)) for offsets, width in layouts],
+                   offsets=[np.asarray(offsets, dtype=np.int64) for offsets, _ in layouts])
 
-    def slot(self, name: str) -> list[np.ndarray]:
-        if name == "delta":
-            return self.delta
-        if name == "zeta":
-            return self.zeta
-        raise ContractViolation(f"unknown perturbation slot {name!r}")
-
-    def max_norm(self) -> float:
-        norms = [np.linalg.norm(a) for a in self.delta + self.zeta if a.size]
-        return max(norms, default=0.0)
+    def gather(self, slot: int, indices) -> np.ndarray:
+        """The entries of graphs ``indices`` in slot ``slot``, stacked (a copy)."""
+        row_index, _ = gather_rows(self.offsets[slot], indices)
+        return self.rows[slot][row_index]
 
     def as_arrays(self) -> dict[str, np.ndarray]:
+        """Each graph's entry as a view: ``delta/<i>`` for slot 0, ``zeta/<i>`` for slot 1."""
         out = {}
-        for i, a in enumerate(self.delta):
-            out[f"delta/{i}"] = a
-        for i, a in enumerate(self.zeta):
-            out[f"zeta/{i}"] = a
+        for name, rows, offsets in zip(("delta", "zeta"), self.rows, self.offsets):
+            bounds = offsets.tolist()
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                out[f"{name}/{i}"] = rows[lo:hi]
         return out
 
 
-def perturbation_step(store: PerturbationStore, slot: str,
-                      gradients: dict[int, np.ndarray]) -> list[PerturbationStep]:
-    """Apply the normalized-gradient update to the given per-graph gradients.
+def perturbation_step(store: PerturbationStore, slot: int, indices, grad: np.ndarray) -> None:
+    """Apply the normalized-gradient update to the graphs ``indices`` of one slot.
 
-    Each entry moves by exactly epsilon along -grad/||grad||_F, then is
-    rescaled onto the ball if the raw result leaves it. Gradients with
-    Frobenius norm below 1e-12 are documented no-ops, not errors.
+    ``grad`` is the gradient of the stacked entries ``store.gather(slot,
+    indices)``; each graph's gradient is its rows. Each entry moves by
+    exactly epsilon along -grad/||grad||_F, then is rescaled onto the ball
+    if the raw result leaves it. Gradients with Frobenius norm below 1e-12
+    are documented no-ops, not errors. ``indices`` must be distinct.
     """
-    entries = store.slot(slot)
+    row_index, local_offsets = gather_rows(store.offsets[slot], indices)
+    entries = store.rows[slot][row_index]
+    if grad.shape != entries.shape:
+        raise ContractViolation(
+            f"gradient shape {grad.shape} != perturbation shape {entries.shape}")
     eps = store.epsilon
-    records = []
-    for index in sorted(gradients):
-        grad = gradients[index]
-        current = entries[index]
-        if grad.shape != current.shape:
-            raise ContractViolation(
-                f"gradient shape {grad.shape} != perturbation shape {current.shape}"
-            )
-        gnorm = float(np.linalg.norm(grad))
+    bounds = local_offsets.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        g = grad[lo:hi]
+        current = entries[lo:hi]
+        gnorm = float(np.linalg.norm(g))
         if gnorm < DEGENERATE_GRADIENT_NORM:
-            records.append(PerturbationStep(index, 0.0, float(np.linalg.norm(current))))
-            continue
-        step = (eps / gnorm) * grad
-        raw = current - step
-        raw_norm = float(np.linalg.norm(raw))
-        new = raw * (eps / raw_norm) if raw_norm > eps else raw
-        entries[index] = new
-        records.append(PerturbationStep(index, float(np.linalg.norm(step)),
-                                        float(np.linalg.norm(new))))
-    store.audit.extend(records)
-    return records
+            store.degenerate_steps += 1
+        else:
+            step = (eps / gnorm) * g
+            raw = current - step
+            raw_norm = float(np.linalg.norm(raw))
+            current[...] = raw * (eps / raw_norm) if raw_norm > eps else raw
+            store.max_step_error = max(store.max_step_error,
+                                       abs(float(np.linalg.norm(step)) - eps))
+        store.max_post_norm = max(store.max_post_norm, float(np.linalg.norm(current)))
+    store.rows[slot][row_index] = entries
+    store.steps += len(bounds) - 1
 
 
 def domain_accuracy(disc: DomainDiscriminator, source_repr: np.ndarray,

@@ -413,6 +413,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 key, rows, cols = parts[0], int(parts[1]), int(parts[2])
             except ValueError:
                 raise DatasetFormatError(f"bad checkpoint shape in {meta!r}", line=lineno)
+            if rows < 0 or cols < 0:
+                raise DatasetFormatError(f"negative checkpoint shape in {meta!r}", line=lineno)
             values = fh.readline()
             lineno += 1
             try:

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .graphs import Graph, PackedGraphs
+from .graphs import PackedGraphs, gather_rows
 
 
 class GraphBatch:
@@ -29,15 +29,11 @@ class GraphBatch:
     """
 
     def __init__(self, packed: PackedGraphs, indices, input_dim: int):
-        idx = np.asarray(indices, dtype=np.int64)
-        self.graphs = [packed.graphs[i] for i in idx]
-        starts = packed.node_offsets[idx]
-        counts = packed.node_offsets[idx + 1] - starts
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.total_nodes = total = int(offsets[-1])
-        # Batch node k is packed node k + shift[k]; columns move back by it.
-        shift = np.repeat(starts - offsets[:-1], counts)
-        nodes = np.arange(total) + shift
+        self.graphs = [packed.graphs[i] for i in indices]
+        nodes, offsets = gather_rows(packed.node_offsets, indices)
+        self.total_nodes = total = len(nodes)
+        # Batch node k is packed node nodes[k]; columns move back by the shift.
+        shift = nodes - np.arange(total)
 
         labels = packed.node_labels[nodes]
         bad = (labels < 0) | (labels >= input_dim)
@@ -48,15 +44,12 @@ class GraphBatch:
         self.features[np.arange(total), labels] = 1.0
 
         adj = packed.adjacency
-        row_starts = adj.indptr[nodes]
-        row_sizes = adj.indptr[nodes + 1] - row_starts
-        indptr = np.concatenate(([0], np.cumsum(row_sizes)))
-        nnz = int(indptr[-1])
-        positions = np.arange(nnz) + np.repeat(row_starts - indptr[:-1], row_sizes)
-        cols = adj.indices[positions] - np.repeat(shift, row_sizes)
-        self.adjacency = sp.csr_matrix((np.ones(nnz), cols, indptr), shape=(total, total))
+        positions, indptr = gather_rows(adj.indptr, nodes)
+        cols = adj.indices[positions] - np.repeat(shift, np.diff(indptr))
+        self.adjacency = sp.csr_matrix((np.ones(len(positions)), cols, indptr),
+                                       shape=(total, total))
         self.readout = sp.csr_matrix((np.ones(total), np.arange(total), offsets),
-                                     shape=(len(idx), total))
+                                     shape=(len(self.graphs), total))
 
     def feature_tensor(self, tape: ad.Tape, perturbation=None) -> ad.Tensor:
         """One-hot inputs plus an optional additive perturbation of the whole batch.
@@ -110,11 +103,6 @@ class GinEncoder:
         z = ad.matmul_const(tape, batch.readout, h)
         return h, z
 
-    def encode(self, tape: ad.Tape, g: Graph, delta=None):
-        """Single-graph encode; ``delta`` perturbs the one-hot inputs."""
-        batch = GraphBatch(PackedGraphs([g]), [0], self.input_dim)
-        return self.encode_batch(tape, batch, delta)
-
     def params(self):
         out = []
         for layer in self.layers:
@@ -140,9 +128,6 @@ class ClassifierHead:
 
     def logits(self, tape: ad.Tape, z: ad.Tensor) -> ad.Tensor:
         return self.lin2(tape, ad.relu(tape, self.lin1(tape, z)))
-
-    def predict(self, tape: ad.Tape, z: ad.Tensor) -> ad.Tensor:
-        return ad.softmax(tape, self.logits(tape, z))
 
     def params(self):
         return self.lin1.params() + self.lin2.params()

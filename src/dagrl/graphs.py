@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ContractViolation, DatasetFormatError, IngestionError
+from .fileio import atomic_write
 
 SOURCE = "source"
 TARGET = "target"
@@ -93,6 +94,22 @@ class PackedGraphs:
         cols = np.concatenate((ends[:, 1], ends[:, 0]))
         self.adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(total, total))
         self.adjacency.sort_indices()
+
+
+def gather_rows(offsets: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of segments ``indices``, in order, and their offsets among them.
+
+    Segment ``i`` owns rows ``offsets[i]:offsets[i + 1]``. Returns
+    ``row_index``, the picked segments' row numbers concatenated, and
+    ``local_offsets``: picked segment ``k`` is
+    ``row_index[local_offsets[k]:local_offsets[k + 1]]``.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    starts = offsets[idx]
+    counts = offsets[idx + 1] - starts
+    local_offsets = np.concatenate(([0], np.cumsum(counts)))
+    row_index = np.arange(local_offsets[-1]) + np.repeat(starts - local_offsets[:-1], counts)
+    return row_index, local_offsets
 
 
 @dataclass(frozen=True)
@@ -339,8 +356,19 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
 
     Each undirected edge is written in both directions, matching the way
     published benchmark files list edges. Re-parsing the written files
-    yields a dataset identical to ``ds``.
+    yields a dataset identical to ``ds``. Every label is checked before
+    any file is opened, and each file is written atomically, so a failed
+    or killed writer leaves no partial file; ``_A.txt`` is written last.
     """
+    labels = []
+    for i, g in enumerate(ds.graphs):
+        label = g.graph_label
+        if label is None:
+            if ds.eval_labels is None:
+                raise ConfigurationError(f"graph {i} has no label to serialize")
+            label = ds.eval_labels[i]
+        labels.append(label)
+
     base = Path(root_path) / dataset_name
     base.mkdir(parents=True, exist_ok=True)
     files = _dataset_files(root_path, dataset_name)
@@ -351,23 +379,18 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
         offsets.append(total)
         total += g.node_count
 
-    with files["graph_indicator"].open("w") as fh:
+    with atomic_write(files["graph_indicator"]) as fh:
         for gid, g in enumerate(ds.graphs, start=1):
             for _ in range(g.node_count):
                 fh.write(f"{gid}\n")
-    with files["node_labels"].open("w") as fh:
+    with atomic_write(files["node_labels"]) as fh:
         for g in ds.graphs:
             for label in g.node_labels:
                 fh.write(f"{label}\n")
-    with files["graph_labels"].open("w") as fh:
-        for i, g in enumerate(ds.graphs):
-            label = g.graph_label
-            if label is None:
-                if ds.eval_labels is None:
-                    raise ConfigurationError(f"graph {i} has no label to serialize")
-                label = ds.eval_labels[i]
+    with atomic_write(files["graph_labels"]) as fh:
+        for label in labels:
             fh.write(f"{label}\n")
-    with files["A"].open("w") as fh:
+    with atomic_write(files["A"]) as fh:
         for off, g in zip(offsets, ds.graphs):
             directed = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
             for u, v in directed:

@@ -15,6 +15,7 @@ one seed sequence, so structural variants stay bit-comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,7 +39,6 @@ from .wl import GknHead, WlRefinement
 
 # Branch structures; perturbations are switched by delta_enabled/zeta_enabled.
 VARIANTS = ("full", "gin_only_dual", "gkn_only_dual", "source_only")
-PERTURBATION_SLOTS = ("delta", "zeta")
 
 
 @dataclass
@@ -63,10 +63,19 @@ class TrainConfig:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}"
             )
+        for name in ("lr", "lambda1", "lambda2", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.lr <= 0:
+            raise ConfigurationError("lr must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigurationError("lambda1 and lambda2 must be nonnegative")
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
+        if self.hidden_dim < 1:
+            raise ConfigurationError("hidden_dim must be at least 1")
+        if self.wl_depth < 0:
+            raise ConfigurationError("wl_depth must be nonnegative")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -89,8 +98,9 @@ class GinBranch:
         logits = self.head.logits(tape, z)
         return z, ad.softmax(tape, logits), logits
 
-    def perturbation_shape(self, g) -> tuple[int, int]:
-        return (g.node_count, self.input_dim)
+    def perturbation_layout(self, source: DomainDataset):
+        """One perturbation row per source node: ``(row offsets, width)``."""
+        return source.packed.node_offsets, self.input_dim
 
     def params(self):
         return self.encoder.params() + self.head.params()
@@ -118,8 +128,9 @@ class GknBranch:
             zeta = ad.constant(zeta)
         return self.head.forward(tape, batch.histograms, zeta)
 
-    def perturbation_shape(self, g) -> tuple[int, int]:
-        return (1, self.hidden_dim)
+    def perturbation_layout(self, source: DomainDataset):
+        """One perturbation row per source graph: ``(row offsets, width)``."""
+        return np.arange(len(source.graphs) + 1), self.hidden_dim
 
     def params(self):
         return self.head.params()
@@ -259,10 +270,7 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
                           DomainDiscriminator(rng_disc_b, hidden, c, hidden_dim=hidden)]
         disc_opts = [ad.Adam(disc.params(), config.lr) for disc in discriminators]
         store = PerturbationStore.zeros(
-            config.epsilon,
-            [branches[0].perturbation_shape(g) for g in source.graphs],
-            [branches[1].perturbation_shape(g) for g in source.graphs],
-        )
+            config.epsilon, [b.perturbation_layout(source) for b in branches])
 
     return TrainState(
         config=config,
@@ -318,8 +326,7 @@ def _store_constants(state: TrainState, branch_idx: int, indices):
     enabled = state.perturbation_enabled()[branch_idx]
     if not enabled or state.store is None:
         return None
-    entries = state.store.slot(PERTURBATION_SLOTS[branch_idx])
-    return np.vstack([entries[i] for i in indices])
+    return state.store.gather(branch_idx, indices)
 
 
 def _phase_discriminators(state: TrainState, src: Batch, tgt: Batch):
@@ -345,11 +352,8 @@ def _phase_perturbations(state: TrainState, src: Batch):
         for b, branch in enumerate(state.branches):
             if not enabled[b]:
                 continue
-            slot = PERTURBATION_SLOTS[b]
-            entries = state.store.slot(slot)
-            blocks = [entries[i] for i in src.indices]
             # One leaf for the whole batch; each graph's gradient is its rows.
-            leaf = ad.parameter(np.vstack(blocks))
+            leaf = ad.parameter(state.store.gather(b, src.indices))
             tape = ad.Tape()
             z_s, p_s, _ = branch.forward(tape, src, leaf)
             logit = state.discriminators[b].logits(tape, z_s, p_s)
@@ -357,9 +361,7 @@ def _phase_perturbations(state: TrainState, src: Batch):
             # each graph's own gradient.
             tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
             grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            bounds = np.cumsum([block.shape[0] for block in blocks])[:-1]
-            perturbation_step(state.store, slot,
-                              dict(zip(src.indices, np.split(grad, bounds))))
+            perturbation_step(state.store, b, src.indices, grad)
 
 
 def _phase_model(state: TrainState, src: Batch, labels, tgt: Batch):

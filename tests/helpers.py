@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dagrl.graphs import Graph
+from dagrl.gin import GraphBatch
+from dagrl.graphs import Graph, PackedGraphs
 
 
 def path_graph(n: int, labels=None) -> Graph:
@@ -40,6 +41,12 @@ def permute_graph(g: Graph, perm) -> Graph:
     labels = tuple(g.node_labels[inv[i]] for i in range(g.node_count))
     return Graph(node_count=g.node_count, edges=edges, node_labels=labels,
                  graph_label=g.graph_label)
+
+
+def encode_graph(encoder, tape, g: Graph, delta=None):
+    """``encoder.encode_batch`` on a one-graph batch; ``delta`` perturbs its one-hot inputs."""
+    batch = GraphBatch(PackedGraphs([g]), [0], encoder.input_dim)
+    return encoder.encode_batch(tape, batch, delta)
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

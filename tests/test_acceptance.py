@@ -24,7 +24,14 @@ from dagrl.trainer import (
     train,
 )
 from dagrl.wl import GknHead, WlRefinement, gram_matrix, normalized_gram
-from helpers import dataset_root, finite_difference, have_dataset, max_relative_error, random_graph
+from helpers import (
+    dataset_root,
+    encode_graph,
+    finite_difference,
+    have_dataset,
+    max_relative_error,
+    random_graph,
+)
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-4
@@ -61,7 +68,7 @@ def test_criterion_1_gradient_correctness():
         # (a) GIN classification loss wrt parameters and wrt delta.
         def class_loss():
             tape = ad.Tape()
-            _, z = encoder.encode(tape, g, delta=delta)
+            _, z = encode_graph(encoder, tape, g, delta)
             loss = ad.softmax_cross_entropy(tape, head.logits(tape, z), [label])
             return tape, loss
 
@@ -76,8 +83,8 @@ def test_criterion_1_gradient_correctness():
         # (b) log D wrt delta on the message-passing branch.
         def disc_loss_delta():
             tape = ad.Tape()
-            _, z = encoder.encode(tape, g, delta=delta)
-            p = head.predict(tape, z)
+            _, z = encode_graph(encoder, tape, g, delta)
+            p = ad.softmax(tape, head.logits(tape, z))
             logit = disc.logits(tape, z, p)
             return tape, ad.log_sigmoid(tape, logit)
 
@@ -153,15 +160,17 @@ def test_criterion_4_perturbation_constraint():
                          lambda2=0.1, epsilon=epsilon, wl_depth=2, seed=0, variant="full")
     source, target = make_shifted_pair(seed=11, graphs_per_class=12)
     state = train(config, source, target)
-    audit = state.store.audit
-    assert audit, "no perturbation steps were taken"
-    norm_ok = all(r.post_norm <= epsilon + 1e-10 for r in audit)
-    step_ok = all(r.raw_step_norm == 0.0 or abs(r.raw_step_norm - epsilon) <= 1e-10
-                  for r in audit)
-    final_ok = state.store.max_norm() <= epsilon + 1e-10
-    nondegenerate = sum(1 for r in audit if r.raw_step_norm > 0.0)
+    store = state.store
+    assert store.steps, "no perturbation steps were taken"
+    # The store's counters are maxima over every step of the run; every
+    # final entry was left by some step, so its norm is among them.
+    final_norm = max(np.linalg.norm(a) for a in store.as_arrays().values())
+    norm_ok = final_norm <= store.max_post_norm <= epsilon + 1e-10
+    step_ok = store.max_step_error <= 1e-10
+    final_ok = final_norm <= epsilon + 1e-10
+    nondegenerate = store.steps - store.degenerate_steps
     ok = norm_ok and step_ok and final_ok
-    report(4, ok, f"{len(audit)} perturbation updates over 10 epochs ({nondegenerate} "
+    report(4, ok, f"{store.steps} perturbation updates over 10 epochs ({nondegenerate} "
                   f"non-degenerate): post-step norms <= eps and raw steps exactly eps (+-1e-10)")
 
 

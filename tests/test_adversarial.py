@@ -70,22 +70,25 @@ class TestDomainLoss:
 
 class TestPerturbationStep:
     def make_store(self, eps=0.5):
-        return PerturbationStore.zeros(eps, [(3, 2), (2, 2)], [(1, 4), (1, 4)])
+        # Slot 0: two graphs of 3 and 2 rows of width 2; slot 1: one row of width 4 each.
+        return PerturbationStore.zeros(eps, [(np.array([0, 3, 5]), 2), (np.array([0, 1, 2]), 4)])
 
     def test_step_from_origin_lands_on_sphere(self):
         store = self.make_store(eps=0.5)
-        grads = {0: np.array([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0]])}
-        records = perturbation_step(store, "delta", grads)
-        assert np.linalg.norm(store.delta[0]) == pytest.approx(0.5, abs=1e-12)
-        assert records[0].raw_step_norm == pytest.approx(0.5, abs=1e-12)
+        grad = np.array([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0]])
+        perturbation_step(store, 0, [0], grad)
+        assert np.linalg.norm(store.as_arrays()["delta/0"]) == pytest.approx(0.5, abs=1e-12)
+        assert store.steps == 1 and store.degenerate_steps == 0
+        assert store.max_step_error <= 1e-12
 
     def test_zero_gradient_is_noop(self):
         store = self.make_store()
-        store.delta[1][:] = 0.123
-        before = store.delta[1].copy()
-        records = perturbation_step(store, "delta", {1: np.zeros((2, 2))})
-        assert np.array_equal(store.delta[1], before)
-        assert records[0].raw_step_norm == 0.0
+        store.as_arrays()["delta/1"][:] = 0.123
+        before = store.rows[0].copy()
+        perturbation_step(store, 0, [1], np.zeros((2, 2)))
+        assert np.array_equal(store.rows[0], before)
+        assert store.steps == 1 and store.degenerate_steps == 1
+        assert store.max_step_error == 0.0
 
     def test_outward_step_projected_back(self):
         eps = 0.5
@@ -93,30 +96,88 @@ class TestPerturbationStep:
         rng = np.random.default_rng(3)
         current = rng.standard_normal((1, 4))
         current *= eps / np.linalg.norm(current)  # on the sphere
-        store.zeta[0][:] = current
+        store.as_arrays()["zeta/0"][:] = current
         grad = -current.copy()  # descent direction points outward
-        perturbation_step(store, "zeta", {0: grad})
+        perturbation_step(store, 1, [0], grad)
         # Projection oracle: raw step then rescale onto the ball.
         raw = current - eps * grad / np.linalg.norm(grad)
         expected = raw * (eps / np.linalg.norm(raw))
-        assert np.allclose(store.zeta[0], expected, atol=1e-12)
-        assert np.linalg.norm(store.zeta[0]) == pytest.approx(eps, abs=1e-12)
+        assert np.allclose(store.as_arrays()["zeta/0"], expected, atol=1e-12)
+        assert np.linalg.norm(store.as_arrays()["zeta/0"]) == pytest.approx(eps, abs=1e-12)
 
     def test_norm_never_exceeds_epsilon(self):
         store = self.make_store(eps=0.7)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            grads = {i: rng.standard_normal((3, 2)) if i == 0 else rng.standard_normal((2, 2))
-                     for i in range(2)}
-            perturbation_step(store, "delta", grads)
-            for arr in store.delta:
-                assert np.linalg.norm(arr) <= 0.7 + 1e-12
+            perturbation_step(store, 0, [0, 1], rng.standard_normal((5, 2)))
+            for key, arr in store.as_arrays().items():
+                assert np.linalg.norm(arr) <= 0.7 + 1e-12, key
+        assert store.max_post_norm <= 0.7 + 1e-12
 
-    def test_audit_accumulates(self):
+    def test_counters_accumulate(self):
         store = self.make_store()
-        perturbation_step(store, "delta", {0: np.ones((3, 2))})
-        perturbation_step(store, "zeta", {0: np.ones((1, 4))})
-        assert len(store.audit) == 2
+        perturbation_step(store, 0, [0], np.ones((3, 2)))
+        perturbation_step(store, 1, [1, 0], np.ones((2, 4)))
+        assert store.steps == 3 and store.degenerate_steps == 0
+        assert store.max_post_norm == pytest.approx(0.5, abs=1e-12)
+
+    def test_gradient_shape_mismatch_rejected(self):
+        store = self.make_store()
+        with pytest.raises(ContractViolation, match="gradient shape"):
+            perturbation_step(store, 0, [1, 0], np.ones((4, 2)))
+
+
+def reference_step(entries, eps, gradients):
+    """The per-graph update on a list of arrays, one graph at a time.
+
+    Returns (steps, degenerate steps, max |step length - eps|, max post-step norm).
+    """
+    degenerate, errors, posts = 0, [0.0], [0.0]
+    for index in sorted(gradients):
+        grad, current = gradients[index], entries[index]
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < 1e-12:
+            degenerate += 1
+            posts.append(float(np.linalg.norm(current)))
+            continue
+        step = (eps / gnorm) * grad
+        raw = current - step
+        raw_norm = float(np.linalg.norm(raw))
+        new = raw * (eps / raw_norm) if raw_norm > eps else raw
+        entries[index] = new
+        errors.append(abs(float(np.linalg.norm(step)) - eps))
+        posts.append(float(np.linalg.norm(new)))
+    return len(gradients), degenerate, max(errors), max(posts)
+
+
+def test_flat_step_matches_per_graph_reference():
+    eps = 0.6
+    counts = [3, 0, 2, 4, 1, 2]  # graph 1 has no rows; graph 3 is never in a batch
+    store = PerturbationStore.zeros(eps, [(np.concatenate(([0], np.cumsum(counts))), 3)])
+    reference = [np.zeros((n, 3)) for n in counts]
+    rng = np.random.default_rng(16)
+    steps = degenerate = 0
+    step_error = post_norm = 0.0
+    for round_ in range(8):
+        indices = [int(i) for i in rng.permutation([0, 1, 2, 4, 5])]
+        grads = {i: rng.standard_normal((counts[i], 3)) * 10.0 ** rng.integers(-3, 3)
+                 for i in indices}
+        if round_ in (2, 5):
+            grads[2] = np.zeros((2, 3))  # degenerate, like the 0-row graph 1 every round
+        stacked = store.gather(0, indices)
+        assert np.array_equal(stacked, np.vstack([reference[i] for i in indices]))
+        perturbation_step(store, 0, indices, np.vstack([grads[i] for i in indices]))
+        n, d, err, post = reference_step(reference, eps, grads)
+        steps, degenerate = steps + n, degenerate + d
+        step_error, post_norm = max(step_error, err), max(post_norm, post)
+    arrays = store.as_arrays()
+    assert list(arrays) == [f"delta/{i}" for i in range(len(counts))]
+    for i, expected in enumerate(reference):
+        assert np.array_equal(arrays[f"delta/{i}"], expected), i
+    assert not np.any(arrays["delta/3"])
+    assert (store.steps, store.degenerate_steps) == (steps, degenerate) == (40, 10)
+    assert store.max_step_error == step_error
+    assert store.max_post_norm == post_norm
 
 
 class TestDiscriminatorUpdate:

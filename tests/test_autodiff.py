@@ -386,8 +386,9 @@ class TestCheckpoint:
         with pytest.raises(Exception, match="header"):
             ad.load_checkpoint(path)
 
-    @pytest.mark.parametrize("body,line", [("w k 1\n1.0\n", 2), ("w 1 2\n1.0 abc\n", 3)],
-                             ids=["shape", "value"])
+    @pytest.mark.parametrize("body,line", [("w k 1\n1.0\n", 2), ("w 1 2\n1.0 abc\n", 3),
+                                           ("w -1 -1\n1.0\n", 2)],
+                             ids=["shape", "value", "negative-shape"])
     def test_malformed_entry_is_format_error(self, tmp_path, body, line):
         path = tmp_path / "bad.ckpt"
         path.write_text("dagrl-ckpt-v1\n" + body)

@@ -67,3 +67,21 @@ def test_traced_plan_reaches_every_layer(spans, tmp_path):
     seen = {name for _, name, *_ in tracer.spans}
     assert LAYER_SPANS <= seen, f"never reached: {sorted(LAYER_SPANS - seen)}"
     assert tracer.counts["autodiff.checkpoint_bytes"] > 0
+
+
+@pytest.mark.parametrize("overrides,slots", [({}, 2), ({"delta_enabled": False}, 1),
+                                             ({"variant": "gkn_only_dual"}, 2)])
+def test_traced_epoch_counts_one_update_per_graph_and_slot(spans, overrides, slots):
+    from dagrl.synthetic import make_shifted_pair
+    from dagrl.trainer import TrainConfig, build_state, train_epoch
+
+    source, target = make_shifted_pair(seed=0, graphs_per_class=6)
+    config = TrainConfig(epochs=1, hidden_dim=8, batch_size=5, wl_depth=1, **overrides)
+    state = build_state(config, source, target)
+    tracer = spans.Tracer("t")
+    spans.install_layers(tracer)
+    try:
+        train_epoch(state, source, target)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["adversarial.perturbation_updates"] == len(source.graphs) * slots

@@ -79,6 +79,17 @@ def test_config_file_bad_value_exit_2(tmp_path, synth_root, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_nan_epsilon_exit_2(tmp_path, synth_root, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("epsilon = nan\n")
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "epsilon must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,frozen,moved", [("p1", "delta/", "zeta/"),
                                                ("p2", "zeta/", "delta/")])
 def test_p1_p2_flags_switch_off_one_perturbation(tmp_path, synth_root, flag, frozen, moved):

@@ -7,7 +7,14 @@ from dagrl.errors import ContractViolation
 from dagrl.gin import ClassifierHead, GinEncoder, GraphBatch
 from dagrl.graphs import SOURCE, DomainDataset, Graph, PackedGraphs
 from dagrl.wl import WlRefinement
-from helpers import finite_difference, max_relative_error, path_graph, permute_graph, random_graph
+from helpers import (
+    encode_graph,
+    finite_difference,
+    max_relative_error,
+    path_graph,
+    permute_graph,
+    random_graph,
+)
 
 
 def make_encoder(seed=0, input_dim=3, hidden_dim=8):
@@ -19,9 +26,9 @@ def test_zero_delta_matches_unperturbed():
     enc = make_encoder()
     g = random_graph(np.random.default_rng(1), max_nodes=6)
     tape = ad.Tape()
-    _, z_plain = enc.encode(tape, g)
+    _, z_plain = encode_graph(enc, tape, g)
     tape2 = ad.Tape()
-    _, z_zero = enc.encode(tape2, g, delta=np.zeros((g.node_count, 3)))
+    _, z_zero = encode_graph(enc, tape2, g, delta=np.zeros((g.node_count, 3)))
     assert np.array_equal(z_plain.data, z_zero.data)
 
 
@@ -29,7 +36,7 @@ def test_single_node_is_mlp_of_own_features():
     enc = make_encoder()
     g = Graph(node_count=1, edges=(), node_labels=(2,), graph_label=0)
     tape = ad.Tape()
-    h, z = enc.encode(tape, g)
+    h, z = encode_graph(enc, tape, g)
     # No neighbors: the aggregation term is zero, so layer 1 sees x.
     expected = np.array([[0.0, 0.0, 1.0]])
     for layer in enc.layers:
@@ -47,9 +54,9 @@ def test_isomorphic_graphs_share_representation():
         perm = rng.permutation(g.node_count)
         g2 = permute_graph(g, perm)
         tape = ad.Tape()
-        _, z1 = enc.encode(tape, g)
+        _, z1 = encode_graph(enc, tape, g)
         tape2 = ad.Tape()
-        _, z2 = enc.encode(tape2, g2)
+        _, z2 = encode_graph(enc, tape2, g2)
         assert np.max(np.abs(z1.data - z2.data)) <= 1e-9
 
 
@@ -60,9 +67,9 @@ def test_node_embeddings_are_permutation_equivariant():
     perm = rng.permutation(g.node_count)
     g2 = permute_graph(g, perm)
     tape = ad.Tape()
-    h1, _ = enc.encode(tape, g)
+    h1, _ = encode_graph(enc, tape, g)
     tape2 = ad.Tape()
-    h2, _ = enc.encode(tape2, g2)
+    h2, _ = encode_graph(enc, tape2, g2)
     assert np.max(np.abs(h2.data[list(perm)] - h1.data)) <= 1e-9
 
 
@@ -74,9 +81,9 @@ def test_two_hop_locality():
     extra = Graph(node_count=7, edges=g.edges + ((4, 5), (5, 6)),
                   node_labels=g.node_labels + (2, 0, 1), graph_label=0)
     tape = ad.Tape()
-    h_small, _ = enc.encode(tape, g)
+    h_small, _ = encode_graph(enc, tape, g)
     tape2 = ad.Tape()
-    h_big, _ = enc.encode(tape2, extra)
+    h_big, _ = encode_graph(enc, tape2, extra)
     assert np.allclose(h_big.data[:4], h_small.data, atol=1e-12)
 
 
@@ -85,7 +92,7 @@ def test_delta_shape_mismatch_rejected():
     g = path_graph(3)
     tape = ad.Tape()
     with pytest.raises(ContractViolation):
-        enc.encode(tape, g, delta=np.zeros((2, 3)))
+        encode_graph(enc, tape, g, delta=np.zeros((2, 3)))
 
 
 def test_loss_gradient_wrt_delta_is_nonzero():
@@ -94,7 +101,7 @@ def test_loss_gradient_wrt_delta_is_nonzero():
     g = random_graph(np.random.default_rng(11), max_nodes=5)
     tape = ad.Tape()
     delta = ad.parameter(np.zeros((g.node_count, 3)))
-    _, z = enc.encode(tape, g, delta=delta)
+    _, z = encode_graph(enc, tape, g, delta=delta)
     loss = ad.softmax_cross_entropy(tape, head.logits(tape, z), [1])
     tape.backward(loss)
     assert delta.grad is not None
@@ -109,7 +116,7 @@ def test_delta_gradient_matches_finite_differences():
 
     def run():
         tape = ad.Tape()
-        _, z = enc.encode(tape, g, delta=delta)
+        _, z = encode_graph(enc, tape, g, delta=delta)
         return tape, ad.softmax_cross_entropy(tape, head.logits(tape, z), [2])
 
     tape, loss = run()
@@ -124,14 +131,15 @@ class TestHead:
         for p in head.params():
             p.data[:] = 0.0
         tape = ad.Tape()
-        p = head.predict(tape, ad.constant(np.random.default_rng(1).standard_normal((1, 8))))
+        z = ad.constant(np.random.default_rng(1).standard_normal((1, 8)))
+        p = ad.softmax(tape, head.logits(tape, z))
         assert np.allclose(p.data, 0.25, atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         head = ClassifierHead(np.random.default_rng(2), hidden_dim=8, num_classes=5)
         rng = np.random.default_rng(3)
         tape = ad.Tape()
-        p = head.predict(tape, ad.constant(rng.standard_normal((7, 8))))
+        p = ad.softmax(tape, head.logits(tape, ad.constant(rng.standard_normal((7, 8)))))
         assert np.max(np.abs(p.data.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_positive_logit_scaling_preserves_argmax(self):
@@ -153,7 +161,7 @@ def test_batch_matches_per_graph_encode():
     singles = []
     for g in graphs:
         t = ad.Tape()
-        _, z = enc.encode(t, g)
+        _, z = encode_graph(enc, t, g)
         singles.append(z.data)
     assert np.allclose(z_batch.data, np.vstack(singles), atol=1e-12)
 

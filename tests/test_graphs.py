@@ -1,6 +1,10 @@
+from contextlib import contextmanager
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dagrl import graphs as graphs_module
 from dagrl.errors import ConfigurationError, ContractViolation, DatasetFormatError, IngestionError
 from dagrl.graphs import (
     SOURCE,
@@ -104,6 +108,44 @@ class TestParser:
         # Serializing the parsed dataset and re-parsing is also stable.
         write_tudataset(again, tmp_path, "rt2")
         assert parse_tudataset(tmp_path, "rt2") == again
+
+    def test_unlabeled_graph_writes_no_file(self, tmp_path):
+        # A target dataset whose labels were never kept for evaluation.
+        graphs = (replace(path_graph(3), graph_label=None), replace(path_graph(2), graph_label=None))
+        ds = DomainDataset(graphs=graphs, domain=TARGET, num_classes=1, label_alphabet_size=1)
+        with pytest.raises(ConfigurationError, match="graph 0 has no label"):
+            write_tudataset(ds, tmp_path, "bad")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_while_writing_edges_leaves_no_edge_file(self, tmp_path, monkeypatch):
+        # The edge file fails after two lines; a truncated edge list would
+        # still parse as a dataset with fewer edges.
+        real_atomic_write = graphs_module.atomic_write
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.left = fh, 2
+
+            def write(self, text):
+                if self.left == 0:
+                    raise OSError("injected write failure")
+                self.left -= 1
+                return self.fh.write(text)
+
+        @contextmanager
+        def failing_atomic_write(path):
+            with real_atomic_write(path) as fh:
+                yield FailingFile(fh) if path.name.endswith("_A.txt") else fh
+
+        monkeypatch.setattr(graphs_module, "atomic_write", failing_atomic_write)
+        ds = DomainDataset(graphs=(path_graph(4), path_graph(3)), domain=SOURCE,
+                           num_classes=1, label_alphabet_size=1)
+        with pytest.raises(OSError, match="injected"):
+            write_tudataset(ds, tmp_path, "cut")
+        assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [
+            "cut_graph_indicator.txt", "cut_graph_labels.txt", "cut_node_labels.txt"]
+        with pytest.raises(IngestionError, match="cut_A.txt"):
+            parse_tudataset(tmp_path, "cut")
 
 
 class TestGraphType:

@@ -61,6 +61,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             toy_config(epsilon=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", float("nan")), ("epsilon", float("inf")), ("lambda1", float("nan")),
+        ("lambda2", float("inf")), ("lr", float("nan")), ("lr", -1.0), ("lr", 0.0),
+        ("hidden_dim", 0), ("wl_depth", -1),
+    ])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            toy_config(**{field: value})
+
 
 class TestSourceLoss:
     def test_unlabeled_graph_rejected(self, tiny_pair):
@@ -108,14 +117,29 @@ class TestVariants:
     def test_p1_keeps_delta_zero(self, tiny_pair):
         source, target = tiny_pair
         state = train(toy_config(delta_enabled=False, lr=1e-2), source, target)
-        assert all(np.all(a == 0.0) for a in state.store.delta)
-        assert any(np.linalg.norm(a) > 0 for a in state.store.zeta)
+        delta, zeta = state.store.rows
+        assert np.all(delta == 0.0)
+        assert np.any(zeta != 0.0)
 
     def test_p2_keeps_zeta_zero(self, tiny_pair):
         source, target = tiny_pair
         state = train(toy_config(zeta_enabled=False, lr=1e-2), source, target)
-        assert all(np.all(a == 0.0) for a in state.store.zeta)
-        assert any(np.linalg.norm(a) > 0 for a in state.store.delta)
+        delta, zeta = state.store.rows
+        assert np.all(zeta == 0.0)
+        assert np.any(delta != 0.0)
+
+    @pytest.mark.parametrize("variant", ["full", "gin_only_dual", "gkn_only_dual"])
+    def test_named_arrays_hold_one_perturbation_per_source_graph(self, tiny_pair, variant):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant=variant), source, target)
+        arrays = state.named_arrays()
+        for slot, branch in zip(("delta", "zeta"), state.branches):
+            keys = [k for k in arrays if k.startswith(f"{slot}/")]
+            assert keys == [f"{slot}/{i}" for i in range(len(source.graphs))]
+            for i, g in enumerate(source.graphs):
+                expected = ((g.node_count, source.label_alphabet_size)
+                            if isinstance(branch, GinBranch) else (1, 8))
+                assert arrays[f"{slot}/{i}"].shape == expected
 
     def test_source_only_has_no_adversarial_state(self, tiny_pair):
         source, target = tiny_pair
@@ -131,7 +155,7 @@ class TestVariants:
         state = train(toy_config(variant=variant, lr=1e-2), source, target)
         assert len(state.history) == 2
         assert all(np.isfinite(e.source_loss) for e in state.history)
-        assert any(r.raw_step_norm > 0 for r in state.store.audit)
+        assert state.store.steps > state.store.degenerate_steps
         acc = evaluate(state, target)
         assert 0.0 <= acc <= 1.0
 
@@ -190,11 +214,11 @@ class TestTraining:
         cfg = toy_config(epochs=3, lr=1e-2, epsilon=0.75)
         state = train(cfg, source, target)
         eps = cfg.epsilon
-        assert state.store.audit, "perturbation phases never ran"
-        for record in state.store.audit:
-            assert record.post_norm <= eps + 1e-10
-            assert record.raw_step_norm == 0.0 or abs(record.raw_step_norm - eps) <= 1e-10
-        assert state.store.max_norm() <= eps + 1e-10
+        store = state.store
+        assert store.steps, "perturbation phases never ran"
+        assert store.max_post_norm <= eps + 1e-10
+        assert store.max_step_error <= 1e-10
+        assert all(np.linalg.norm(a) <= eps + 1e-10 for a in store.as_arrays().values())
 
     def test_history_is_finite_and_consistent(self, tiny_pair):
         source, target = tiny_pair
