@@ -29,7 +29,9 @@ SIGMOID_EPS = 1e-7
 _LOG_LO = float(np.log(SIGMOID_EPS))
 _LOG_HI = float(np.log1p(-SIGMOID_EPS))
 
-CHECKPOINT_HEADER = "dagrl-ckpt-v1"
+CHECKPOINT_MAGIC = "dagrl-ckpt-v2"
+# Checkpoint payloads are raw little-endian float64, whatever the host order.
+_CHECKPOINT_DTYPE = np.dtype("<f8")
 
 
 class Tensor:
@@ -374,58 +376,86 @@ class Adam:
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write a flat key -> array map as versioned text.
+    """Write a flat key -> array map in the exact binary ``dagrl-ckpt-v2`` layout.
 
-    Values use ``repr`` so floats round-trip exactly. The file is written
-    atomically: a failure part-way (such as a key containing a space)
-    leaves no file at ``path``.
+    The file starts with the text line ``dagrl-ckpt-v2 <entry count>``.
+    Each entry is the text line ``<key> <rows> <cols>`` followed by
+    ``rows*cols`` raw little-endian float64 values in row-major order, so
+    values round-trip bit for bit. Scalars and vectors are stored as one
+    row. The file is written atomically: a failure part-way (such as a
+    key containing whitespace) leaves no file at ``path``.
     """
-    with atomic_write(path) as fh:
-        fh.write(CHECKPOINT_HEADER + "\n")
-        for key in arrays:
-            arr = np.asarray(arrays[key], dtype=np.float64)
-            if arr.ndim == 0:
-                arr = arr.reshape(1, 1)
-            elif arr.ndim == 1:
+    with atomic_write(path, mode="wb") as fh:
+        fh.write(f"{CHECKPOINT_MAGIC} {len(arrays)}\n".encode())
+        for key, value in arrays.items():
+            if not key.isprintable() or key.split() != [key]:
+                raise ContractViolation(f"checkpoint key {key!r} must be non-empty, "
+                                        "printable and free of whitespace")
+            arr = np.asarray(value, dtype=_CHECKPOINT_DTYPE)
+            if arr.ndim < 2:
                 arr = arr.reshape(1, -1)
-            if " " in key:
-                raise ContractViolation(f"checkpoint key {key!r} contains a space")
-            fh.write(f"{key} {arr.shape[0]} {arr.shape[1]}\n")
-            fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
+            elif arr.ndim > 2:
+                raise ContractViolation(f"checkpoint entry {key!r} has {arr.ndim} dimensions")
+            fh.write(f"{key} {arr.shape[0]} {arr.shape[1]}\n".encode())
+            fh.write(arr.tobytes())
+
+
+def _checkpoint_line(data: bytes, pos: int, lineno: int) -> tuple[int, bytes]:
+    """The newline-terminated text line at ``pos`` and the offset after it."""
+    end = data.find(b"\n", pos)
+    if end < 0:
+        raise DatasetFormatError(f"unterminated checkpoint line {data[pos:pos + 80]!r}",
+                                 line=lineno)
+    return end + 1, data[pos:end]
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "r") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CHECKPOINT_HEADER:
-            raise DatasetFormatError(f"bad checkpoint header {header!r}", line=1)
-        arrays: dict[str, np.ndarray] = {}
-        lineno = 1
-        while True:
-            meta = fh.readline()
-            if not meta:
-                break
-            lineno += 1
-            parts = meta.split()
-            if len(parts) != 3:
-                raise DatasetFormatError(f"bad checkpoint entry {meta!r}", line=lineno)
-            try:
-                key, rows, cols = parts[0], int(parts[1]), int(parts[2])
-            except ValueError:
-                raise DatasetFormatError(f"bad checkpoint shape in {meta!r}", line=lineno)
-            if rows < 0 or cols < 0:
-                raise DatasetFormatError(f"negative checkpoint shape in {meta!r}", line=lineno)
-            values = fh.readline()
-            lineno += 1
-            try:
-                flat = np.array([float(v) for v in values.split()], dtype=np.float64)
-            except ValueError:
-                raise DatasetFormatError(f"checkpoint entry {key!r}: non-numeric value",
-                                         line=lineno)
-            if flat.size != rows * cols:
-                raise DatasetFormatError(
-                    f"checkpoint entry {key!r}: {flat.size} values for shape ({rows}, {cols})",
-                    line=lineno,
-                )
-            arrays[key] = flat.reshape(rows, cols)
+    """Read a ``dagrl-ckpt-v2`` file into writable float64 2-D arrays, in file order.
+
+    Malformed input raises :class:`DatasetFormatError` with the text line
+    at fault: the header is line 1 and entry ``i`` is line ``i + 2``. An
+    entry count that disagrees with the entries present (a file cut at an
+    entry boundary, or trailing bytes) is charged to the header. The text
+    format ``dagrl-ckpt-v1`` is not read.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos, header = _checkpoint_line(data, 0, 1)
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != CHECKPOINT_MAGIC.encode() or not parts[1].isdigit():
+        raise DatasetFormatError(f"bad checkpoint header {header[:80]!r}; "
+                                 f"expected '{CHECKPOINT_MAGIC} <entry count>'", line=1)
+    count = int(parts[1])
+    arrays: dict[str, np.ndarray] = {}
+    for index in range(count):
+        if pos == len(data):
+            raise DatasetFormatError(f"checkpoint ends after {index} of {count} entries", line=1)
+        lineno = index + 2
+        pos, meta = _checkpoint_line(data, pos, lineno)
+        parts = meta.split()
+        if len(parts) != 3:
+            raise DatasetFormatError(f"bad checkpoint entry {meta[:80]!r}", line=lineno)
+        try:
+            key, rows, cols = parts[0].decode(), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise DatasetFormatError(f"bad checkpoint key or shape in {meta!r}",
+                                     line=lineno) from None
+        if not key.isprintable():
+            raise DatasetFormatError(f"unprintable checkpoint key {key!r}", line=lineno)
+        if rows < 0 or cols < 0:
+            raise DatasetFormatError(f"negative checkpoint shape in {meta!r}", line=lineno)
+        if key in arrays:
+            raise DatasetFormatError(f"duplicate checkpoint key {key!r}", line=lineno)
+        size = rows * cols
+        end = pos + size * _CHECKPOINT_DTYPE.itemsize
+        if end > len(data):
+            raise DatasetFormatError(
+                f"checkpoint entry {key!r}: {len(data) - pos} payload bytes for shape "
+                f"({rows}, {cols})", line=lineno)
+        flat = np.frombuffer(data, dtype=_CHECKPOINT_DTYPE, count=size, offset=pos)
+        arrays[key] = flat.astype(np.float64).reshape(rows, cols)
+        pos = end
+    if pos != len(data):
+        raise DatasetFormatError(
+            f"{len(data) - pos} trailing bytes after the header's {count} entries", line=1)
     return arrays

@@ -46,6 +46,14 @@ class ExperimentPlan:
                 raise ConfigurationError(f"source and target group must differ, got ({s}, {t})")
             if not (0 <= s <= 3 and 0 <= t <= 3):
                 raise ConfigurationError(f"group indices must lie in 0..3, got ({s}, {t})")
+        # A repeated pair or seed would train the same cell twice and
+        # weight it twice in the pair mean and the Avg. row.
+        for name, values in (("pair", self.pairs), ("seed", self.seeds)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigurationError(f"repeated {name} in plan: {repeated}")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be nonnegative, got {min(self.seeds)}")
 
 
 @dataclass(frozen=True)

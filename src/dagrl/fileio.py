@@ -8,10 +8,12 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path):
-    """Open ``path`` for text writing; the file appears only when the block completes.
+def atomic_write(path, mode="w"):
+    """Open ``path`` for writing; the file appears only when the block completes.
 
-    Text goes to a temp file in the same directory, and ``os.replace``
+    ``mode`` is ``"w"`` for text (the reports, loss histories and
+    datasets) or ``"wb"`` for bytes (the binary checkpoints). Output goes
+    to a temp file in the same directory, and ``os.replace``
     moves it onto ``path`` once the block has finished, so a killed or
     failing writer never leaves a truncated file at ``path``. If the
     block raises, the temp file is removed and ``path`` is untouched.
@@ -19,7 +21,7 @@ def atomic_write(path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as fh:
+        with tmp.open(mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

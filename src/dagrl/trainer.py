@@ -80,6 +80,8 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 class GinBranch:

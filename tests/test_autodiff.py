@@ -364,6 +364,11 @@ class TestAdam:
         assert p.data is data
 
 
+def _entry(key: str, values, rows: int, cols: int) -> bytes:
+    """One raw ``dagrl-ckpt-v2`` entry: its text line, then its float64 payload."""
+    return f"{key} {rows} {cols}\n".encode() + np.asarray(values, dtype="<f8").tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -371,14 +376,18 @@ class TestCheckpoint:
             "enc/w": rng.standard_normal((3, 4)),
             "delta/0": rng.standard_normal((2, 2)),
             "scalar": np.array([[np.pi]]),
+            "special": np.array([[-0.0, np.inf, -np.inf, np.nan, 5e-324]]),
+            "empty": np.zeros((0, 3)),
         }
         path = tmp_path / "model.ckpt"
         ad.save_checkpoint(path, arrays)
-        assert path.read_text().splitlines()[0] == "dagrl-ckpt-v1"
+        assert path.read_bytes().split(b"\n", 1)[0] == b"dagrl-ckpt-v2 5"
         loaded = ad.load_checkpoint(path)
-        assert set(loaded) == set(arrays)
+        assert list(loaded) == list(arrays)
         for k in arrays:
-            assert np.array_equal(loaded[k], arrays[k])
+            assert loaded[k].shape == arrays[k].shape
+            assert loaded[k].tobytes() == arrays[k].tobytes()
+            assert loaded[k].dtype == np.float64 and loaded[k].flags.writeable
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -386,20 +395,53 @@ class TestCheckpoint:
         with pytest.raises(Exception, match="header"):
             ad.load_checkpoint(path)
 
-    @pytest.mark.parametrize("body,line", [("w k 1\n1.0\n", 2), ("w 1 2\n1.0 abc\n", 3),
-                                           ("w -1 -1\n1.0\n", 2)],
-                             ids=["shape", "value", "negative-shape"])
-    def test_malformed_entry_is_format_error(self, tmp_path, body, line):
+    @pytest.mark.parametrize("content,line,reason", [
+        (b"dagrl-ckpt-v2 1\nw k 1\n" + np.float64(1.0).tobytes(), 2, "shape"),
+        # Two values under a 1x1 shape: the second runs into the next entry's line.
+        (b"dagrl-ckpt-v2 2\n" + _entry("a", [1.0, 2.0], 1, 1) + _entry("b", [3.0], 1, 1), 3,
+         "unprintable"),
+        (b"dagrl-ckpt-v2 1\n" + b"w -1 -1\n", 2, "negative"),
+        (b"dagrl-ckpt-v1\nw 1 1\n1.0\n", 1, "expected 'dagrl-ckpt-v2"),
+        (b"dagrl-ckpt-v2 2\n" + _entry("a", [1.0], 1, 1) + _entry("b", [2.0], 1, 2), 3,
+         "8 payload bytes for shape \\(1, 2\\)"),
+        (b"dagrl-ckpt-v2 3\n" + _entry("a", [1.0], 1, 1) + _entry("b", [2.0], 1, 1), 1,
+         "after 2 of 3 entries"),
+        (b"dagrl-ckpt-v2 1\n" + _entry("a", [1.0], 1, 1) + b"\n", 1, "1 trailing bytes"),
+        (b"dagrl-ckpt-v2 2\n" + _entry("a", [1.0], 1, 1) + _entry("a", [2.0], 1, 1), 3,
+         "duplicate"),
+    ], ids=["shape", "value", "negative-shape", "v1-header", "short-payload",
+            "missing-entry", "trailing-bytes", "duplicate-key"])
+    def test_malformed_entry_is_format_error(self, tmp_path, content, line, reason):
         path = tmp_path / "bad.ckpt"
-        path.write_text("dagrl-ckpt-v1\n" + body)
-        with pytest.raises(DatasetFormatError) as excinfo:
+        path.write_bytes(content)
+        with pytest.raises(DatasetFormatError, match=reason) as excinfo:
             ad.load_checkpoint(path)
         assert excinfo.value.line == line
+
+    def test_every_strict_prefix_is_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        # An empty last entry: only its line's newline tells a cut file from a whole one.
+        ad.save_checkpoint(path, {"enc/w": np.arange(6.0).reshape(2, 3),
+                                  "delta/0": [[0.5]], "empty": np.zeros((0, 2))})
+        data = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(DatasetFormatError):
+                ad.load_checkpoint(cut)
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
         with pytest.raises(ContractViolation, match="space"):
             ad.save_checkpoint(path, {"a": np.ones((2, 2)), "b c": np.ones((1, 1))})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key,value", [("b\nc", [[1.0]]), ("", [[1.0]]), ("b\x00c", [[1.0]]),
+                                           ("cube", np.ones((1, 1, 1)))],
+                             ids=["newline", "empty", "control", "3-d"])
+    def test_unloadable_entry_rejected_on_save(self, tmp_path, key, value):
+        with pytest.raises(ContractViolation, match="checkpoint"):
+            ad.save_checkpoint(tmp_path / "model.ckpt", {"a": np.ones((1, 1)), key: value})
         assert list(tmp_path.iterdir()) == []
 
 

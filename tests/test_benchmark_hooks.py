@@ -49,24 +49,47 @@ def test_install_and_uninstall_restore_every_attribute(spans):
         assert getattr(owner, attr) is original
 
 
-def test_traced_plan_reaches_every_layer(spans, tmp_path):
+@pytest.fixture
+def workloads(spans):
+    import workloads as module
+
+    yield module
+    sys.modules.pop("workloads", None)
+
+
+def one_pair_run_args(tmp_path) -> list[str]:
+    """Write a small synthetic dataset; return ``dagrl run`` arguments for pair 0,1, seed 0."""
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--name", "SynthBench", "--seed", "0",
                  "--graphs-per-block", "8"]) == 0
     cfg = tmp_path / "plan.cfg"
     cfg.write_text("epochs = 1\nhidden_dim = 8\nbatch_size = 8\nwl_depth = 1\n")
+    return ["run", "--data-root", str(data), "--dataset", "SynthBench", "--pairs", "0,1",
+            "--seeds", "0", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+
+def test_traced_plan_reaches_every_layer(spans, tmp_path):
+    args = one_pair_run_args(tmp_path)
     tracer = spans.Tracer("t")
     spans.install_layers(tracer)
     try:
-        code = main(["run", "--data-root", str(data), "--dataset", "SynthBench",
-                     "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")])
+        code = main(args)
     finally:
         tracer.uninstall()
     assert code == 0
     seen = {name for _, name, *_ in tracer.spans}
     assert LAYER_SPANS <= seen, f"never reached: {sorted(LAYER_SPANS - seen)}"
     assert tracer.counts["autodiff.checkpoint_bytes"] > 0
+
+
+def test_plan_checkpoint_passes_the_benchmark_gate(workloads, tmp_path):
+    from dagrl.autodiff import load_checkpoint
+    from dagrl.trainer import TrainConfig
+
+    assert main(one_pair_run_args(tmp_path)) == 0
+    arrays = load_checkpoint(tmp_path / "out" / "checkpoint_0_1_0.txt")
+    assert "delta/0" in arrays and "zeta/0" in arrays
+    assert workloads._array_problems(arrays, TrainConfig().epsilon) == []
 
 
 @pytest.mark.parametrize("overrides,slots", [({}, 2), ({"delta_enabled": False}, 1),

@@ -1,5 +1,6 @@
 import pytest
 
+from dagrl.autodiff import load_checkpoint
 from dagrl.cli import main, parse_config_file, parse_pairs, parse_seeds
 from dagrl.errors import DagrlError
 from dagrl.experiments import ALL_PAIRS
@@ -93,8 +94,6 @@ def test_config_file_nan_epsilon_exit_2(tmp_path, synth_root, capsys):
 @pytest.mark.parametrize("flag,frozen,moved", [("p1", "delta/", "zeta/"),
                                                ("p2", "zeta/", "delta/")])
 def test_p1_p2_flags_switch_off_one_perturbation(tmp_path, synth_root, flag, frozen, moved):
-    from dagrl.autodiff import load_checkpoint
-
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs = 1\nlr = 0.01\nhidden_dim = 8\nbatch_size = 16\nwl_depth = 1\n")
     out = tmp_path / "out"
@@ -135,8 +134,8 @@ def test_run_flag_overrides_config_variant(tmp_path, synth_root):
                  "--variant", "source-only", "--out", str(out)])
     assert code == 0
     # source-only trains no discriminators, so no delta/zeta keys appear.
-    ckpt = (out / "checkpoint_0_1_0.txt").read_text()
-    assert "delta/" not in ckpt and "disc0" not in ckpt
+    keys = list(load_checkpoint(out / "checkpoint_0_1_0.txt"))
+    assert keys and not any(k.startswith(("delta/", "zeta/", "disc")) for k in keys)
 
 
 def test_run_failure_writes_manifest_and_exits_1(tmp_path, synth_root, capsys, monkeypatch):
@@ -170,6 +169,20 @@ def test_run_bad_pairs_usage_error(tmp_path, synth_root, capsys):
                  "--pairs", "0,0", "--seeds", "0", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs,seeds,message", [
+    ("0,1;0,1;1,0", "0", "repeated pair in plan: [(0, 1)]"),
+    ("0,1", "0,0,1", "repeated seed in plan: [0]"),
+    ("0,1", "-1", "seeds must be nonnegative, got -1"),
+], ids=["repeated-pair", "repeated-seed", "negative-seed"])
+def test_run_rejects_plan_before_any_cell(tmp_path, synth_root, capsys, pairs, seeds, message):
+    out = tmp_path / "out"
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", pairs, f"--seeds={seeds}", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_round_trips_through_parser(synth_root):

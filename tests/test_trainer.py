@@ -64,7 +64,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", float("nan")), ("epsilon", float("inf")), ("lambda1", float("nan")),
         ("lambda2", float("inf")), ("lr", float("nan")), ("lr", -1.0), ("lr", 0.0),
-        ("hidden_dim", 0), ("wl_depth", -1),
+        ("hidden_dim", 0), ("wl_depth", -1), ("seed", -1),
     ])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
