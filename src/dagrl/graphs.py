@@ -60,14 +60,6 @@ class Graph:
                 raise ContractViolation(f"duplicate undirected edge ({u}, {v})")
             seen.add(key)
 
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, one per node."""
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
 
 class PackedGraphs:
     """A sequence of graphs as one disjoint union, stored as flat arrays.
@@ -148,12 +140,12 @@ class DomainDataset:
 
     @cached_property
     def packed(self) -> PackedGraphs:
-        """The graphs packed once, at first use; GIN batches are gathered from it."""
+        """The graphs packed once, at first use; GIN batches and WL rows are built from it."""
         return PackedGraphs(self.graphs)
 
     @cached_property
     def feature_matrices(self) -> weakref.WeakKeyDictionary:
-        """``WlRefinement.feature_matrix`` of the graphs, weakly keyed by refinement.
+        """The refinement-histogram rows of the graphs, weakly keyed by refinement.
 
         Filled by ``WlRefinement.dataset_features``; an entry is dropped
         with its refinement, so a dataset shared by many runs keeps no

@@ -9,10 +9,14 @@ per-graph label histograms. Those histograms, densified over a frozen
 vocabulary, feed a small trainable head whose embedding layer accepts an
 additive perturbation.
 
-The refinement table assigns fresh labels in lexicographic signature
-order per iteration, so a fitted table does not depend on graph order.
-Fresh labels start above the raw alphabet and signatures at different
-depths can never collide, which keeps one flat histogram per graph exact.
+Refinement is one vectorized pass per depth over a packed union of
+graphs. A node's key row is its own label, its sorted neighbor labels,
+then a pad below every label (``UNKNOWN_LABEL`` included), so ranking the
+rows with ``np.lexsort`` orders signatures exactly as Python orders the
+tuples. Fresh labels follow that order, so a fitted table does not depend
+on graph order. Fresh labels start above the raw alphabet and signatures
+at different depths can never collide, which keeps one flat histogram per
+graph exact.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ConfigurationError, ContractViolation
-from .graphs import DomainDataset, Graph
+from .graphs import DomainDataset, Graph, PackedGraphs
 
 UNKNOWN_LABEL = -1
 
@@ -38,12 +42,8 @@ class WlRefinement:
         self.depth = depth
         self.label_table: dict[tuple, int] = {}
         self._next_label: int | None = None
-        self._observed: set[int] = set()
+        self._vocab = np.zeros(0, dtype=np.int64)
         self.feature_index: dict[int, int] = {}
-
-    @property
-    def fitted(self) -> bool:
-        return self._next_label is not None
 
     @property
     def vocab_size(self) -> int:
@@ -55,40 +55,54 @@ class WlRefinement:
         return len(self.feature_index)
 
     def fit(self, graphs) -> "WlRefinement":
-        """Build the table from one pass over ``graphs``.
-
-        Iterations run synchronized across all graphs; new signatures are
-        sorted lexicographically before insertion so the resulting labels
-        are independent of graph order.
-        """
-        graphs = list(graphs)
-        if not graphs:
+        """Build the table from one synchronized pass over all of ``graphs``."""
+        packed = PackedGraphs(graphs)
+        if not packed.graphs:
             raise ConfigurationError("cannot fit a refinement on zero graphs")
-        current = [np.asarray(g.node_labels, dtype=np.int64) for g in graphs]
-        self._observed = {int(v) for labels in current for v in labels}
-        self._next_label = (max(self._observed) + 1) if self._observed else 0
         self.label_table = {}
-        neighbor_lists = [g.neighbors() for g in graphs]
-        for _ in range(self.depth):
-            signatures = [self._signatures(labels, nbrs)
-                          for labels, nbrs in zip(current, neighbor_lists)]
-            fresh = sorted({s for per_graph in signatures for s in per_graph
-                            if s not in self.label_table})
-            for sig in fresh:
-                self.label_table[sig] = self._next_label
-                self._next_label += 1
-            current = [np.array([self.label_table[s] for s in per_graph], dtype=np.int64)
-                       for per_graph in signatures]
-            self._observed.update(int(v) for labels in current for v in labels)
-        self.feature_index = {label: i for i, label in enumerate(sorted(self._observed))}
+        raw = packed.node_labels
+        self._next_label = int(raw.max()) + 1 if len(raw) else 0
+        self._vocab = np.unique(np.concatenate(self._refine(packed, grow=True)))
+        self.feature_index = {label: i for i, label in enumerate(self._vocab.tolist())}
         return self
 
-    @staticmethod
-    def _signatures(labels: np.ndarray, neighbor_lists) -> list[tuple]:
-        return [
-            (int(labels[v]), tuple(sorted(int(labels[u]) for u in neighbor_lists[v])))
-            for v in range(len(labels))
-        ]
+    def _refine(self, packed: PackedGraphs, grow: bool = False) -> list[np.ndarray]:
+        """Label arrays over the union's nodes for depths 0..l.
+
+        With ``grow``, each depth's signatures get fresh labels in rank
+        order; all of them are new, because their own labels come from
+        the previous depth's fresh range. Otherwise a signature absent
+        from the table maps to ``UNKNOWN_LABEL``.
+        """
+        if self._next_label is None:
+            raise ContractViolation("refinement not fitted")
+        labels, adjacency = packed.node_labels, packed.adjacency
+        degrees = np.diff(adjacency.indptr)
+        owner = np.repeat(np.arange(len(labels)), degrees)
+        slot = np.arange(len(owner)) - adjacency.indptr[owner] + 1
+        keys = np.empty((len(labels), 1 + int(degrees.max(initial=0))), dtype=np.int64)
+        pad = min(UNKNOWN_LABEL, int(labels.min(initial=0))) - 1
+        out = [labels]
+        for _ in range(self.depth):
+            neighbor_labels = labels[adjacency.indices]
+            keys.fill(pad)
+            keys[:, 0] = labels
+            keys[owner, slot] = neighbor_labels[np.lexsort((neighbor_labels, owner))]
+            order = np.lexsort(keys.T[::-1])
+            ranked = keys[order]
+            first = np.diff(ranked, axis=0, prepend=pad).any(axis=1)  # no label equals pad
+            signatures = [(row[0], tuple(row[1:1 + d])) for row, d in
+                          zip(ranked[first].tolist(), degrees[order[first]].tolist())]
+            if grow:
+                fresh = range(self._next_label, self._next_label + len(signatures))
+                self.label_table.update(zip(signatures, fresh))
+                self._next_label += len(signatures)
+            codes = np.array([self.label_table.get(s, UNKNOWN_LABEL) for s in signatures],
+                             dtype=np.int64)
+            labels = np.empty_like(labels)
+            labels[order] = codes[np.cumsum(first) - 1]
+            out.append(labels)
+        return out
 
     def node_labels(self, g: Graph) -> list[np.ndarray]:
         """Per-iteration label arrays for ``g`` under the fitted table.
@@ -96,56 +110,41 @@ class WlRefinement:
         Signatures absent from the table map to ``UNKNOWN_LABEL``; this
         only happens for graphs outside the fitted collection.
         """
-        if not self.fitted:
-            raise ContractViolation("refinement not fitted")
-        labels = np.asarray(g.node_labels, dtype=np.int64)
-        out = [labels]
-        nbrs = g.neighbors()
-        for _ in range(self.depth):
-            sigs = self._signatures(out[-1], nbrs)
-            out.append(np.array([self.label_table.get(s, UNKNOWN_LABEL) for s in sigs],
-                                dtype=np.int64))
-        return out
+        return self._refine(PackedGraphs([g]))
 
-    def feature_counts(self, g: Graph) -> Counter:
-        """Histogram of labels over all refinement depths 0..l."""
-        counts: Counter = Counter()
-        for labels in self.node_labels(g):
-            counts.update(int(v) for v in labels)
-        return counts
+    def _histograms(self, packed: PackedGraphs) -> sp.csr_matrix:
+        """Per graph, label counts over depths 0..l; unseen labels count on UNK."""
+        labels = np.concatenate(self._refine(packed))
+        cols = np.searchsorted(self._vocab, labels)
+        known = cols < len(self._vocab)
+        known[known] = self._vocab[cols[known]] == labels[known]
+        cols[~known] = self.unknown_column
+        graph_of = np.repeat(np.arange(len(packed.graphs)), np.diff(packed.node_offsets))
+        rows = np.tile(graph_of, self.depth + 1)
+        return sp.csr_matrix((np.ones(len(cols)), (rows, cols)),
+                             shape=(len(packed.graphs), self.vocab_size))
 
     def feature_row(self, g: Graph) -> sp.csr_matrix:
-        """Densified histogram over the frozen vocabulary (1 x vocab_size).
-
-        Labels outside the vocabulary land on the reserved UNK coordinate
-        with their counts preserved.
-        """
-        counts = self.feature_counts(g)
-        cols: dict[int, float] = {}
-        for label, c in counts.items():
-            col = self.feature_index.get(label, self.unknown_column)
-            cols[col] = cols.get(col, 0.0) + c
-        idx = sorted(cols)
-        data = np.array([cols[i] for i in idx])
-        return sp.csr_matrix((data, (np.zeros(len(idx), dtype=int), idx)),
-                             shape=(1, self.vocab_size))
+        """Densified histogram over the frozen vocabulary (1 x vocab_size)."""
+        return self.feature_matrix([g])
 
     def feature_matrix(self, graphs) -> sp.csr_matrix:
-        rows = [self.feature_row(g) for g in graphs]
-        if not rows:
+        packed = PackedGraphs(graphs)
+        if not packed.graphs:
             raise ContractViolation("feature_matrix of zero graphs")
-        return sp.vstack(rows, format="csr")
+        return self._histograms(packed)
 
     def dataset_features(self, dataset: DomainDataset) -> sp.csr_matrix:
         """The feature matrix of ``dataset.graphs``, computed at first use.
 
-        Batches gather their rows from it. It is kept in
-        ``dataset.feature_matrices`` under this refinement, so every branch and
-        phase that shares the refinement shares the rows.
+        Batches gather their rows from it. It is refined from
+        ``dataset.packed`` and kept in ``dataset.feature_matrices`` under
+        this refinement, so every branch and phase that shares the
+        refinement shares the rows.
         """
         features = dataset.feature_matrices.get(self)
         if features is None:
-            features = dataset.feature_matrices[self] = self.feature_matrix(dataset.graphs)
+            features = dataset.feature_matrices[self] = self._histograms(dataset.packed)
         return features
 
 

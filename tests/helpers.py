@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from dagrl.gin import GraphBatch
 from dagrl.graphs import Graph, PackedGraphs
@@ -47,6 +49,67 @@ def encode_graph(encoder, tape, g: Graph, delta=None):
     """``encoder.encode_batch`` on a one-graph batch; ``delta`` perturbs its one-hot inputs."""
     batch = GraphBatch(PackedGraphs([g]), [0], encoder.input_dim)
     return encoder.encode_batch(tape, batch, delta)
+
+
+class ReferenceRefinement:
+    """Per-graph tuple refinement: the oracle for ``dagrl.wl.WlRefinement``.
+
+    Each node's signature is the Python tuple ``(own label, sorted
+    neighbor labels)``. Per depth, the signatures not yet in the table get
+    fresh labels in ``sorted`` order; a signature outside the table maps
+    to -1 (``UNKNOWN_LABEL``). Feature rows are built graph by graph and
+    stacked.
+    """
+
+    def __init__(self, graphs, depth: int):
+        self.depth = depth
+        self.label_table: dict[tuple, int] = {}
+        current = [list(g.node_labels) for g in graphs]
+        observed = {v for labels in current for v in labels}
+        next_label = max(observed) + 1 if observed else 0
+        self.fitted_labels = [[labels] for labels in current]
+        for _ in range(depth):
+            signatures = [self._signatures(labels, g) for labels, g in zip(current, graphs)]
+            fresh = sorted({s for per_graph in signatures for s in per_graph
+                            if s not in self.label_table})
+            for sig in fresh:
+                self.label_table[sig] = next_label
+                next_label += 1
+            current = [[self.label_table[s] for s in per_graph] for per_graph in signatures]
+            for per_depth, labels in zip(self.fitted_labels, current):
+                per_depth.append(labels)
+            observed.update(v for labels in current for v in labels)
+        self.feature_index = {label: i for i, label in enumerate(sorted(observed))}
+
+    @staticmethod
+    def _signatures(labels, g: Graph) -> list[tuple]:
+        neighbors: list[list[int]] = [[] for _ in range(g.node_count)]
+        for u, v in g.edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        return [(labels[v], tuple(sorted(labels[u] for u in neighbors[v])))
+                for v in range(g.node_count)]
+
+    def node_labels(self, g: Graph) -> list[list[int]]:
+        out = [list(g.node_labels)]
+        for _ in range(self.depth):
+            out.append([self.label_table.get(s, -1) for s in self._signatures(out[-1], g)])
+        return out
+
+    def feature_row(self, g: Graph) -> sp.csr_matrix:
+        counts = Counter(v for labels in self.node_labels(g) for v in labels)
+        unknown = len(self.feature_index)
+        cols: dict[int, float] = {}
+        for label, c in counts.items():
+            col = self.feature_index.get(label, unknown)
+            cols[col] = cols.get(col, 0.0) + c
+        idx = sorted(cols)
+        data = np.array([cols[i] for i in idx])
+        return sp.csr_matrix((data, (np.zeros(len(idx), dtype=int), idx)),
+                             shape=(1, unknown + 1))
+
+    def feature_matrix(self, graphs) -> sp.csr_matrix:
+        return sp.vstack([self.feature_row(g) for g in graphs], format="csr")
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

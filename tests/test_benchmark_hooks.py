@@ -14,8 +14,10 @@ from dagrl.cli import main
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Span names the per-layer metrics read; each must be reached by a plan.
+# ``wl.feature_row`` is not among them: training refines each dataset in one
+# pass, so only the per-graph oracles reach it.
 LAYER_SPANS = {
-    "gin.batch_build", "gin.encode", "wl.fit", "wl.feature_row", "wl.head_forward",
+    "gin.batch_build", "gin.encode", "wl.fit", "wl.head_forward",
     "autodiff.backward", "autodiff.adam", "autodiff.checkpoint_write",
     "adversarial.disc_update", "adversarial.domain_loss", "adversarial.perturbation_step",
     "trainer.gin_forward", "trainer.gkn_forward", "trainer.evaluate", "trainer.build_state",
@@ -77,8 +79,10 @@ def test_traced_plan_reaches_every_layer(spans, tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
-    seen = {name for _, name, *_ in tracer.spans}
-    assert LAYER_SPANS <= seen, f"never reached: {sorted(LAYER_SPANS - seen)}"
+    seen = [name for _, name, *_ in tracer.spans]
+    assert LAYER_SPANS <= set(seen), f"never reached: {sorted(LAYER_SPANS - set(seen))}"
+    assert seen.count("wl.fit") == 1
+    assert "wl.feature_row" not in seen
     assert tracer.counts["autodiff.checkpoint_bytes"] > 0
 
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from dagrl import autodiff as ad
-from dagrl.graphs import Graph
+from dagrl.errors import ContractViolation
+from dagrl.graphs import Graph, split_by_density, subset_as_source, subset_as_target
+from dagrl.synthetic import make_benchmark
 from dagrl.wl import UNKNOWN_LABEL, GknHead, WlRefinement, gram_matrix, kernel, normalized_gram
-from helpers import permute_graph, random_graph
+from helpers import ReferenceRefinement, permute_graph, random_graph
 
 
 def brute_force_kernel(refinement, g1, g2):
@@ -72,9 +74,112 @@ class TestRefinement:
         for _ in range(10):
             g = random_graph(rng, max_nodes=8)
             ref = WlRefinement(depth=2).fit([g])
-            counts = ref.feature_counts(g)
-            assert sum(counts.values()) == g.node_count * 3
-            assert all(c > 0 for c in counts.values())
+            row = ref.feature_row(g)
+            assert row.sum() == g.node_count * 3
+            assert np.all(row.data > 0)
+            assert row[0, ref.unknown_column] == 0
+
+
+def assert_bitwise_csr(a, b):
+    assert a.shape == b.shape
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
+
+
+class TestReferenceEquality:
+    """The packed refinement reproduces the per-graph tuple refinement bit for bit."""
+
+    def assert_matches_reference(self, fitted, unseen, depth):
+        ref = WlRefinement(depth=depth).fit(fitted)
+        oracle = ReferenceRefinement(fitted, depth)
+        assert ref.label_table == oracle.label_table
+        assert ref.feature_index == oracle.feature_index
+        assert ref.vocab_size == len(oracle.feature_index) + 1
+        for g, expected in zip(fitted, oracle.fitted_labels):
+            assert [labels.tolist() for labels in ref.node_labels(g)] == expected
+        for g in unseen:
+            assert [labels.tolist() for labels in ref.node_labels(g)] == oracle.node_labels(g)
+        for graphs in (fitted, unseen):
+            assert_bitwise_csr(ref.feature_matrix(graphs), oracle.feature_matrix(graphs))
+        return ref, oracle
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_random_graphs(self, depth):
+        rng = np.random.default_rng(20 + depth)
+        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
+        isolated = Graph(node_count=3, edges=(), node_labels=(0, 2, 0), graph_label=0)
+        # Twelve distinct neighbor labels fill the widest key row.
+        mixed_star = Graph(node_count=13, edges=star_graph(12).edges,
+                           node_labels=(0,) + tuple(range(12)), graph_label=0)
+        for _ in range(15):
+            graphs = [random_graph(rng, max_nodes=7, num_labels=3, edge_prob=0.5)
+                      for _ in range(6)]
+            graphs += [empty, isolated, star_graph(12), mixed_star, graphs[0], graphs[0]]
+            unseen = [random_graph(rng, max_nodes=7, num_labels=4) for _ in range(4)]
+            unseen += [empty, star_graph(13, label=1)]
+            order = rng.permutation(len(graphs))
+            self.assert_matches_reference([graphs[i] for i in order], unseen, depth)
+
+    def test_negative_raw_labels(self):
+        # Raw labels -1 and -2 sit at and below UNKNOWN_LABEL: the pad stays
+        # below them, so no neighbor label is mistaken for padding.
+        graphs = [Graph(node_count=2, edges=((0, 1),), node_labels=(0, -1), graph_label=0),
+                  Graph(node_count=2, edges=((0, 1),), node_labels=(0, -2), graph_label=0),
+                  Graph(node_count=2, edges=(), node_labels=(0, -2), graph_label=0)]
+        for depth in range(4):
+            self.assert_matches_reference(graphs, graphs[::-1], depth)
+        labels = WlRefinement(depth=1).fit(graphs).node_labels
+        assert len({labels(g)[1][0] for g in graphs}) == 3
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
+    def test_benchmark_groups(self, pair):
+        dataset = make_benchmark(1, graphs_per_block=12)
+        groups = split_by_density(dataset).groups
+        source = subset_as_source(dataset, groups[pair[0]])
+        target = subset_as_target(dataset, groups[pair[1]])
+        fitted = list(source.graphs) + list(target.graphs)
+        unseen = [dataset.graphs[i] for i in groups[3 - pair[1]]]
+        ref, oracle = self.assert_matches_reference(fitted, unseen, depth=2)
+        for part in (source, target):
+            assert_bitwise_csr(ref.dataset_features(part), oracle.feature_matrix(part.graphs))
+
+
+class TestEdgeCases:
+    def test_fit_on_empty_graphs_keeps_only_unk(self):
+        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
+        ref = WlRefinement(depth=2).fit([empty, empty])
+        assert ref.label_table == {} and ref.feature_index == {}
+        assert ref.vocab_size == 1
+        assert ref.feature_matrix([empty]).toarray().tolist() == [[0.0]]
+        g = Graph(node_count=1, edges=(), node_labels=(3,), graph_label=0)
+        assert ref.feature_row(g).toarray().tolist() == [[3.0]]
+
+    def test_feature_matrix_of_zero_graphs_rejected(self):
+        ref = WlRefinement(depth=1).fit([star_graph(2)])
+        with pytest.raises(ContractViolation, match="zero graphs"):
+            ref.feature_matrix([])
+
+    def test_unfitted_refinement_rejected(self):
+        with pytest.raises(ContractViolation, match="not fitted"):
+            WlRefinement(depth=1).node_labels(star_graph(2))
+
+    def test_unknown_neighbor_stays_unknown(self):
+        # Fitted: an edge 0-1 and an isolated 0, so depth-2 signatures with
+        # an empty neighborhood are in the table. Unseen: 0-1-5, where the
+        # middle node's signature is new at depth 1.
+        fitted = [Graph(node_count=3, edges=((0, 1),), node_labels=(0, 1, 0), graph_label=0)]
+        ref = WlRefinement(depth=3).fit(fitted)
+        assert any(neighbors == () for _, neighbors in ref.label_table)
+        unseen = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 1, 5),
+                       graph_label=0)
+        labels = ref.node_labels(unseen)
+        assert labels[1][0] == ref.node_labels(fitted[0])[1][0]
+        assert labels[1][1] == UNKNOWN_LABEL
+        assert labels[2].tolist() == [UNKNOWN_LABEL] * 3
+        assert labels[3].tolist() == [UNKNOWN_LABEL] * 3
+        oracle = ReferenceRefinement(fitted, 3)
+        assert [l.tolist() for l in labels] == oracle.node_labels(unseen)
 
 
 class TestKernel:
