@@ -36,7 +36,7 @@ class GraphBatch:
         shift = nodes - np.arange(total)
 
         labels = packed.node_labels[nodes]
-        bad = (labels < 0) | (labels >= input_dim)
+        bad = labels >= input_dim
         if bad.any():
             raise ContractViolation(
                 f"node label {labels[bad][0]} outside alphabet of size {input_dim}")

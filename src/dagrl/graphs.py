@@ -33,8 +33,8 @@ class Graph:
     """An undirected simple graph with categorical node labels.
 
     ``edges`` holds each undirected edge once as an ``(u, v)`` pair of
-    0-indexed node ids. ``graph_label`` is ``None`` for graphs whose class
-    is hidden (target-domain training data).
+    0-indexed node ids. Node labels are nonnegative. ``graph_label`` is
+    ``None`` for graphs whose class is hidden (target-domain training data).
     """
 
     node_count: int
@@ -49,6 +49,9 @@ class Graph:
             raise ContractViolation(
                 f"node_labels length {len(self.node_labels)} != node_count {self.node_count}"
             )
+        if min(self.node_labels, default=0) < 0:
+            node = next(i for i, label in enumerate(self.node_labels) if label < 0)
+            raise ContractViolation(f"negative label {self.node_labels[node]} at node {node}")
         seen = set()
         for u, v in self.edges:
             if u == v:

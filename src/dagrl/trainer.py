@@ -1,16 +1,20 @@
 """Alternating optimization of discriminators, perturbations, and model.
 
-Every batch pair runs three phases in order: (1) gradient ascent on each
-branch's domain objective over discriminator parameters only, (2) a
-normalized-gradient update of the visited source graphs' perturbations,
-(3) Adam descent of the model parameters on
+Every batch pair runs, for each branch in turn, (1) gradient ascent on
+the branch's domain objective over its discriminator's parameters and (2)
+a normalized-gradient update of the visited source graphs' perturbations;
+then (3) Adam descent of the model parameters on
 
     L = L_S - lambda1 * L_DA_C - lambda2 * L_DA_K
 
-with discriminators and perturbations frozen. The phases never share a
-gradient computation. Runs are deterministic given the config seed:
-parameter groups and batch orders draw from independent child streams of
-one seed sequence, so structural variants stay bit-comparable.
+with discriminators and perturbations frozen. The phases share forwards,
+not gradients: the branches change only at the model's Adam step, so a
+branch runs one target forward (recorded for the model, read as constants
+by its discriminator), one source forward with the stored perturbations
+as a leaf (for both adversaries) and the model's source forward. Runs are
+deterministic given the config seed: parameter groups and batch orders
+draw from independent child streams of one seed sequence, so structural
+variants stay bit-comparable.
 """
 
 from __future__ import annotations
@@ -331,69 +335,65 @@ def _store_constants(state: TrainState, branch_idx: int, indices):
     return state.store.gather(branch_idx, indices)
 
 
-def _phase_discriminators(state: TrainState, src: Batch, tgt: Batch):
-    """Branches are frozen: each backward reaches one discriminator only."""
-    values = []
-    with ad.frozen(state.branch_params()):
-        for b, (branch, disc, opt) in enumerate(
-                zip(state.branches, state.discriminators, state.disc_opts)):
-            tape = ad.Tape()
-            z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, b, src.indices))
-            z_t, p_t, _ = branch.forward(tape, tgt)
-            loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
-            discriminator_update(tape, loss, opt)
-            opt.zero_grad()
-            values.append(loss.item())
-    return values
+def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
+    """Branch ``b``'s discriminator ascent, then its perturbation step; returns L_DA.
 
-
-def _phase_perturbations(state: TrainState, src: Batch):
-    """Branches and discriminators are frozen: only the batch leaf gets a gradient."""
-    enabled = state.perturbation_enabled()
-    with ad.frozen(state.branch_params() + state.discriminator_params()):
-        for b, branch in enumerate(state.branches):
-            if not enabled[b]:
-                continue
-            # One leaf for the whole batch; each graph's gradient is its rows.
-            leaf = ad.parameter(state.store.gather(b, src.indices))
-            tape = ad.Tape()
-            z_s, p_s, _ = branch.forward(tape, src, leaf)
-            logit = state.discriminators[b].logits(tape, z_s, p_s)
+    One source forward, with the stored perturbations as a leaf, serves
+    both; the discriminator's own tape reads its values as constants. Call
+    it with the branches frozen, so that only the leaf gets a gradient.
+    """
+    branch, disc, opt = state.branches[b], state.discriminators[b], state.disc_opts[b]
+    stored = _store_constants(state, b, src.indices)
+    # One leaf for the whole batch; each graph's gradient is its rows.
+    leaf = None if stored is None else ad.parameter(stored)
+    tape = ad.Tape()
+    z_s, p_s, _ = branch.forward(tape, src, leaf)
+    disc_tape = ad.Tape()
+    loss = domain_loss(disc_tape, disc, *(ad.constant(t.data) for t in (z_s, p_s, *target)))
+    discriminator_update(disc_tape, loss, opt)
+    opt.zero_grad()
+    if leaf is not None:
+        with ad.frozen(disc.params()):
+            logit = disc.logits(tape, z_s, p_s)
             # Disjoint graphs: the gradient of the summed log D splits into
             # each graph's own gradient.
             tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
-            grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            perturbation_step(state.store, b, src.indices, grad)
+        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+        perturbation_step(state.store, b, src.indices, grad)
+    return loss.item()
 
 
-def _phase_model(state: TrainState, src: Batch, labels, tgt: Batch):
-    """Discriminators are frozen: the backward reaches the branches only."""
+def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
+    """Both adversaries, then one model step; returns ``(L_S, L_DA_C, L_DA_K, L)``."""
     cfg = state.config
+    tape = ad.Tape()
+    da = [0.0, 0.0]
+    if state.discriminators is not None:
+        targets = [branch.forward(tape, tgt)[:2] for branch in state.branches]
+        with ad.frozen(state.branch_params()):
+            da = [_adversary_step(state, b, src, targets[b])
+                  for b in range(len(state.branches))]
     with ad.frozen(state.discriminator_params()):
-        tape = ad.Tape()
         perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
         l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
         total = l_s
-        lambdas = (cfg.lambda1, cfg.lambda2)
-        da_values: list[float | None] = [None, None]
-        for b, branch in enumerate(state.branches):
-            if lambdas[b] == 0.0 or state.discriminators is None:
+        for b, lam in enumerate((cfg.lambda1, cfg.lambda2)):
+            if lam == 0.0 or state.discriminators is None:
                 continue
-            z_t, p_t, _ = branch.forward(tape, tgt)
-            da = domain_loss(tape, state.discriminators[b], *src_outputs[b], z_t, p_t)
-            da_values[b] = da.item()
-            total = ad.add(tape, total, ad.scale(tape, da, -lambdas[b]))
+            term = domain_loss(tape, state.discriminators[b], *src_outputs[b], *targets[b])
+            da[b] = term.item()
+            total = ad.add(tape, total, ad.scale(tape, term, -lam))
         tape.backward(total)
     state.model_opt.step()
     state.model_opt.zero_grad()
-    return l_s.item(), total.item(), da_values
+    return l_s.item(), da[0], da[1], total.item()
 
 
 def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset) -> TrainState:
     """One pass over the source data with cycled target batches.
 
-    Each step gathers one source and one target batch; all three phases
-    read them.
+    Each step gathers one source and one target batch and runs
+    :func:`_train_step` on them.
     """
     _check_domains(source, target)
     cfg = state.config
@@ -405,18 +405,9 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
     for src_idx in _chunks(src_order, cfg.batch_size):
         tgt_idx = [tgt_order[(cursor + k) % len(tgt_order)] for k in range(len(src_idx))]
         cursor += len(src_idx)
-        src = Batch(state, source, src_idx)
-        tgt = Batch(state, target, tgt_idx)
         labels = [source.graphs[i].graph_label for i in src_idx]
-
-        if state.discriminators is not None:
-            da_phase1 = _phase_discriminators(state, src, tgt)
-            _phase_perturbations(state, src)
-        else:
-            da_phase1 = [0.0, 0.0]
-        l_s, total, da_phase3 = _phase_model(state, src, labels, tgt)
-        da = [p3 if p3 is not None else p1 for p3, p1 in zip(da_phase3, da_phase1)]
-        batch_stats.append((l_s, da[0], da[1], total))
+        batch_stats.append(_train_step(state, Batch(state, source, src_idx), labels,
+                                       Batch(state, target, tgt_idx)))
 
     means = [float(np.mean([s[i] for s in batch_stats])) for i in range(4)]
     for value in means:
@@ -444,6 +435,8 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> 
 
 def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     """Accuracy of the fused branch prediction; perturbations excluded."""
+    if not dataset.graphs:
+        raise ConfigurationError("cannot evaluate on a dataset with no graphs")
     if dataset.eval_labels is not None:
         labels = dataset.eval_labels
     else:

@@ -31,6 +31,7 @@ from .errors import ConfigurationError, ContractViolation
 from .graphs import DomainDataset, Graph, PackedGraphs
 
 UNKNOWN_LABEL = -1
+_PAD = UNKNOWN_LABEL - 1  # below every label: raw labels are nonnegative
 
 
 class WlRefinement:
@@ -81,16 +82,15 @@ class WlRefinement:
         owner = np.repeat(np.arange(len(labels)), degrees)
         slot = np.arange(len(owner)) - adjacency.indptr[owner] + 1
         keys = np.empty((len(labels), 1 + int(degrees.max(initial=0))), dtype=np.int64)
-        pad = min(UNKNOWN_LABEL, int(labels.min(initial=0))) - 1
         out = [labels]
         for _ in range(self.depth):
             neighbor_labels = labels[adjacency.indices]
-            keys.fill(pad)
+            keys.fill(_PAD)
             keys[:, 0] = labels
             keys[owner, slot] = neighbor_labels[np.lexsort((neighbor_labels, owner))]
             order = np.lexsort(keys.T[::-1])
             ranked = keys[order]
-            first = np.diff(ranked, axis=0, prepend=pad).any(axis=1)  # no label equals pad
+            first = np.diff(ranked, axis=0, prepend=_PAD).any(axis=1)  # no label equals _PAD
             signatures = [(row[0], tuple(row[1:1 + d])) for row, d in
                           zip(ranked[first].tolist(), degrees[order[first]].tolist())]
             if grow:

@@ -1,4 +1,5 @@
-"""Shared test utilities: graph builders and the finite-difference oracle."""
+"""Shared test utilities: graph builders, reference implementations and the
+finite-difference oracle."""
 
 from __future__ import annotations
 
@@ -9,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from dagrl import autodiff as ad
+from dagrl.adversarial import discriminator_update, domain_loss, perturbation_step
 from dagrl.gin import GraphBatch
 from dagrl.graphs import Graph, PackedGraphs
+from dagrl.trainer import _store_constants, source_loss
 
 
 def path_graph(n: int, labels=None) -> Graph:
@@ -110,6 +114,78 @@ class ReferenceRefinement:
 
     def feature_matrix(self, graphs) -> sp.csr_matrix:
         return sp.vstack([self.feature_row(g) for g in graphs], format="csr")
+
+
+def _phase_discriminators(state, src, tgt):
+    """Branches are frozen: each backward reaches one discriminator only."""
+    values = []
+    with ad.frozen(state.branch_params()):
+        for b, (branch, disc, opt) in enumerate(
+                zip(state.branches, state.discriminators, state.disc_opts)):
+            tape = ad.Tape()
+            z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, b, src.indices))
+            z_t, p_t, _ = branch.forward(tape, tgt)
+            loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
+            discriminator_update(tape, loss, opt)
+            opt.zero_grad()
+            values.append(loss.item())
+    return values
+
+
+def _phase_perturbations(state, src):
+    """Branches and discriminators are frozen: only the batch leaf gets a gradient."""
+    enabled = state.perturbation_enabled()
+    with ad.frozen(state.branch_params() + state.discriminator_params()):
+        for b, branch in enumerate(state.branches):
+            if not enabled[b]:
+                continue
+            leaf = ad.parameter(state.store.gather(b, src.indices))
+            tape = ad.Tape()
+            z_s, p_s, _ = branch.forward(tape, src, leaf)
+            logit = state.discriminators[b].logits(tape, z_s, p_s)
+            tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
+            grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+            perturbation_step(state.store, b, src.indices, grad)
+
+
+def _phase_model(state, src, labels, tgt):
+    """Discriminators are frozen: the backward reaches the branches only."""
+    cfg = state.config
+    with ad.frozen(state.discriminator_params()):
+        tape = ad.Tape()
+        perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
+        l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
+        total = l_s
+        lambdas = (cfg.lambda1, cfg.lambda2)
+        da_values = [None, None]
+        for b, branch in enumerate(state.branches):
+            if lambdas[b] == 0.0 or state.discriminators is None:
+                continue
+            z_t, p_t, _ = branch.forward(tape, tgt)
+            da = domain_loss(tape, state.discriminators[b], *src_outputs[b], z_t, p_t)
+            da_values[b] = da.item()
+            total = ad.add(tape, total, ad.scale(tape, da, -lambdas[b]))
+        tape.backward(total)
+    state.model_opt.step()
+    state.model_opt.zero_grad()
+    return l_s.item(), total.item(), da_values
+
+
+def reference_train_step(state, src, labels, tgt):
+    """Oracle for ``dagrl.trainer._train_step``: three phases, each with its own forwards.
+
+    Discriminators, then perturbations, then the model; every phase runs
+    its branch forwards afresh, ten per step on two adversarial branches.
+    Returns ``(L_S, L_DA_C, L_DA_K, L)``.
+    """
+    if state.discriminators is not None:
+        da_phase1 = _phase_discriminators(state, src, tgt)
+        _phase_perturbations(state, src)
+    else:
+        da_phase1 = [0.0, 0.0]
+    l_s, total, da_phase3 = _phase_model(state, src, labels, tgt)
+    da = [p3 if p3 is not None else p1 for p3, p1 in zip(da_phase3, da_phase1)]
+    return l_s, da[0], da[1], total
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

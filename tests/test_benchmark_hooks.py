@@ -112,3 +112,27 @@ def test_traced_epoch_counts_one_update_per_graph_and_slot(spans, overrides, slo
     finally:
         tracer.uninstall()
     assert tracer.counts["adversarial.perturbation_updates"] == len(source.graphs) * slots
+
+
+@pytest.mark.parametrize("variant,span,per_step", [("full", "trainer.gin_forward", 3),
+                                                   ("gkn_only_dual", "wl.head_forward", 6)])
+def test_traced_step_runs_three_forwards_per_branch(spans, variant, span, per_step):
+    # One target forward, one leaf-perturbed source forward for both
+    # adversaries and one source forward for the model, per branch.
+    from dataclasses import replace
+
+    from dagrl.synthetic import make_shifted_pair
+    from dagrl.trainer import TrainConfig, build_state, train_epoch
+
+    source, target = make_shifted_pair(seed=0, graphs_per_class=6)
+    target = replace(target, eval_labels=None)  # no evaluate inside the epoch
+    config = TrainConfig(epochs=1, hidden_dim=8, batch_size=5, wl_depth=1, variant=variant)
+    state = build_state(config, source, target)
+    tracer = spans.Tracer("t")
+    spans.install_layers(tracer)
+    try:
+        train_epoch(state, source, target)
+    finally:
+        tracer.uninstall()
+    steps = -(-len(source.graphs) // 5)
+    assert [name for _, name, *_ in tracer.spans].count(span) == per_step * steps

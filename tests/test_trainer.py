@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from dagrl.trainer import (
     train,
     train_epoch,
 )
+from helpers import reference_train_step
 
 
 def toy_config(**overrides):
@@ -292,6 +295,13 @@ class TestEvaluate:
         )
         assert evaluate(state, shuffled) == pytest.approx(acc, abs=1e-12)
 
+    def test_dataset_with_no_graphs_rejected(self, tiny_pair):
+        source, target = tiny_pair
+        state = build_state(toy_config(), source, target)
+        empty = replace(target, graphs=(), eval_labels=())
+        with pytest.raises(ConfigurationError, match="no graphs"):
+            evaluate(state, empty)
+
 
 class TestAssemblyReuse:
     """Each step gathers its batches once; kernel rows are refined once per dataset."""
@@ -349,49 +359,66 @@ class TestAssemblyReuse:
         assert counts["feature_row"] == 0
 
 
+# The eight configs the step must reproduce bit for bit.
+STEP_CONFIGS = {
+    "full": {}, "p1": {"delta_enabled": False}, "p2": {"zeta_enabled": False},
+    "gin_only_dual": {"variant": "gin_only_dual"}, "gkn_only_dual": {"variant": "gkn_only_dual"},
+    "source_only": {"variant": "source_only"}, "lambda1_zero": {"lambda1": 0.0},
+    "lambda2_zero_delta_off": {"lambda2": 0.0, "delta_enabled": False},
+}
+
+
+class TestTrainStep:
+    """``_train_step`` shares forwards across its phases and keeps every bit."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tiny_pair):
+        # 24 source graphs in batches of 7 leave a short last batch; the
+        # 17 target graphs cycle.
+        source, target = tiny_pair
+        return source, replace(target, graphs=target.graphs[:17],
+                               eval_labels=target.eval_labels[:17])
+
+    @staticmethod
+    def run(config, pair):
+        state = train(config, *pair)
+        return repr(state.history), {k: v.tobytes() for k, v in state.named_arrays().items()}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(STEP_CONFIGS))
+    def test_matches_three_phase_reference(self, pair, monkeypatch, name, seed):
+        config = toy_config(lr=1e-2, batch_size=7, seed=seed, **STEP_CONFIGS[name])
+        history, arrays = self.run(config, pair)
+        monkeypatch.setattr(trainer, "_train_step", reference_train_step)
+        assert (history, arrays) == self.run(config, pair)
+
+
 class TestPhaseScope:
     """Each phase's backward reaches only the tensors that phase updates."""
 
     def test_each_backward_reaches_only_its_phase(self, tiny_pair, monkeypatch):
+        # Per step: discriminator 0, perturbation 0 (the leaf only),
+        # discriminator 1, perturbation 1, then the model.
         source, target = tiny_pair
         state = build_state(toy_config(), source, target)
         params = state.branch_params() + state.discriminator_params()
         owner = {id(p): f"branch{i}" for i, b in enumerate(state.branches) for p in b.params()}
         owner.update({id(p): f"disc{i}"
                       for i, d in enumerate(state.discriminators) for p in d.params()})
-        phase = [None]
         seen = []
         backward = ad.Tape.backward
 
         def recording_backward(self, loss):
             backward(self, loss)
-            seen.append((phase[0], [owner[id(p)] for p in params if p.grad is not None]))
+            seen.append([owner[id(p)] for p in params if p.grad is not None])
 
-        def entering(name):
-            original = getattr(trainer, name)
-
-            def wrapped(*args, **kwargs):
-                phase[0] = name
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(trainer, name, wrapped)
-
-        for name in ("_phase_discriminators", "_phase_perturbations", "_phase_model"):
-            entering(name)
         monkeypatch.setattr(ad.Tape, "backward", recording_backward)
         train_epoch(state, source, target)
 
         steps = -(-len(source.graphs) // 8)
-        by_phase = {}
-        for name, holders in seen:
-            by_phase.setdefault(name, []).append(holders)
-        disc = by_phase["_phase_discriminators"]
-        assert len(disc) == 2 * steps
-        for k, holders in enumerate(disc):
-            assert holders == [f"disc{k % 2}"] * len(state.discriminators[k % 2].params())
-        assert by_phase["_phase_perturbations"] == [[]] * (2 * steps)
+        disc = [[f"disc{i}"] * len(d.params()) for i, d in enumerate(state.discriminators)]
         branch_owners = [owner[id(p)] for p in state.branch_params()]
-        assert by_phase["_phase_model"] == [branch_owners] * steps
+        assert seen == [disc[0], [], disc[1], [], branch_owners] * steps
         assert all(p.requires_grad for p in params)
 
     def test_inference_records_nothing(self, tiny_pair, monkeypatch):

@@ -121,17 +121,6 @@ class TestReferenceEquality:
             order = rng.permutation(len(graphs))
             self.assert_matches_reference([graphs[i] for i in order], unseen, depth)
 
-    def test_negative_raw_labels(self):
-        # Raw labels -1 and -2 sit at and below UNKNOWN_LABEL: the pad stays
-        # below them, so no neighbor label is mistaken for padding.
-        graphs = [Graph(node_count=2, edges=((0, 1),), node_labels=(0, -1), graph_label=0),
-                  Graph(node_count=2, edges=((0, 1),), node_labels=(0, -2), graph_label=0),
-                  Graph(node_count=2, edges=(), node_labels=(0, -2), graph_label=0)]
-        for depth in range(4):
-            self.assert_matches_reference(graphs, graphs[::-1], depth)
-        labels = WlRefinement(depth=1).fit(graphs).node_labels
-        assert len({labels(g)[1][0] for g in graphs}) == 3
-
     @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
     def test_benchmark_groups(self, pair):
         dataset = make_benchmark(1, graphs_per_block=12)
@@ -163,6 +152,17 @@ class TestEdgeCases:
     def test_unfitted_refinement_rejected(self):
         with pytest.raises(ContractViolation, match="not fitted"):
             WlRefinement(depth=1).node_labels(star_graph(2))
+
+    def test_negative_raw_labels_rejected(self):
+        # A raw label equal to UNKNOWN_LABEL would become a vocabulary column
+        # and collect the unseen counts of other graphs, so it never gets in.
+        for label in (UNKNOWN_LABEL, -2):
+            with pytest.raises(ContractViolation, match=f"negative label {label} at node 1"):
+                Graph(node_count=2, edges=((0, 1),), node_labels=(0, label), graph_label=0)
+        ref = WlRefinement(depth=1).fit([Graph(node_count=1, edges=(), node_labels=(0,))])
+        unseen = Graph(node_count=1, edges=(), node_labels=(7,))
+        # Both depths of the unseen node count on UNK, the last column.
+        assert ref.feature_row(unseen).toarray().tolist() == [[0.0, 0.0, 2.0]]
 
     def test_unknown_neighbor_stays_unknown(self):
         # Fitted: an edge 0-1 and an isolated 0, so depth-2 signatures with
