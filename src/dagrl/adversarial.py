@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ContractViolation
@@ -26,7 +27,7 @@ from .graphs import gather_rows
 DEGENERATE_GRADIENT_NORM = 1e-12
 
 
-class DomainDiscriminator:
+class DomainDiscriminator(ad.Module):
     """Sigmoid classifier over concatenated [representation, prediction]."""
 
     def __init__(self, rng: np.random.Generator, repr_dim: int, num_classes: int,
@@ -39,23 +40,6 @@ class DomainDiscriminator:
             raise ContractViolation(f"{z.shape[0]} representations vs {p.shape[0]} predictions")
         joint = ad.concat(tape, [z, p], axis=1)
         return self.lin2(tape, ad.relu(tape, self.lin1(tape, joint)))
-
-    def probabilities(self, z: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Evaluation-only domain probabilities, clamped inside (0, 1)."""
-        with ad.frozen(self.params()):
-            logit = self.logits(ad.Tape(), ad.constant(z), ad.constant(p))
-        return ad.sigmoid_probabilities(logit.data)
-
-    def params(self):
-        return self.lin1.params() + self.lin2.params()
-
-    def named_params(self) -> dict[str, ad.Tensor]:
-        return {
-            "lin1/weight": self.lin1.weight,
-            "lin1/bias": self.lin1.bias,
-            "lin2/weight": self.lin2.weight,
-            "lin2/bias": self.lin2.bias,
-        }
 
 
 def domain_loss_from_logits(tape: ad.Tape, source_logits: ad.Tensor,
@@ -162,11 +146,11 @@ def perturbation_step(store: PerturbationStore, slot: int, indices, grad: np.nda
     store.steps += len(bounds) - 1
 
 
-def domain_accuracy(disc: DomainDiscriminator, source_repr: np.ndarray,
-                    source_pred: np.ndarray, target_repr: np.ndarray,
-                    target_pred: np.ndarray) -> float:
-    """Fraction of graphs whose domain the discriminator gets right."""
-    p_src = disc.probabilities(source_repr, source_pred)
-    p_tgt = disc.probabilities(target_repr, target_pred)
-    correct = int((p_src > 0.5).sum()) + int((p_tgt <= 0.5).sum())
-    return correct / (p_src.shape[0] + p_tgt.shape[0])
+def domain_accuracy(source_logits: np.ndarray, target_logits: np.ndarray) -> float:
+    """Fraction of graphs whose domain the discriminator logits get right.
+
+    A source row is right when its sigmoid is above 0.5, a target row
+    otherwise.
+    """
+    correct = int((expit(source_logits) > 0.5).sum()) + int((expit(target_logits) <= 0.5).sum())
+    return correct / (len(source_logits) + len(target_logits))

@@ -8,6 +8,11 @@ cross-entropy, and a clamped log-sigmoid), which keeps every adjoint
 hand-checkable. Gradients flow to any leaf created with
 ``requires_grad=True``, including input tensors, not just parameters.
 
+Model classes subclass :class:`Module`, which names their parameters
+from their attributes: a ``Tensor`` attribute by its attribute name, a
+sub-module's parameters as ``<attribute>/<name>``, in assignment order.
+Checkpoint keys and optimizer parameter order both come from that walk.
+
 An operation whose inputs all have ``requires_grad=False`` is neither
 recorded nor differentiated. :func:`frozen` clears the flag on a set of
 parameters for the duration of a block, so a forward pass records, and
@@ -292,17 +297,34 @@ def log_sigmoid(tape: Tape, x: Tensor) -> Tensor:
     return _result(tape, (x,), clamped, backward_fn)
 
 
-def sigmoid_probabilities(logits: np.ndarray) -> np.ndarray:
-    """Clamped sigmoid of raw logits; evaluation-only, no gradient."""
-    return np.clip(expit(logits), SIGMOID_EPS, 1.0 - SIGMOID_EPS)
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-class Linear:
+class Module:
+    """A model piece whose parameters are its ``Tensor`` and ``Module`` attributes.
+
+    ``named_params`` walks ``vars(self)`` in assignment order: a tensor
+    is named by its attribute, a sub-module contributes
+    ``<attribute>/<name>`` for each of its parameters, and any other
+    attribute is skipped. Build the lists once; the walk is not free.
+    """
+
+    def named_params(self) -> dict[str, Tensor]:
+        out = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[attr] = value
+            elif isinstance(value, Module):
+                out.update((f"{attr}/{k}", v) for k, v in value.named_params().items())
+        return out
+
+    def params(self) -> list[Tensor]:
+        return list(self.named_params().values())
+
+
+class Linear(Module):
     """Affine map with a Glorot-uniform weight and zero bias."""
 
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int):
@@ -315,9 +337,6 @@ class Linear:
     def apply_const(self, tape: Tape, m) -> Tensor:
         """Apply to a constant (possibly sparse) input matrix."""
         return add(tape, matmul_const(tape, m, self.weight), self.bias)
-
-    def params(self) -> list[Tensor]:
-        return [self.weight, self.bias]
 
 
 class Adam:

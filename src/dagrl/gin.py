@@ -51,24 +51,22 @@ class GraphBatch:
         self.readout = sp.csr_matrix((np.ones(total), np.arange(total), offsets),
                                      shape=(len(self.graphs), total))
 
-    def feature_tensor(self, tape: ad.Tape, perturbation=None) -> ad.Tensor:
+    def feature_tensor(self, tape: ad.Tape, perturbation: ad.Tensor | None = None) -> ad.Tensor:
         """One-hot inputs plus an optional additive perturbation of the whole batch.
 
-        ``perturbation`` is ``None``, an array (baked in) or a tensor
-        (gradients flow), shaped like the features: each graph's block is
-        its rows.
+        ``perturbation`` is ``None`` or a tensor shaped like the features:
+        each graph's block is its rows. Gradients flow to it unless it is
+        a constant.
         """
         if perturbation is None:
             return ad.constant(self.features)
         if perturbation.shape != self.features.shape:
             raise ContractViolation(
                 f"perturbation shape {perturbation.shape} != {self.features.shape}")
-        if isinstance(perturbation, ad.Tensor):
-            return ad.add(tape, ad.constant(self.features), perturbation)
-        return ad.constant(self.features + perturbation)
+        return ad.add(tape, ad.constant(self.features), perturbation)
 
 
-class GinLayer:
+class GinLayer(ad.Module):
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden_dim: int):
         self.lin1 = ad.Linear(rng, in_dim, hidden_dim)
         self.lin2 = ad.Linear(rng, hidden_dim, hidden_dim)
@@ -78,22 +76,15 @@ class GinLayer:
         combined = ad.add(tape, h, agg)
         return self.lin2(tape, ad.relu(tape, self.lin1(tape, combined)))
 
-    def params(self):
-        return self.lin1.params() + self.lin2.params()
 
+class GinEncoder(ad.Module):
+    """Two stacked GIN layers plus sum readout."""
 
-class GinEncoder:
-    """Stacked GIN layers plus sum readout."""
-
-    def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int = 64,
-                 num_layers: int = 2):
+    def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int = 64):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.layers = []
-        in_dim = input_dim
-        for _ in range(num_layers):
-            self.layers.append(GinLayer(rng, in_dim, hidden_dim))
-            in_dim = hidden_dim
+        self.layers = [GinLayer(rng, input_dim, hidden_dim),
+                       GinLayer(rng, hidden_dim, hidden_dim)]
 
     def encode_batch(self, tape: ad.Tape, batch: GraphBatch, perturbation=None):
         """Node embeddings for the disjoint union and per-graph readouts."""
@@ -103,23 +94,12 @@ class GinEncoder:
         z = ad.matmul_const(tape, batch.readout, h)
         return h, z
 
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
     def named_params(self) -> dict[str, ad.Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"layer{i}/lin1/weight"] = layer.lin1.weight
-            out[f"layer{i}/lin1/bias"] = layer.lin1.bias
-            out[f"layer{i}/lin2/weight"] = layer.lin2.weight
-            out[f"layer{i}/lin2/bias"] = layer.lin2.bias
-        return out
+        return {f"layer{i}/{k}": v for i, layer in enumerate(self.layers)
+                for k, v in layer.named_params().items()}
 
 
-class ClassifierHead:
+class ClassifierHead(ad.Module):
     """linear -> relu -> linear map from graph representations to logits."""
 
     def __init__(self, rng: np.random.Generator, hidden_dim: int, num_classes: int):
@@ -128,14 +108,3 @@ class ClassifierHead:
 
     def logits(self, tape: ad.Tape, z: ad.Tensor) -> ad.Tensor:
         return self.lin2(tape, ad.relu(tape, self.lin1(tape, z)))
-
-    def params(self):
-        return self.lin1.params() + self.lin2.params()
-
-    def named_params(self) -> dict[str, ad.Tensor]:
-        return {
-            "lin1/weight": self.lin1.weight,
-            "lin1/bias": self.lin1.bias,
-            "lin2/weight": self.lin2.weight,
-            "lin2/bias": self.lin2.bias,
-        }

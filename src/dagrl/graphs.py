@@ -13,7 +13,6 @@ index instead of being rebuilt graph by graph.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -145,16 +144,6 @@ class DomainDataset:
     def packed(self) -> PackedGraphs:
         """The graphs packed once, at first use; GIN batches and WL rows are built from it."""
         return PackedGraphs(self.graphs)
-
-    @cached_property
-    def feature_matrices(self) -> weakref.WeakKeyDictionary:
-        """The refinement-histogram rows of the graphs, weakly keyed by refinement.
-
-        Filled by ``WlRefinement.dataset_features``; an entry is dropped
-        with its refinement, so a dataset shared by many runs keeps no
-        finished run's rows.
-        """
-        return weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ class TrainConfig:
             raise ConfigurationError("seed must be nonnegative")
 
 
-class GinBranch:
+class GinBranch(ad.Module):
     """Message-passing encoder plus classifier head."""
 
     kind = "gin"
@@ -108,16 +108,8 @@ class GinBranch:
         """One perturbation row per source node: ``(row offsets, width)``."""
         return source.packed.node_offsets, self.input_dim
 
-    def params(self):
-        return self.encoder.params() + self.head.params()
 
-    def named_params(self):
-        out = {f"encoder/{k}": v for k, v in self.encoder.named_params().items()}
-        out.update({f"head/{k}": v for k, v in self.head.named_params().items()})
-        return out
-
-
-class GknBranch:
+class GknBranch(ad.Module):
     """Refinement-histogram embedding plus classifier head."""
 
     kind = "gkn"
@@ -128,21 +120,12 @@ class GknBranch:
         self.head = GknHead(rng, refinement.vocab_size, num_classes, hidden_dim=hidden_dim)
 
     def forward(self, tape: ad.Tape, batch: Batch, perturbation=None):
-        """``perturbation``: ``None``, an array or a tensor of shape (graphs, hidden)."""
-        zeta = perturbation
-        if zeta is not None and not isinstance(zeta, ad.Tensor):
-            zeta = ad.constant(zeta)
-        return self.head.forward(tape, batch.histograms, zeta)
+        """``perturbation``: ``None`` or a tensor of shape (graphs, hidden)."""
+        return self.head.forward(tape, batch.histograms, perturbation)
 
     def perturbation_layout(self, source: DomainDataset):
         """One perturbation row per source graph: ``(row offsets, width)``."""
         return np.arange(len(source.graphs) + 1), self.hidden_dim
-
-    def params(self):
-        return self.head.params()
-
-    def named_params(self):
-        return {f"head/{k}": v for k, v in self.head.named_params().items()}
 
 
 @dataclass
@@ -177,11 +160,13 @@ class TrainState:
             return (False, False)
         return (cfg.delta_enabled, cfg.zeta_enabled)
 
+    # The optimizers' lists, built once in build_state: the step loop
+    # reads these instead of walking the modules.
     def branch_params(self) -> list[ad.Tensor]:
-        return [p for b in self.branches for p in b.params()]
+        return self.model_opt.params
 
     def discriminator_params(self) -> list[ad.Tensor]:
-        return [p for d in self.discriminators or () for p in d.params()]
+        return [p for opt in self.disc_opts or () for p in opt.params]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -328,11 +313,11 @@ def _chunks(seq, size):
 
 
 def _store_constants(state: TrainState, branch_idx: int, indices):
-    """The batch's stored perturbations for one branch, stacked; ``None`` if off."""
+    """The batch's stored perturbations for one branch, as one constant; ``None`` if off."""
     enabled = state.perturbation_enabled()[branch_idx]
     if not enabled or state.store is None:
         return None
-    return state.store.gather(branch_idx, indices)
+    return ad.constant(state.store.gather(branch_idx, indices))
 
 
 def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
@@ -345,7 +330,7 @@ def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
     branch, disc, opt = state.branches[b], state.discriminators[b], state.disc_opts[b]
     stored = _store_constants(state, b, src.indices)
     # One leaf for the whole batch; each graph's gradient is its rows.
-    leaf = None if stored is None else ad.parameter(stored)
+    leaf = None if stored is None else ad.parameter(stored.data)
     tape = ad.Tape()
     z_s, p_s, _ = branch.forward(tape, src, leaf)
     disc_tape = ad.Tape()
@@ -353,7 +338,7 @@ def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
     discriminator_update(disc_tape, loss, opt)
     opt.zero_grad()
     if leaf is not None:
-        with ad.frozen(disc.params()):
+        with ad.frozen(opt.params):
             logit = disc.logits(tape, z_s, p_s)
             # Disjoint graphs: the gradient of the summed log D splits into
             # each graph's own gradient.
@@ -479,9 +464,9 @@ def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
     disc = state.discriminators[branch_idx]
     src = Batch(state, source, range(len(source.graphs)))
     tgt = Batch(state, target, range(len(target.graphs)))
-    with ad.frozen(branch.params()):
+    with ad.frozen(branch.params() + disc.params()):
         tape = ad.Tape()
         z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, branch_idx, src.indices))
         z_t, p_t, _ = branch.forward(tape, tgt)
-    return domain_accuracy(disc, z_s.data, p_s.data, z_t.data, p_t.data)
+        return domain_accuracy(disc.logits(tape, z_s, p_s).data, disc.logits(tape, z_t, p_t).data)
 

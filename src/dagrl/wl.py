@@ -45,6 +45,8 @@ class WlRefinement:
         self._next_label: int | None = None
         self._vocab = np.zeros(0, dtype=np.int64)
         self.feature_index: dict[int, int] = {}
+        # id(dataset) -> (dataset, rows); holding the dataset keeps its id unique.
+        self._dataset_rows: dict[int, tuple[DomainDataset, sp.csr_matrix]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -65,6 +67,7 @@ class WlRefinement:
         self._next_label = int(raw.max()) + 1 if len(raw) else 0
         self._vocab = np.unique(np.concatenate(self._refine(packed, grow=True)))
         self.feature_index = {label: i for i, label in enumerate(self._vocab.tolist())}
+        self._dataset_rows = {}
         return self
 
     def _refine(self, packed: PackedGraphs, grow: bool = False) -> list[np.ndarray]:
@@ -138,14 +141,14 @@ class WlRefinement:
         """The feature matrix of ``dataset.graphs``, computed at first use.
 
         Batches gather their rows from it. It is refined from
-        ``dataset.packed`` and kept in ``dataset.feature_matrices`` under
-        this refinement, so every branch and phase that shares the
-        refinement shares the rows.
+        ``dataset.packed`` and kept on this refinement, so every branch
+        and phase that shares the refinement shares the rows, and they
+        are dropped with it.
         """
-        features = dataset.feature_matrices.get(self)
-        if features is None:
-            features = dataset.feature_matrices[self] = self._histograms(dataset.packed)
-        return features
+        entry = self._dataset_rows.get(id(dataset))
+        if entry is None:
+            entry = self._dataset_rows[id(dataset)] = (dataset, self._histograms(dataset.packed))
+        return entry[1]
 
 
 def kernel(refinement: WlRefinement, g1: Graph, g2: Graph) -> int:
@@ -170,7 +173,7 @@ def normalized_gram(gram: np.ndarray) -> np.ndarray:
     return gram / np.outer(diag, diag)
 
 
-class GknHead:
+class GknHead(ad.Module):
     """Embedding plus classifier over densified refinement histograms."""
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, num_classes: int,
@@ -195,17 +198,3 @@ class GknHead:
         z = ad.relu(tape, emb)
         logits = self.lin2(tape, ad.relu(tape, self.lin1(tape, z)))
         return z, ad.softmax(tape, logits), logits
-
-    def params(self):
-        return self.embedding.params() + self.lin1.params() + self.lin2.params()
-
-    def named_params(self) -> dict[str, ad.Tensor]:
-        return {
-            "embedding/weight": self.embedding.weight,
-            "embedding/bias": self.embedding.bias,
-            "lin1/weight": self.lin1.weight,
-            "lin1/bias": self.lin1.bias,
-            "lin2/weight": self.lin2.weight,
-            "lin2/bias": self.lin2.bias,
-        }
-

@@ -253,18 +253,9 @@ def test_discriminator_gradients_match_finite_differences():
 
 
 def test_domain_accuracy_counts_correct_sides():
-    disc = make_disc(seed=13)
-    rng = np.random.default_rng(14)
-    z = rng.standard_normal((6, 8))
-    p = np.full((6, 2), 0.5)
-    acc = domain_accuracy(disc, z, p, z, p)
-    # The same inputs appear on both sides, so exactly half are right.
-    assert acc == pytest.approx(0.5)
-
-
-def test_probabilities_strictly_inside_unit_interval():
-    disc = make_disc(seed=15)
-    big = np.full((2, 8), 1e4)
-    p = np.full((2, 2), 0.5)
-    probs = disc.probabilities(big, p)
-    assert np.all(probs > 0.0) and np.all(probs < 1.0)
+    # A source row is right above sigmoid 0.5, a target row at or below
+    # it; a logit of exactly 0 (sigmoid 0.5) counts for the target only.
+    source = np.array([[3.0], [0.0], [-1e4], [1e4]])
+    target = np.array([[-2.0], [0.0], [5.0]])
+    assert domain_accuracy(source, target) == 4 / 7
+    assert domain_accuracy(np.array([[0.0]]), np.array([[0.0]])) == 0.5

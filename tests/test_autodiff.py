@@ -453,7 +453,22 @@ def test_log_sigmoid_clamps_probability():
     assert y.data[0, 1] == pytest.approx(np.log1p(-1e-7))
 
 
-def test_sigmoid_probabilities_strictly_inside_unit_interval():
-    p = ad.sigmoid_probabilities(np.array([[-1e3, 0.0, 1e3]]))
-    assert np.all(p > 0.0) and np.all(p < 1.0)
-    assert p[0, 1] == 0.5
+class TestModule:
+    def test_names_follow_assignment_order_and_skip_other_attributes(self):
+        rng = np.random.default_rng(0)
+
+        class Toy(ad.Module):
+            def __init__(self):
+                self.width = 3
+                self.scale = ad.parameter(np.ones((1, 1)))
+                self.label = "toy"
+                self.inner = ad.Linear(rng, 2, 3)
+                self.buffer = np.zeros(2)
+                self.offset = ad.constant(np.zeros((1, 3)))
+
+        toy = Toy()
+        names = toy.named_params()
+        assert list(names) == ["scale", "inner/weight", "inner/bias", "offset"]
+        assert names["inner/weight"] is toy.inner.weight
+        assert len(toy.params()) == 4
+        assert all(a is b for a, b in zip(toy.params(), names.values()))

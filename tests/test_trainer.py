@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dagrl import autodiff as ad
+from dagrl.adversarial import DomainDiscriminator
 from dagrl.errors import ConfigurationError, ContractViolation
 from dagrl.graphs import SOURCE, DomainDataset, Graph, subset_as_target
+from dagrl.gin import ClassifierHead, GinEncoder, GinLayer
 from dagrl.synthetic import make_shifted_pair
 from dagrl import trainer
 from dagrl.trainer import (
@@ -20,6 +22,7 @@ from dagrl.trainer import (
     train,
     train_epoch,
 )
+from dagrl.wl import GknHead, WlRefinement
 from helpers import reference_train_step
 
 
@@ -432,3 +435,68 @@ class TestPhaseScope:
         assert records == []
         assert all(p.requires_grad
                    for p in state.branch_params() + state.discriminator_params())
+
+
+GIN_BRANCH_KEYS = [
+    "encoder/layer0/lin1/weight", "encoder/layer0/lin1/bias",
+    "encoder/layer0/lin2/weight", "encoder/layer0/lin2/bias",
+    "encoder/layer1/lin1/weight", "encoder/layer1/lin1/bias",
+    "encoder/layer1/lin2/weight", "encoder/layer1/lin2/bias",
+    "head/lin1/weight", "head/lin1/bias", "head/lin2/weight", "head/lin2/bias",
+]
+GKN_BRANCH_KEYS = [
+    "head/embedding/weight", "head/embedding/bias",
+    "head/lin1/weight", "head/lin1/bias", "head/lin2/weight", "head/lin2/bias",
+]
+DISC_KEYS = ["lin1/weight", "lin1/bias", "lin2/weight", "lin2/bias"]
+
+
+class TestParameterNames:
+    """Checkpoint keys and optimizer order come from one attribute walk."""
+
+    @pytest.mark.parametrize("variant, kinds", [
+        ("full", ("gin", "gkn")),
+        ("gin_only_dual", ("gin", "gin")),
+        ("gkn_only_dual", ("gkn", "gkn")),
+        ("source_only", ("gin", "gkn")),
+    ])
+    def test_named_arrays_keys_are_pinned(self, tiny_pair, variant, kinds):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant=variant), source, target)
+        keys = {"gin": GIN_BRANCH_KEYS, "gkn": GKN_BRANCH_KEYS}
+        expected = [f"branch{i}_{kind}/{k}" for i, kind in enumerate(kinds) for k in keys[kind]]
+        if variant != "source_only":
+            expected += [f"disc{i}/{k}" for i in (0, 1) for k in DISC_KEYS]
+        names = [k for k in state.named_arrays() if not k.startswith(("delta/", "zeta/"))]
+        assert names == expected
+
+    def test_optimizers_hold_the_named_order(self, tiny_pair):
+        source, target = tiny_pair
+        state = build_state(toy_config(), source, target)
+        named = [t for b in state.branches for t in b.named_params().values()]
+        assert state.branch_params() is state.model_opt.params
+        assert [id(t) for t in state.model_opt.params] == [id(t) for t in named]
+        for disc, opt in zip(state.discriminators, state.disc_opts):
+            assert [id(t) for t in opt.params] == [id(t) for t in disc.named_params().values()]
+
+    def test_params_are_named_params_values_for_every_module_class(self, tiny_pair):
+        source, _ = tiny_pair
+        rng = np.random.default_rng(0)
+        refinement = WlRefinement(depth=1).fit(source.graphs)
+        modules = [
+            ad.Linear(rng, 3, 2), GinLayer(rng, 3, 4), GinEncoder(rng, 3, hidden_dim=4),
+            ClassifierHead(rng, 4, 2), GknHead(rng, 5, 2, hidden_dim=4),
+            DomainDiscriminator(rng, 4, 2, hidden_dim=4), GinBranch(rng, 3, 2, 4),
+            GknBranch(rng, refinement, 2, 4),
+        ]
+        subclasses, pending = set(), [ad.Module]
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                subclasses.add(cls)
+                pending.append(cls)
+        assert {type(m) for m in modules} == {c for c in subclasses
+                                              if c.__module__.startswith("dagrl.")}
+        for module in modules:
+            named = module.named_params()
+            assert named and all(isinstance(t, ad.Tensor) for t in named.values())
+            assert [id(t) for t in module.params()] == [id(t) for t in named.values()]

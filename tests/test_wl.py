@@ -3,7 +3,14 @@ import pytest
 
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
-from dagrl.graphs import Graph, split_by_density, subset_as_source, subset_as_target
+from dagrl.graphs import (
+    SOURCE,
+    DomainDataset,
+    Graph,
+    split_by_density,
+    subset_as_source,
+    subset_as_target,
+)
 from dagrl.synthetic import make_benchmark
 from dagrl.wl import UNKNOWN_LABEL, GknHead, WlRefinement, gram_matrix, kernel, normalized_gram
 from helpers import ReferenceRefinement, permute_graph, random_graph
@@ -152,6 +159,18 @@ class TestEdgeCases:
     def test_unfitted_refinement_rejected(self):
         with pytest.raises(ContractViolation, match="not fitted"):
             WlRefinement(depth=1).node_labels(star_graph(2))
+
+    def test_dataset_rows_are_kept_per_refinement_until_refit(self):
+        dataset = DomainDataset(graphs=(star_graph(2), star_graph(3)), domain=SOURCE,
+                                num_classes=1, label_alphabet_size=1)
+        ref = WlRefinement(depth=1).fit([star_graph(2)])
+        rows = ref.dataset_features(dataset)
+        assert ref.dataset_features(dataset) is rows
+        assert WlRefinement(depth=1).fit([star_graph(2)]).dataset_features(dataset) is not rows
+        ref.fit(dataset.graphs)
+        refit = ref.dataset_features(dataset)
+        assert refit.shape[1] == ref.vocab_size > rows.shape[1]
+        assert_bitwise_csr(refit, ref.feature_matrix(dataset.graphs))
 
     def test_negative_raw_labels_rejected(self):
         # A raw label equal to UNKNOWN_LABEL would become a vocabulary column
