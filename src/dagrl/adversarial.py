@@ -72,15 +72,16 @@ class PerturbationStore:
     """Persistent per-source-graph perturbations for the two branches.
 
     Slot ``b`` ("delta", then "zeta") perturbs branch ``b``: source graph
-    ``i`` owns rows ``offsets[b][i]:offsets[b][i + 1]`` of ``rows[b]``.
+    ``i`` owns rows ``offsets[b][i]:offsets[b][i + 1]`` of ``rows[b]``. An
+    unperturbed branch's slot is ``None`` in both lists.
     Entries stay inside the epsilon Frobenius ball. The counters cover
     every step so far, no-ops (``degenerate_steps``) included; the maxima
     are of |step length - epsilon| and of the norm a step leaves.
     """
 
     epsilon: float
-    rows: list[np.ndarray]
-    offsets: list[np.ndarray]
+    rows: list[np.ndarray | None]
+    offsets: list[np.ndarray | None]
     steps: int = 0
     degenerate_steps: int = 0
     max_step_error: float = 0.0
@@ -92,13 +93,17 @@ class PerturbationStore:
 
     @classmethod
     def zeros(cls, epsilon: float, layouts) -> "PerturbationStore":
-        """One zero slot per ``(offsets, width)`` layout."""
+        """One zero slot per ``(offsets, width)`` layout; ``None`` leaves the slot out."""
         return cls(epsilon=epsilon,
-                   rows=[np.zeros((int(offsets[-1]), width)) for offsets, width in layouts],
-                   offsets=[np.asarray(offsets, dtype=np.int64) for offsets, _ in layouts])
+                   rows=[None if layout is None else np.zeros((int(layout[0][-1]), layout[1]))
+                         for layout in layouts],
+                   offsets=[None if layout is None else np.asarray(layout[0], dtype=np.int64)
+                            for layout in layouts])
 
-    def gather(self, slot: int, indices) -> np.ndarray:
-        """The entries of graphs ``indices`` in slot ``slot``, stacked (a copy)."""
+    def gather(self, slot: int, indices) -> np.ndarray | None:
+        """The entries of graphs ``indices`` in slot ``slot``, stacked (a copy), or ``None``."""
+        if self.rows[slot] is None:
+            return None
         row_index, _ = gather_rows(self.offsets[slot], indices)
         return self.rows[slot][row_index]
 
@@ -106,6 +111,8 @@ class PerturbationStore:
         """Each graph's entry as a view: ``delta/<i>`` for slot 0, ``zeta/<i>`` for slot 1."""
         out = {}
         for name, rows, offsets in zip(("delta", "zeta"), self.rows, self.offsets):
+            if rows is None:
+                continue
             bounds = offsets.tolist()
             for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
                 out[f"{name}/{i}"] = rows[lo:hi]

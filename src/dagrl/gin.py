@@ -31,7 +31,7 @@ class GraphBatch:
     def __init__(self, packed: PackedGraphs, indices, input_dim: int):
         self.graphs = [packed.graphs[i] for i in indices]
         nodes, offsets = gather_rows(packed.node_offsets, indices)
-        self.total_nodes = total = len(nodes)
+        total = len(nodes)
         # Batch node k is packed node nodes[k]; columns move back by the shift.
         shift = nodes - np.arange(total)
 

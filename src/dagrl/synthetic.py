@@ -43,6 +43,12 @@ def _motif_edges(label: int, offset: int) -> list[tuple[int, int]]:
     return [(a, b), (b, c)]  # open path
 
 
+def _stream(seed: int, salt: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed, salt]))
+
+
 def make_graph(rng: np.random.Generator, label: int, spec: DomainSpec,
                min_background: int = 8, max_background: int = 12) -> Graph:
     n_bg = int(rng.integers(min_background, max_background + 1))
@@ -77,7 +83,7 @@ def make_shifted_pair(seed: int, graphs_per_class: int = 60,
                       source_spec: DomainSpec = SOURCE_SPEC,
                       target_spec: DomainSpec = TARGET_SPEC):
     """A labeled source dataset and a label-detached target dataset."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51]))
+    rng = _stream(seed, 0x51)
     source = make_domain(rng, source_spec, graphs_per_class)
     target_full = make_domain(rng, target_spec, graphs_per_class)
     target = subset_as_target(target_full, range(len(target_full.graphs)))
@@ -97,7 +103,7 @@ def make_benchmark(seed: int, graphs_per_block: int = 40) -> DomainDataset:
         raise ConfigurationError(
             f"graphs_per_block must be at least {NUM_CLASSES} (one graph per class), "
             f"got {graphs_per_block}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E]))
+    rng = _stream(seed, 0x3E)
     specs = [
         DomainSpec(edge_prob=0.06, background_label1_prob=(0.05, 0.95)),
         DomainSpec(edge_prob=0.14, background_label1_prob=(0.2, 0.8)),

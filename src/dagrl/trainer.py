@@ -41,8 +41,14 @@ from .gin import ClassifierHead, GinEncoder, GraphBatch
 from .graphs import SOURCE, TARGET, DomainDataset
 from .wl import GknHead, WlRefinement
 
-# Branch structures; perturbations are switched by delta_enabled/zeta_enabled.
-VARIANTS = ("full", "gin_only_dual", "gkn_only_dual", "source_only")
+# Each variant's two branch kinds. Perturbations are switched by
+# delta_enabled/zeta_enabled; source_only trains no adversary at all.
+VARIANTS = {"full": ("gin", "gkn"), "gin_only_dual": ("gin", "gin"),
+            "gkn_only_dual": ("gkn", "gkn"), "source_only": ("gin", "gkn")}
+
+# Graphs per forward in evaluate; fixed, so predictions do not depend on
+# the training batch size.
+EVAL_CHUNK = 1024
 
 
 @dataclass
@@ -140,25 +146,21 @@ class EpochStats:
 
 @dataclass
 class TrainState:
+    """``discriminators`` and ``disc_opts`` are empty without an adversary;
+    ``store`` holds a slot only for each perturbed branch."""
+
     config: TrainConfig
     branches: list
-    discriminators: list | None
-    store: PerturbationStore | None
+    discriminators: list
+    store: PerturbationStore
     model_opt: ad.Adam
-    disc_opts: list | None
+    disc_opts: list
     refinement: WlRefinement | None
     rng_source: np.random.Generator
     rng_target: np.random.Generator
     input_dim: int
-    num_classes: int
     epoch: int = 0
     history: list[EpochStats] = field(default_factory=list)
-
-    def perturbation_enabled(self) -> tuple[bool, bool]:
-        cfg = self.config
-        if cfg.variant == "source_only":
-            return (False, False)
-        return (cfg.delta_enabled, cfg.zeta_enabled)
 
     # The optimizers' lists, built once in build_state: the step loop
     # reads these instead of walking the modules.
@@ -166,19 +168,17 @@ class TrainState:
         return self.model_opt.params
 
     def discriminator_params(self) -> list[ad.Tensor]:
-        return [p for opt in self.disc_opts or () for p in opt.params]
+        return [p for opt in self.disc_opts for p in opt.params]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for i, b in enumerate(self.branches):
             for k, t in b.named_params().items():
                 out[f"branch{i}_{b.kind}/{k}"] = t.data
-        if self.discriminators:
-            for i, d in enumerate(self.discriminators):
-                for k, t in d.named_params().items():
-                    out[f"disc{i}/{k}"] = t.data
-        if self.store is not None:
-            out.update(self.store.as_arrays())
+        for i, d in enumerate(self.discriminators):
+            for k, t in d.named_params().items():
+                out[f"disc{i}/{k}"] = t.data
+        out.update(self.store.as_arrays())
         return out
 
 
@@ -228,40 +228,27 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     seed, so two variants sharing a component initialize it identically.
     """
     _check_domains(source, target)
-    children = np.random.SeedSequence(config.seed).spawn(6)
-    rng_branch_a = np.random.default_rng(children[0])
-    rng_branch_b = np.random.default_rng(children[1])
-    rng_disc_a = np.random.default_rng(children[2])
-    rng_disc_b = np.random.default_rng(children[3])
-
-    d = source.label_alphabet_size
-    c = source.num_classes
-    hidden = config.hidden_dim
+    # Children 0-1: branches, 2-3: discriminators, 4-5: batch orders.
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(6)]
+    kinds = VARIANTS[config.variant]
+    d, c, hidden = source.label_alphabet_size, source.num_classes, config.hidden_dim
 
     refinement = None
-    if config.variant != "gin_only_dual":
+    if "gkn" in kinds:
         refinement = WlRefinement(depth=config.wl_depth).fit(
             list(source.graphs) + list(target.graphs)
         )
+    branches = [GinBranch(rng, d, c, hidden) if kind == "gin"
+                else GknBranch(rng, refinement, c, hidden)
+                for kind, rng in zip(kinds, rngs[:2])]
 
-    if config.variant == "gin_only_dual":
-        branches = [GinBranch(rng_branch_a, d, c, hidden), GinBranch(rng_branch_b, d, c, hidden)]
-    elif config.variant == "gkn_only_dual":
-        branches = [GknBranch(rng_branch_a, refinement, c, hidden),
-                    GknBranch(rng_branch_b, refinement, c, hidden)]
-    else:
-        branches = [GinBranch(rng_branch_a, d, c, hidden),
-                    GknBranch(rng_branch_b, refinement, c, hidden)]
-
-    discriminators = None
-    disc_opts = None
-    store = None
-    if config.variant != "source_only":
-        discriminators = [DomainDiscriminator(rng_disc_a, hidden, c, hidden_dim=hidden),
-                          DomainDiscriminator(rng_disc_b, hidden, c, hidden_dim=hidden)]
-        disc_opts = [ad.Adam(disc.params(), config.lr) for disc in discriminators]
-        store = PerturbationStore.zeros(
-            config.epsilon, [b.perturbation_layout(source) for b in branches])
+    adversarial = config.variant != "source_only"
+    perturbed = (config.delta_enabled, config.zeta_enabled) if adversarial else (False, False)
+    discriminators = [DomainDiscriminator(rng, hidden, c, hidden_dim=hidden)
+                      for rng in rngs[2:4]] if adversarial else []
+    store = PerturbationStore.zeros(config.epsilon, [
+        b.perturbation_layout(source) if on else None for b, on in zip(branches, perturbed)])
 
     return TrainState(
         config=config,
@@ -269,12 +256,11 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
         discriminators=discriminators,
         store=store,
         model_opt=ad.Adam([p for b in branches for p in b.params()], config.lr),
-        disc_opts=disc_opts,
+        disc_opts=[ad.Adam(disc.params(), config.lr) for disc in discriminators],
         refinement=refinement,
-        rng_source=np.random.default_rng(children[4]),
-        rng_target=np.random.default_rng(children[5]),
+        rng_source=rngs[4],
+        rng_target=rngs[5],
         input_dim=d,
-        num_classes=c,
     )
 
 
@@ -314,10 +300,8 @@ def _chunks(seq, size):
 
 def _store_constants(state: TrainState, branch_idx: int, indices):
     """The batch's stored perturbations for one branch, as one constant; ``None`` if off."""
-    enabled = state.perturbation_enabled()[branch_idx]
-    if not enabled or state.store is None:
-        return None
-    return ad.constant(state.store.gather(branch_idx, indices))
+    rows = state.store.gather(branch_idx, indices)
+    return None if rows is None else ad.constant(rows)
 
 
 def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
@@ -328,9 +312,9 @@ def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
     it with the branches frozen, so that only the leaf gets a gradient.
     """
     branch, disc, opt = state.branches[b], state.discriminators[b], state.disc_opts[b]
-    stored = _store_constants(state, b, src.indices)
+    rows = state.store.gather(b, src.indices)
     # One leaf for the whole batch; each graph's gradient is its rows.
-    leaf = None if stored is None else ad.parameter(stored.data)
+    leaf = None if rows is None else ad.parameter(rows)
     tape = ad.Tape()
     z_s, p_s, _ = branch.forward(tape, src, leaf)
     disc_tape = ad.Tape()
@@ -353,19 +337,19 @@ def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
     cfg = state.config
     tape = ad.Tape()
     da = [0.0, 0.0]
-    if state.discriminators is not None:
-        targets = [branch.forward(tape, tgt)[:2] for branch in state.branches]
-        with ad.frozen(state.branch_params()):
-            da = [_adversary_step(state, b, src, targets[b])
-                  for b in range(len(state.branches))]
+    targets = [branch.forward(tape, tgt)[:2]
+               for branch, _ in zip(state.branches, state.discriminators)]
+    with ad.frozen(state.branch_params()):
+        for b, target in enumerate(targets):
+            da[b] = _adversary_step(state, b, src, target)
     with ad.frozen(state.discriminator_params()):
         perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
         l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
         total = l_s
-        for b, lam in enumerate((cfg.lambda1, cfg.lambda2)):
-            if lam == 0.0 or state.discriminators is None:
+        for b, (disc, lam) in enumerate(zip(state.discriminators, (cfg.lambda1, cfg.lambda2))):
+            if lam == 0.0:
                 continue
-            term = domain_loss(tape, state.discriminators[b], *src_outputs[b], *targets[b])
+            term = domain_loss(tape, disc, *src_outputs[b], *targets[b])
             da[b] = term.item()
             total = ad.add(tape, total, ad.scale(tape, term, -lam))
         tape.backward(total)
@@ -430,7 +414,7 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
             raise ConfigurationError("dataset has no labels to evaluate against")
     predictions = []
     with ad.frozen(state.branch_params()):
-        for indices in _chunks(range(len(dataset.graphs)), state.config.batch_size):
+        for indices in _chunks(range(len(dataset.graphs)), EVAL_CHUNK):
             batch = Batch(state, dataset, indices)
             probs = []
             for branch in state.branches:
@@ -458,7 +442,7 @@ def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
     Source graphs enter with their trained perturbations, matching what
     the discriminator saw during training.
     """
-    if state.discriminators is None:
+    if not state.discriminators:
         raise ConfigurationError("this variant trains no discriminators")
     branch = state.branches[branch_idx]
     disc = state.discriminators[branch_idx]

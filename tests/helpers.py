@@ -134,15 +134,14 @@ def _phase_discriminators(state, src, tgt):
 
 def _phase_perturbations(state, src):
     """Branches and discriminators are frozen: only the batch leaf gets a gradient."""
-    enabled = state.perturbation_enabled()
     with ad.frozen(state.branch_params() + state.discriminator_params()):
-        for b, branch in enumerate(state.branches):
-            if not enabled[b]:
+        for b, (branch, disc) in enumerate(zip(state.branches, state.discriminators)):
+            if state.store.rows[b] is None:
                 continue
             leaf = ad.parameter(state.store.gather(b, src.indices))
             tape = ad.Tape()
             z_s, p_s, _ = branch.forward(tape, src, leaf)
-            logit = state.discriminators[b].logits(tape, z_s, p_s)
+            logit = disc.logits(tape, z_s, p_s)
             tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
             grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
             perturbation_step(state.store, b, src.indices, grad)
@@ -158,11 +157,11 @@ def _phase_model(state, src, labels, tgt):
         total = l_s
         lambdas = (cfg.lambda1, cfg.lambda2)
         da_values = [None, None]
-        for b, branch in enumerate(state.branches):
-            if lambdas[b] == 0.0 or state.discriminators is None:
+        for b, (branch, disc) in enumerate(zip(state.branches, state.discriminators)):
+            if lambdas[b] == 0.0:
                 continue
             z_t, p_t, _ = branch.forward(tape, tgt)
-            da = domain_loss(tape, state.discriminators[b], *src_outputs[b], z_t, p_t)
+            da = domain_loss(tape, disc, *src_outputs[b], z_t, p_t)
             da_values[b] = da.item()
             total = ad.add(tape, total, ad.scale(tape, da, -lambdas[b]))
         tape.backward(total)
@@ -178,11 +177,8 @@ def reference_train_step(state, src, labels, tgt):
     its branch forwards afresh, ten per step on two adversarial branches.
     Returns ``(L_S, L_DA_C, L_DA_K, L)``.
     """
-    if state.discriminators is not None:
-        da_phase1 = _phase_discriminators(state, src, tgt)
-        _phase_perturbations(state, src)
-    else:
-        da_phase1 = [0.0, 0.0]
+    da_phase1 = _phase_discriminators(state, src, tgt) or [0.0, 0.0]
+    _phase_perturbations(state, src)
     l_s, total, da_phase3 = _phase_model(state, src, labels, tgt)
     da = [p3 if p3 is not None else p1 for p3, p1 in zip(da_phase3, da_phase1)]
     return l_s, da[0], da[1], total

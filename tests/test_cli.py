@@ -91,9 +91,9 @@ def test_config_file_nan_epsilon_exit_2(tmp_path, synth_root, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag,frozen,moved", [("p1", "delta/", "zeta/"),
+@pytest.mark.parametrize("flag,off,on", [("p1", "delta/", "zeta/"),
                                                ("p2", "zeta/", "delta/")])
-def test_p1_p2_flags_switch_off_one_perturbation(tmp_path, synth_root, flag, frozen, moved):
+def test_p1_p2_flags_switch_off_one_perturbation(tmp_path, synth_root, flag, off, on):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs = 1\nlr = 0.01\nhidden_dim = 8\nbatch_size = 16\nwl_depth = 1\n")
     out = tmp_path / "out"
@@ -103,8 +103,8 @@ def test_p1_p2_flags_switch_off_one_perturbation(tmp_path, synth_root, flag, fro
     assert code == 0
     arrays = load_checkpoint(out / "checkpoint_0_1_0.txt")
     assert "branch0_gin/head/lin1/weight" in arrays and "branch1_gkn/head/lin1/weight" in arrays
-    assert all(not v.any() for k, v in arrays.items() if k.startswith(frozen))
-    assert any(v.any() for k, v in arrays.items() if k.startswith(moved))
+    assert not any(k.startswith(off) for k in arrays)
+    assert any(v.any() for k, v in arrays.items() if k.startswith(on))
 
 
 def test_run_end_to_end(tmp_path, synth_root, capsys):
@@ -199,3 +199,10 @@ def test_synth_too_few_graphs_per_block_exit_2(tmp_path, capsys):
     assert code == 2
     assert "graphs_per_block" in capsys.readouterr().err
     assert not (tmp_path / "Empty").exists()
+
+
+def test_synth_negative_seed_exit_2(tmp_path, capsys):
+    code = main(["synth", "--out", str(tmp_path), "--name", "Negative", "--seed", "-1"])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -225,7 +225,7 @@ class TestPackedBatch:
 
     def test_wrong_shape_perturbation_rejected(self, packed):
         batch = GraphBatch(packed, [0, 1], 4)
-        wrong = np.zeros((batch.total_nodes + 1, 4))
+        wrong = np.zeros((batch.features.shape[0] + 1, 4))
         with pytest.raises(ContractViolation, match="perturbation shape"):
             batch.feature_tensor(ad.Tape(), ad.parameter(wrong))
 
