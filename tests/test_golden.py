@@ -19,7 +19,8 @@ HERE = Path(__file__).resolve().parent
 
 
 def _dynamic_openblas() -> bool:
-    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
