@@ -37,6 +37,10 @@ _LOG_HI = float(np.log1p(-SIGMOID_EPS))
 CHECKPOINT_MAGIC = "dagrl-ckpt-v2"
 # Checkpoint payloads are raw little-endian float64, whatever the host order.
 _CHECKPOINT_DTYPE = np.dtype("<f8")
+# A weight gradient sums over every row of a batch. Summing fixed chunks
+# of this many rows in row order keeps each BLAS product below OpenBLAS's
+# threading threshold, so the bits do not depend on the thread count.
+WEIGHT_GRAD_CHUNK = 256
 
 
 class Tensor:
@@ -141,13 +145,21 @@ def _result(tape: Tape, inputs: tuple[Tensor, ...], value: np.ndarray, backward_
     return out
 
 
+def _chunked_transpose_product(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a.T @ g``, summed over ``WEIGHT_GRAD_CHUNK``-row chunks in row order."""
+    out = a[:WEIGHT_GRAD_CHUNK].T @ g[:WEIGHT_GRAD_CHUNK]
+    for lo in range(WEIGHT_GRAD_CHUNK, a.shape[0], WEIGHT_GRAD_CHUNK):
+        out += a[lo:lo + WEIGHT_GRAD_CHUNK].T @ g[lo:lo + WEIGHT_GRAD_CHUNK]
+    return out
+
+
 def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ContractViolation(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def backward_fn(g):
         return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+                _chunked_transpose_product(a.data, g) if b.requires_grad else None)
 
     return _result(tape, (a, b), a.data @ b.data, backward_fn)
 

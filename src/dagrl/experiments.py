@@ -111,7 +111,8 @@ def _run_cell(plan: ExperimentPlan, dataset, groups, pair, seed: int) -> RunResu
     source = subset_as_source(dataset, groups[s])
     target = subset_as_target(dataset, groups[t])
     state = train(config, source, target)
-    accuracy = evaluate(state, target)
+    # The last epoch already evaluated the trained state on the target.
+    accuracy = state.history[-1].target_accuracy if state.history else evaluate(state, target)
     out = Path(plan.out_dir)
     export_loss_history(out / f"loss_history_{s}_{t}_{seed}.csv", state.history)
     save_checkpoint(out / f"checkpoint_{s}_{t}_{seed}.txt", state.named_arrays())

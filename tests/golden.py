@@ -12,7 +12,7 @@ Each training config records the SHA-256 of its loss-history CSV and of
 
 import os
 
-# The bits depend on the BLAS thread count and compute kernel: pin both
+# The bits depend on the BLAS compute kernel: pin it, and one thread,
 # before numpy loads OpenBLAS.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OPENBLAS_CORETYPE"] = "Haswell"

@@ -11,6 +11,7 @@ from dagrl.adversarial import (
     domain_loss,
     domain_loss_from_logits,
     perturbation_step,
+    segment_norms,
 )
 from dagrl.errors import ContractViolation
 
@@ -130,23 +131,28 @@ class TestPerturbationStep:
 def reference_step(entries, eps, gradients):
     """The per-graph update on a list of arrays, one graph at a time.
 
-    Returns (steps, degenerate steps, max |step length - eps|, max post-step norm).
+    Every norm is ``segment_norms`` of the graph alone, so the batched step
+    must match it bit for bit. Returns (steps, degenerate steps,
+    max |step length - eps|, max post-step norm).
     """
+    def norm(x):
+        return float(segment_norms(x, [0, len(x)])[0])
+
     degenerate, errors, posts = 0, [0.0], [0.0]
     for index in sorted(gradients):
         grad, current = gradients[index], entries[index]
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = norm(grad)
         if gnorm < 1e-12:
             degenerate += 1
-            posts.append(float(np.linalg.norm(current)))
+            posts.append(norm(current))
             continue
         step = (eps / gnorm) * grad
         raw = current - step
-        raw_norm = float(np.linalg.norm(raw))
+        raw_norm = norm(raw)
         new = raw * (eps / raw_norm) if raw_norm > eps else raw
         entries[index] = new
-        errors.append(abs(float(np.linalg.norm(step)) - eps))
-        posts.append(float(np.linalg.norm(new)))
+        errors.append(abs(norm(step) - eps))
+        posts.append(norm(new))
     return len(gradients), degenerate, max(errors), max(posts)
 
 
@@ -178,6 +184,37 @@ def test_flat_step_matches_per_graph_reference():
     assert (store.steps, store.degenerate_steps) == (steps, degenerate) == (40, 10)
     assert store.max_step_error == step_error
     assert store.max_post_norm == post_norm
+
+
+class TestSegmentNorms:
+    def test_matches_frobenius_norm_per_segment(self):
+        x = np.random.default_rng(17).standard_normal((7, 3))
+        offsets = [0, 2, 3, 7]
+        expected = [np.linalg.norm(x[lo:hi]) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        assert np.allclose(segment_norms(x, offsets), expected, rtol=1e-14, atol=0.0)
+
+    def test_empty_segments_in_the_middle_and_at_the_end_are_zero(self):
+        x = np.arange(1.0, 7.0).reshape(3, 2)
+        norms = segment_norms(x, [0, 1, 1, 3, 3])
+        assert norms[1] == 0.0 and norms[3] == 0.0
+        assert norms[0] == np.sqrt(5.0)
+        assert norms[2] == np.sqrt(9.0 + 16.0 + 25.0 + 36.0)
+
+    def test_all_empty(self):
+        assert np.array_equal(segment_norms(np.zeros((0, 4)), [0, 0, 0]), [0.0, 0.0])
+
+
+def test_all_degenerate_batch_keeps_entries_and_step_error():
+    store = PerturbationStore.zeros(0.5, [(np.array([0, 3, 5, 5]), 2)])
+    perturbation_step(store, 0, [0], np.ones((3, 2)))
+    error = store.max_step_error
+    store.rows[0][3:] = [[0.1, -0.0], [-0.2, 0.3]]
+    before = store.rows[0].copy()
+    perturbation_step(store, 0, [2, 1, 0], np.zeros((5, 2)))
+    assert store.rows[0].tobytes() == before.tobytes()
+    assert (store.steps, store.degenerate_steps) == (4, 3)
+    assert store.max_step_error == error
+    assert store.max_post_norm == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDiscriminatorUpdate:

@@ -105,6 +105,29 @@ class TestRunPlan:
         assert failures == [(0, 1, 1, "RuntimeError: synthetic failure")]
         assert [r.seed for r in excinfo.value.partial.rows] == [0]
 
+    @pytest.mark.parametrize("epochs", [2, 0])
+    def test_cell_evaluates_once_per_epoch(self, bench_root, tmp_path, monkeypatch, epochs):
+        # The last epoch's evaluation is the cell's accuracy; only an
+        # untrained cell evaluates on its own.
+        import dagrl.experiments as exp
+        from dagrl import trainer
+
+        original, calls = trainer.evaluate, []
+
+        def counting(state, dataset):
+            calls.append((state, dataset))
+            return original(state, dataset)
+
+        monkeypatch.setattr(trainer, "evaluate", counting)
+        monkeypatch.setattr(exp, "evaluate", counting)
+        table = run_plan(make_plan(bench_root, tmp_path / "o", epochs=epochs))
+        assert len(calls) == max(epochs, 1)
+        accuracy = original(*calls[-1])
+        assert table.rows[0].accuracy == accuracy
+        results, summary = emit_report(table, tmp_path / "o")
+        assert results.read_text().splitlines()[1].endswith(f",{accuracy!r}")
+        assert summary.read_text().splitlines()[1].endswith(f",{accuracy!r}")
+
 
 class TestReport:
     def synthetic_table(self):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +202,29 @@ class TestDeterminism:
         for pa, pb in zip((p for br in state_zero.branches for p in br.params()),
                           (p for br in state_base.branches for p in br.params())):
             assert np.array_equal(pa.data, pb.data)
+
+    def test_history_independent_of_blas_thread_count(self, tmp_path):
+        # The criterion-6 config's weight gradients sum over ~2600 nodes, long
+        # enough for OpenBLAS to split an unchunked product across threads.
+        script = (
+            "import sys\n"
+            "from dagrl.synthetic import make_shifted_pair\n"
+            "from dagrl.trainer import TrainConfig, export_loss_history, train\n"
+            "source, target = make_shifted_pair(1, graphs_per_class=100)\n"
+            "config = TrainConfig(epochs=3, lr=1e-2, hidden_dim=32, batch_size=256,\n"
+            "                     lambda1=0.01, lambda2=0.01, epsilon=4.0, wl_depth=2, seed=1)\n"
+            "export_loss_history(sys.argv[1], train(config, source, target).history)\n")
+        src = str(Path(trainer.__file__).resolve().parents[1])
+        histories = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"history_{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            histories.append(path.read_bytes())
+        assert histories[0] == histories[1]
 
     def test_different_seeds_differ(self, tiny_pair):
         source, target = tiny_pair
