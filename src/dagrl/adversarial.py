@@ -31,14 +31,14 @@ class DomainDiscriminator(ad.Module):
     """Sigmoid classifier over concatenated [representation, prediction]."""
 
     def __init__(self, rng: np.random.Generator, repr_dim: int, num_classes: int,
-                 hidden_dim: int = 64):
+                 hidden_dim: int):
         self.lin1 = ad.Linear(rng, repr_dim + num_classes, hidden_dim)
         self.lin2 = ad.Linear(rng, hidden_dim, 1)
 
     def logits(self, tape: ad.Tape, z: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
         if z.shape[0] != p.shape[0]:
             raise ContractViolation(f"{z.shape[0]} representations vs {p.shape[0]} predictions")
-        joint = ad.concat(tape, [z, p], axis=1)
+        joint = ad.concat(tape, z, p)
         return self.lin2(tape, ad.relu(tape, self.lin1(tape, joint)))
 
 

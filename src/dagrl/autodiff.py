@@ -3,7 +3,7 @@
 Tensors are 2-D float64 arrays; a :class:`Tape` records executed
 operations and replays their adjoints in exact reverse order. The
 primitive set is deliberately small (matrix multiply, row-broadcast add,
-scalar scale, relu, softmax, row reductions, concatenation, softmax
+scalar scale, relu, softmax, row reductions, column concatenation, softmax
 cross-entropy, and a clamped log-sigmoid), which keeps every adjoint
 hand-checkable. Gradients flow to any leaf created with
 ``requires_grad=True``, including input tensors, not just parameters.
@@ -41,6 +41,10 @@ _CHECKPOINT_DTYPE = np.dtype("<f8")
 # of this many rows in row order keeps each BLAS product below OpenBLAS's
 # threading threshold, so the bits do not depend on the thread count.
 WEIGHT_GRAD_CHUNK = 256
+# Adam's moment decay rates and the denominator's stabilizer.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Tensor:
@@ -245,28 +249,16 @@ def mean_rows(tape: Tape, x: Tensor) -> Tensor:
     return _result(tape, (x,), x.data.mean(axis=0, keepdims=True), backward_fn)
 
 
-def concat(tape: Tape, tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(tensors)
-    if not tensors:
-        raise ContractViolation("concat of zero tensors")
-    if axis not in (0, 1):
-        raise ContractViolation(f"concat axis must be 0 or 1, got {axis}")
-    other = 1 - axis
-    ref = tensors[0].shape[other]
-    for t in tensors[1:]:
-        if t.shape[other] != ref:
-            raise ContractViolation(
-                f"concat shape mismatch on axis {other}: {[t.shape for t in tensors]}"
-            )
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    """Join the columns of ``a`` and ``b``, which must have equal row counts."""
+    if a.shape[0] != b.shape[0]:
+        raise ContractViolation(f"concat row mismatch: {a.shape} and {b.shape}")
+    split = a.shape[1]
 
     def backward_fn(g):
-        pieces = np.split(g, splits, axis=axis)
-        return tuple(piece if t.requires_grad else None for t, piece in zip(tensors, pieces))
+        return (g[:, :split], g[:, split:])
 
-    value = np.concatenate([t.data for t in tensors], axis=axis)
-    return _result(tape, tensors, value, backward_fn)
+    return _result(tape, (a, b), np.concatenate([a.data, b.data], axis=1), backward_fn)
 
 
 def softmax_cross_entropy(tape: Tape, logits: Tensor, labels) -> Tensor:
@@ -360,13 +352,9 @@ class Adam:
     four arrays are allocated at the first step, not at construction.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params: list[Tensor] = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._buffers: list[tuple[np.ndarray, ...]] | None = None
 
@@ -379,7 +367,7 @@ class Adam:
             self._buffers = [tuple(np.zeros_like(p.data) for _ in range(4))
                              for p in self.params]
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, (m, v, upd, den) in zip(self.params, self._buffers):

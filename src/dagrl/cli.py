@@ -7,9 +7,9 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import DagrlError
+from .errors import DagrlError, IngestionError
 from .experiments import ALL_PAIRS, ExperimentPlan, PlanExecutionError, emit_report, run_plan
-from .fileio import atomic_write
+from .fileio import atomic_write, output_dir
 from .graphs import write_tudataset
 from .synthetic import make_benchmark
 from .trainer import TrainConfig
@@ -25,33 +25,34 @@ VARIANT_FLAGS = {
     "source-only": {"variant": "source_only"},
 }
 
-BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-            "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    try:
-        return BOOLEANS[raw.lower()]
-    except KeyError:
-        raise ValueError(f"expected one of {'/'.join(BOOLEANS)}") from None
+# Config-file keys that a flag owns, and the flag that sets each.
+FLAG_KEYS = {"seed": "--seeds", "variant": "--variant",
+             "delta_enabled": "--variant", "zeta_enabled": "--variant"}
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value config; keys mirror TrainConfig fields."""
+    """Flat key=value config; keys mirror the int and float TrainConfig fields."""
     types = {f.name: f.type for f in fields(TrainConfig)}
-    casts = {"int": int, "float": float, "str": str, "bool": _parse_bool}
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    casts = {"int": int, "float": float}
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read config file {path}: {exc}") from None
+    values, seen = {}, {}
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         if "=" not in text:
             raise DagrlError(f"{path}: line {lineno} is not key=value: {text!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key == "seed":
-            raise DagrlError(f"{path}: set seeds via --seeds, not the config file")
+        if key in FLAG_KEYS:
+            raise DagrlError(f"{path}: line {lineno}: {key} is set by {FLAG_KEYS[key]}")
         if key not in types:
             raise DagrlError(f"{path}: unknown config key {key!r}")
+        if key in seen:
+            raise DagrlError(f"{path}: line {lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         kind = str(types[key])
         try:
             values[key] = casts[kind](raw)
@@ -90,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data-root", required=True, help="directory containing <dataset>/ files")
     run.add_argument("--dataset", required=True, help="dataset name, e.g. Mutagenicity")
     run.add_argument("--pairs", default="all", help="'all' or 's,t[;s,t...]' group pairs")
-    run.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default=None,
-                     help="model variant (default: full, or the config file's value)")
+    run.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full",
+                     help="model variant (default: full)")
     run.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     run.add_argument("--config", default=None, help="key=value training config file")
     run.add_argument("--out", required=True, help="output directory")
@@ -106,9 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def command_run(args) -> int:
     overrides = parse_config_file(args.config) if args.config else {}
-    if args.variant is not None:
-        overrides.update(VARIANT_FLAGS[args.variant])
-    config = replace(TrainConfig(), **overrides)
+    config = replace(TrainConfig(), **overrides, **VARIANT_FLAGS[args.variant])
     plan = ExperimentPlan(
         data_root=args.data_root,
         dataset_name=args.dataset,
@@ -120,8 +119,7 @@ def command_run(args) -> int:
     try:
         table = run_plan(plan)
     except PlanExecutionError as exc:
-        manifest = Path(args.out) / "failures.txt"
-        manifest.parent.mkdir(parents=True, exist_ok=True)
+        manifest = output_dir(args.out) / "failures.txt"
         with atomic_write(manifest) as fh:
             fh.writelines(f"{s}->{t} seed={seed}: {message}\n"
                           for s, t, seed, message in exc.failures)

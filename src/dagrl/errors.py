@@ -6,7 +6,7 @@ class DagrlError(Exception):
 
 
 class IngestionError(DagrlError):
-    """A required dataset file is missing or unreadable."""
+    """A required input file (dataset or config) is missing or unreadable."""
 
 
 class DatasetFormatError(DagrlError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import save_checkpoint
 from .errors import ConfigurationError, DagrlError
-from .fileio import atomic_write
+from .fileio import atomic_write, output_dir
 from .graphs import parse_tudataset, split_by_density, subset_as_source, subset_as_target
 from .trainer import TrainConfig, evaluate, export_loss_history, train
 
@@ -127,7 +127,7 @@ def run_plan(plan: ExperimentPlan) -> ResultTable:
     """
     dataset = parse_tudataset(plan.data_root, plan.dataset_name)
     groups = split_by_density(dataset).groups
-    Path(plan.out_dir).mkdir(parents=True, exist_ok=True)
+    output_dir(plan.out_dir)
 
     table = ResultTable(dataset_name=plan.dataset_name, pairs=plan.pairs)
     failures = []
@@ -150,8 +150,7 @@ def emit_report(table: ResultTable, out_dir) -> tuple[Path, Path]:
     """
     if not table.rows:
         raise ConfigurationError("cannot emit a report for an empty result table")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     results_path = out / "results.csv"
     summary_path = out / "summary.csv"
 

@@ -6,6 +6,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .errors import ConfigurationError
+
 
 @contextmanager
 def atomic_write(path, mode="w"):
@@ -27,3 +29,18 @@ def atomic_write(path, mode="w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def output_dir(path) -> Path:
+    """Create directory ``path`` and its parents if missing, and return it.
+
+    A path that exists as a file, or under a file, raises
+    :class:`ConfigurationError` naming it.
+    """
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use {path} as an output directory: "
+                                 f"{exc.strerror}") from None
+    return path

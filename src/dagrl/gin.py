@@ -80,23 +80,18 @@ class GinLayer(ad.Module):
 class GinEncoder(ad.Module):
     """Two stacked GIN layers plus sum readout."""
 
-    def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int = 64):
+    def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int):
         self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.layers = [GinLayer(rng, input_dim, hidden_dim),
-                       GinLayer(rng, hidden_dim, hidden_dim)]
+        self.layer0 = GinLayer(rng, input_dim, hidden_dim)
+        self.layer1 = GinLayer(rng, hidden_dim, hidden_dim)
 
     def encode_batch(self, tape: ad.Tape, batch: GraphBatch, perturbation=None):
         """Node embeddings for the disjoint union and per-graph readouts."""
         h = batch.feature_tensor(tape, perturbation)
-        for layer in self.layers:
+        for layer in (self.layer0, self.layer1):
             h = layer(tape, h, batch.adjacency)
         z = ad.matmul_const(tape, batch.readout, h)
         return h, z
-
-    def named_params(self) -> dict[str, ad.Tensor]:
-        return {f"layer{i}/{k}": v for i, layer in enumerate(self.layers)
-                for k, v in layer.named_params().items()}
 
 
 class ClassifierHead(ad.Module):

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ContractViolation, DatasetFormatError, IngestionError
-from .fileio import atomic_write
+from .fileio import atomic_write, output_dir
 
 SOURCE = "source"
 TARGET = "target"
@@ -224,9 +224,15 @@ def _dataset_files(root_path, dataset_name: str) -> dict[str, Path]:
     }
 
 
+def _open_text(path: Path):
+    # Undecodable bytes become lone surrogates, which int() rejects, so they
+    # fail as a malformed line with its number.
+    return path.open("r", encoding="utf-8", errors="surrogateescape", newline=None)
+
+
 def _read_int_lines(path: Path) -> list[int]:
     values = []
-    with path.open("r", newline=None) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -282,7 +288,7 @@ def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
         counts[g] += 1
 
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    with files["A"].open("r", newline=None) as fh:
+    with _open_text(files["A"]) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -353,8 +359,7 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
             label = ds.eval_labels[i]
         labels.append(label)
 
-    base = Path(root_path) / dataset_name
-    base.mkdir(parents=True, exist_ok=True)
+    base = output_dir(Path(root_path) / dataset_name)
     files = _dataset_files(root_path, dataset_name)
 
     offsets = []

@@ -49,9 +49,8 @@ def _stream(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, salt]))
 
 
-def make_graph(rng: np.random.Generator, label: int, spec: DomainSpec,
-               min_background: int = 8, max_background: int = 12) -> Graph:
-    n_bg = int(rng.integers(min_background, max_background + 1))
+def make_graph(rng: np.random.Generator, label: int, spec: DomainSpec) -> Graph:
+    n_bg = int(rng.integers(8, 12 + 1))
     p1 = spec.background_label1_prob[label]
     bg_labels = [1 if rng.random() < p1 else 0 for _ in range(n_bg)]
     edges = []
@@ -79,13 +78,11 @@ def make_domain(rng: np.random.Generator, spec: DomainSpec, graphs_per_class: in
                          num_classes=NUM_CLASSES, label_alphabet_size=ALPHABET_SIZE)
 
 
-def make_shifted_pair(seed: int, graphs_per_class: int = 60,
-                      source_spec: DomainSpec = SOURCE_SPEC,
-                      target_spec: DomainSpec = TARGET_SPEC):
-    """A labeled source dataset and a label-detached target dataset."""
+def make_shifted_pair(seed: int, graphs_per_class: int = 60):
+    """A labeled ``SOURCE_SPEC`` dataset and a label-detached ``TARGET_SPEC`` one."""
     rng = _stream(seed, 0x51)
-    source = make_domain(rng, source_spec, graphs_per_class)
-    target_full = make_domain(rng, target_spec, graphs_per_class)
+    source = make_domain(rng, SOURCE_SPEC, graphs_per_class)
+    target_full = make_domain(rng, TARGET_SPEC, graphs_per_class)
     target = subset_as_target(target_full, range(len(target_full.graphs)))
     return source, target
 

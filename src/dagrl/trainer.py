@@ -264,20 +264,19 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     )
 
 
-def source_loss(tape: ad.Tape, branches, batch: Batch, labels, perturbations_per_branch=None):
+def source_loss(tape: ad.Tape, branches, batch: Batch, labels, perturbations):
     """Mean cross-entropy over the branch heads on a labeled source batch.
 
-    Returns the loss tensor and each branch's (representation,
+    ``perturbations`` holds each branch's perturbation, ``None`` if it has
+    none. Returns the loss tensor and each branch's (representation,
     probabilities) pair for reuse by the domain terms.
     """
     labels = list(labels)
     if any(l is None for l in labels):
         raise ContractViolation("unlabeled graph in a source batch")
-    if perturbations_per_branch is None:
-        perturbations_per_branch = [None] * len(branches)
     ce_terms = []
     outputs = []
-    for branch, pert in zip(branches, perturbations_per_branch):
+    for branch, pert in zip(branches, perturbations):
         z, p, logits = branch.forward(tape, batch, pert)
         outputs.append((z, p))
         ce_terms.append(ad.softmax_cross_entropy(tape, logits, labels))

@@ -37,7 +37,7 @@ _PAD = UNKNOWN_LABEL - 1  # below every label: raw labels are nonnegative
 class WlRefinement:
     """Shared label-compression table over a set of graphs."""
 
-    def __init__(self, depth: int = 2):
+    def __init__(self, depth: int):
         if depth < 0:
             raise ConfigurationError(f"refinement depth must be >= 0, got {depth}")
         self.depth = depth
@@ -177,8 +177,7 @@ class GknHead(ad.Module):
     """Embedding plus classifier over densified refinement histograms."""
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, num_classes: int,
-                 hidden_dim: int = 64):
-        self.hidden_dim = hidden_dim
+                 hidden_dim: int):
         self.embedding = ad.Linear(rng, vocab_size, hidden_dim)
         self.lin1 = ad.Linear(rng, hidden_dim, hidden_dim)
         self.lin2 = ad.Linear(rng, hidden_dim, num_classes)

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from dagrl.autodiff import load_checkpoint
@@ -51,13 +53,10 @@ def test_config_file_round_trip(tmp_path):
         "batch_size = 16\n"
         "lambda1 = 0.2\n"
         "wl_depth = 1\n"
-        "variant = gkn_only_dual\n"
-        "zeta_enabled = false\n"
     )
     values = parse_config_file(cfg)
     assert values == {"epochs": 1, "lr": 0.01, "hidden_dim": 8, "batch_size": 16,
-                      "lambda1": 0.2, "wl_depth": 1, "variant": "gkn_only_dual",
-                      "zeta_enabled": False}
+                      "lambda1": 0.2, "wl_depth": 1}
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -67,7 +66,7 @@ def test_config_file_unknown_key(tmp_path):
         parse_config_file(cfg)
 
 
-@pytest.mark.parametrize("line", ["epochs = many", "zeta_enabled = flase"])
+@pytest.mark.parametrize("line", ["epochs = many", "lambda1 = lots"])
 def test_config_file_bad_value_exit_2(tmp_path, synth_root, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# comment\n{line}\n")
@@ -124,18 +123,75 @@ def test_run_end_to_end(tmp_path, synth_root, capsys):
     assert "Avg." in captured.out
 
 
-def test_run_flag_overrides_config_variant(tmp_path, synth_root):
+@pytest.mark.parametrize("key,value,flag", [
+    ("seed", "1", "--seeds"),
+    ("variant", "gkn_only_dual", "--variant"),
+    ("delta_enabled", "false", "--variant"),
+    ("zeta_enabled", "0", "--variant"),
+], ids=["seed", "variant", "delta_enabled", "zeta_enabled"])
+def test_config_file_flag_owned_key_exit_2(tmp_path, synth_root, capsys, key, value, flag):
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("epochs = 1\nlr = 0.01\nhidden_dim = 8\nbatch_size = 16\n"
-                   "wl_depth = 1\nvariant = gkn_only_dual\n")
+    cfg.write_text(f"epochs = 1\n{key} = {value}\n")
     out = tmp_path / "out"
     code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
-                 "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
-                 "--variant", "source-only", "--out", str(out)])
-    assert code == 0
-    # source-only trains no discriminators, so no delta/zeta keys appear.
-    keys = list(load_checkpoint(out / "checkpoint_0_1_0.txt"))
-    assert keys and not any(k.startswith(("delta/", "zeta/", "disc")) for k in keys)
+                 "--pairs", "0,1", "--seeds", "0", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line 2: {key} is set by {flag}" in err
+    assert not out.exists()
+
+
+def test_config_file_repeated_key_exit_2(tmp_path, synth_root, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("epochs = 1\n# again\nepochs = 5\n")
+    out = tmp_path / "out"
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", "0,1", "--seeds", "0", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3: epochs repeats line 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-config", "directory-config", "utf16-config",
+                                  "run-out-is-file", "synth-out-is-file"])
+def test_bad_path_exit_2_writes_nothing(tmp_path, synth_root, capsys, case):
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+    cfg = tmp_path / "train.cfg"
+    if case == "directory-config":
+        cfg.mkdir()
+    elif case == "utf16-config":
+        cfg.write_text("epochs = 1\n", encoding="utf-16")
+    run = ["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+           "--pairs", "0,1", "--seeds", "0"]
+    if case == "run-out-is-file":
+        argv, named = run + ["--out", str(taken)], taken
+    elif case == "synth-out-is-file":
+        argv, named = ["synth", "--out", str(taken), "--graphs-per-block", "4"], taken
+    else:
+        argv, named = run + ["--config", str(cfg), "--out", str(tmp_path / "out")], cfg
+    before = sorted(tmp_path.rglob("*"))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(named) in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text() == "keep\n"
+
+
+def test_run_undecodable_dataset_file_exit_2(tmp_path, synth_root, capsys):
+    root = tmp_path / "data"
+    shutil.copytree(synth_root, root)
+    with open(root / "SynthBench" / "SynthBench_graph_labels.txt", "ab") as fh:
+        fh.write(b"\xff\n")
+    out = tmp_path / "out"
+    code = main(["run", "--data-root", str(root), "--dataset", "SynthBench",
+                 "--pairs", "0,1", "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SynthBench_graph_labels.txt: ") and "(line 65)" in err
+    assert not out.exists()
 
 
 def test_run_failure_writes_manifest_and_exits_1(tmp_path, synth_root, capsys, monkeypatch):

@@ -39,7 +39,7 @@ def test_single_node_is_mlp_of_own_features():
     h, z = encode_graph(enc, tape, g)
     # No neighbors: the aggregation term is zero, so layer 1 sees x.
     expected = np.array([[0.0, 0.0, 1.0]])
-    for layer in enc.layers:
+    for layer in (enc.layer0, enc.layer1):
         pre = np.maximum(expected @ layer.lin1.weight.data + layer.lin1.bias.data, 0.0)
         expected = pre @ layer.lin2.weight.data + layer.lin2.bias.data
     assert np.allclose(h.data, expected, atol=1e-12)

@@ -90,6 +90,17 @@ class TestParser:
         with pytest.raises(DatasetFormatError, match="crosses graphs"):
             parse_tudataset(tmp_path, "toy")
 
+    @pytest.mark.parametrize("suffix,line", [("graph_labels", 3), ("node_labels", 2), ("A", 2)])
+    def test_undecodable_bytes_report_file_and_line(self, tmp_path, suffix, line):
+        write_fixture(tmp_path, "toy", indicator=[1, 1, 2, 3], edges=[(1, 2), (2, 1)],
+                      graph_labels=[0, 1, 0], node_labels=[0, 0, 0, 0])
+        path = tmp_path / "toy" / f"toy_{suffix}.txt"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"1\xff" + lines[line - 1][1:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetFormatError, match=rf"toy_{suffix}\.txt: .*\(line {line}\)"):
+            parse_tudataset(tmp_path, "toy")
+
     @pytest.mark.skipif(not have_dataset("Mutagenicity"), reason="Mutagenicity files not present")
     def test_mutagenicity_graph_count(self):
         ds = parse_tudataset(dataset_root(), "Mutagenicity")

@@ -91,7 +91,8 @@ class TestSourceLoss:
         state = build_state(toy_config(), source, target)
         tape = ad.Tape()
         with pytest.raises(ContractViolation, match="unlabeled"):
-            source_loss(tape, state.branches, Batch(state, target, [0, 1]), [None, None])
+            source_loss(tape, state.branches, Batch(state, target, [0, 1]), [None, None],
+                        [None, None])
 
     def test_uniform_heads_give_log_c(self, tiny_pair):
         source, target = tiny_pair
@@ -101,7 +102,7 @@ class TestSourceLoss:
                 p.data[:] = 0.0
         tape = ad.Tape()
         loss, _ = source_loss(tape, state.branches, Batch(state, source, range(4)),
-                              [g.graph_label for g in source.graphs[:4]])
+                              [g.graph_label for g in source.graphs[:4]], [None, None])
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_mean_of_extreme_and_uniform(self):
@@ -124,8 +125,8 @@ class TestVariants:
         state = build_state(toy_config(variant="gin_only_dual"), source, target)
         assert all(isinstance(b, GinBranch) for b in state.branches)
         assert state.refinement is None
-        w0 = state.branches[0].encoder.layers[0].lin1.weight.data
-        w1 = state.branches[1].encoder.layers[0].lin1.weight.data
+        w0 = state.branches[0].encoder.layer0.lin1.weight.data
+        w1 = state.branches[1].encoder.layer0.lin1.weight.data
         assert not np.array_equal(w0, w1)
 
     def test_p1_keeps_delta_zero(self, tiny_pair):
