@@ -12,22 +12,10 @@ from .experiments import ALL_PAIRS, ExperimentPlan, PlanExecutionError, emit_rep
 from .fileio import atomic_write, output_dir
 from .graphs import write_tudataset
 from .synthetic import make_benchmark
-from .trainer import TrainConfig
-
-# --variant spellings and the TrainConfig fields each sets; p1 and p2 are
-# the full model with the delta or the zeta perturbation switched off.
-VARIANT_FLAGS = {
-    "full": {"variant": "full"},
-    "p1": {"variant": "full", "delta_enabled": False},
-    "p2": {"variant": "full", "zeta_enabled": False},
-    "gin-only": {"variant": "gin_only_dual"},
-    "gkn-only": {"variant": "gkn_only_dual"},
-    "source-only": {"variant": "source_only"},
-}
+from .trainer import VARIANTS, TrainConfig
 
 # Config-file keys that a flag owns, and the flag that sets each.
-FLAG_KEYS = {"seed": "--seeds", "variant": "--variant",
-             "delta_enabled": "--variant", "zeta_enabled": "--variant"}
+FLAG_KEYS = {"seed": "--seeds", "variant": "--variant"}
 
 
 def parse_config_file(path) -> dict:
@@ -49,7 +37,7 @@ def parse_config_file(path) -> dict:
         if key in FLAG_KEYS:
             raise DagrlError(f"{path}: line {lineno}: {key} is set by {FLAG_KEYS[key]}")
         if key not in types:
-            raise DagrlError(f"{path}: unknown config key {key!r}")
+            raise DagrlError(f"{path}: line {lineno}: unknown config key {key!r}")
         if key in seen:
             raise DagrlError(f"{path}: line {lineno}: {key} repeats line {seen[key]}")
         seen[key] = lineno
@@ -91,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data-root", required=True, help="directory containing <dataset>/ files")
     run.add_argument("--dataset", required=True, help="dataset name, e.g. Mutagenicity")
     run.add_argument("--pairs", default="all", help="'all' or 's,t[;s,t...]' group pairs")
-    run.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="full",
+    run.add_argument("--variant", choices=sorted(VARIANTS), default="full",
                      help="model variant (default: full)")
     run.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     run.add_argument("--config", default=None, help="key=value training config file")
@@ -107,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def command_run(args) -> int:
     overrides = parse_config_file(args.config) if args.config else {}
-    config = replace(TrainConfig(), **overrides, **VARIANT_FLAGS[args.variant])
+    config = replace(TrainConfig(), **overrides, variant=args.variant)
     plan = ExperimentPlan(
         data_root=args.data_root,
         dataset_name=args.dataset,

@@ -6,8 +6,9 @@ attached to an Erdos-Renyi background by a single bridge edge, so the
 motif neighborhood barely changes when the background density shifts.
 Domains differ in two ways: the background edge probability moves, and
 the background node labels are strongly class-correlated in the source
-domain but uninformative in the target domain. A source-only model can
-ride the label shortcut; transferring to the target requires the motif.
+domain but uninformative in the target domain. A model trained on the
+source alone can ride the label shortcut; transferring to the target
+requires the motif.
 """
 
 from __future__ import annotations

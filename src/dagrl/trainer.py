@@ -41,10 +41,19 @@ from .gin import ClassifierHead, GinEncoder, GraphBatch
 from .graphs import SOURCE, TARGET, DomainDataset
 from .wl import GknHead, WlRefinement
 
-# Each variant's two branch kinds. Perturbations are switched by
-# delta_enabled/zeta_enabled; source_only trains no adversary at all.
-VARIANTS = {"full": ("gin", "gkn"), "gin_only_dual": ("gin", "gin"),
-            "gkn_only_dual": ("gkn", "gkn"), "source_only": ("gin", "gkn")}
+# Each variant's two branches as (kind, perturbed) pairs: p1 drops the
+# first branch's perturbation (delta), p2 the second's (zeta), and
+# unperturbed both. Every variant but source_only trains one
+# discriminator per branch.
+VARIANTS = {
+    "full": (("gin", True), ("gkn", True)),
+    "p1": (("gin", False), ("gkn", True)),
+    "p2": (("gin", True), ("gkn", False)),
+    "unperturbed": (("gin", False), ("gkn", False)),
+    "gin_only_dual": (("gin", True), ("gin", True)),
+    "gkn_only_dual": (("gkn", True), ("gkn", True)),
+    "source_only": (("gin", False), ("gkn", False)),
+}
 
 # Graphs per forward in evaluate; fixed, so predictions do not depend on
 # the training batch size.
@@ -63,10 +72,6 @@ class TrainConfig:
     wl_depth: int = 2
     seed: int = 0
     variant: str = "full"
-    # Perturbation switches for the first (delta) and second (zeta)
-    # branch; source_only forces both off.
-    delta_enabled: bool = True
-    zeta_enabled: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -146,8 +151,8 @@ class EpochStats:
 
 @dataclass
 class TrainState:
-    """``discriminators`` and ``disc_opts`` are empty without an adversary;
-    ``store`` holds a slot only for each perturbed branch."""
+    """``discriminators`` and ``disc_opts`` are empty for ``source_only``;
+    ``store`` holds a slot only for each branch its variant perturbs."""
 
     config: TrainConfig
     branches: list
@@ -231,7 +236,7 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     # Children 0-1: branches, 2-3: discriminators, 4-5: batch orders.
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(config.seed).spawn(6)]
-    kinds = VARIANTS[config.variant]
+    kinds, perturbed = zip(*VARIANTS[config.variant])
     d, c, hidden = source.label_alphabet_size, source.num_classes, config.hidden_dim
 
     refinement = None
@@ -244,7 +249,6 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
                 for kind, rng in zip(kinds, rngs[:2])]
 
     adversarial = config.variant != "source_only"
-    perturbed = (config.delta_enabled, config.zeta_enabled) if adversarial else (False, False)
     discriminators = [DomainDiscriminator(rng, hidden, c, hidden_dim=hidden)
                       for rng in rngs[2:4]] if adversarial else []
     store = PerturbationStore.zeros(config.epsilon, [

@@ -40,8 +40,8 @@ CONFIGS = {
     "gin_only_dual": {"variant": "gin_only_dual"},
     "gkn_only_dual": {"variant": "gkn_only_dual"},
     "source_only": {"variant": "source_only"},
-    "delta_off": {"delta_enabled": False},
-    "zeta_off": {"zeta_enabled": False},
+    "delta_off": {"variant": "p1"},
+    "zeta_off": {"variant": "p2"},
     "lambda_zero": {"lambda1": 0.0, "lambda2": 0.0},
 }
 RUN_CONFIG = "epochs = 2\nlr = 0.01\nhidden_dim = 8\nbatch_size = 8\nwl_depth = 1\n"

@@ -178,8 +178,8 @@ def test_criterion_5_reduction_bitwise():
     source, target = make_shifted_pair(seed=21, graphs_per_class=12)
     shared = dict(epochs=4, lr=1e-2, hidden_dim=8, batch_size=8, epsilon=1.0,
                   wl_depth=2, seed=3)
-    zeroed = train(TrainConfig(lambda1=0.0, lambda2=0.0, delta_enabled=False,
-                               zeta_enabled=False, variant="full", **shared), source, target)
+    zeroed = train(TrainConfig(lambda1=0.0, lambda2=0.0, variant="unperturbed", **shared),
+                   source, target)
     baseline = train(TrainConfig(variant="source_only", **shared), source, target)
     trace_ok = all(
         a.source_loss == b.source_loss and a.total_loss == b.total_loss
@@ -192,7 +192,7 @@ def test_criterion_5_reduction_bitwise():
     )
     ok = trace_ok and params_ok
     report(5, ok, "lambda1=lambda2=0 with perturbations disabled reproduces the "
-                  "source-only loss trace and final parameters bit-for-bit")
+                  "source_only loss trace and final parameters bit-for-bit")
 
 
 SYNTH_CONFIG = dict(epochs=25, lr=1e-2, hidden_dim=32, batch_size=256, lambda1=0.01,
@@ -208,12 +208,10 @@ def synthetic_shift_results():
     results = {}
     disc_accs = []
     # p1 and p2 are the full model without delta or without zeta.
-    variants = {"full": {}, "source_only": {"variant": "source_only"},
-                "p1": {"delta_enabled": False}, "p2": {"zeta_enabled": False}}
-    for variant, overrides in variants.items():
+    for variant in ("full", "source_only", "p1", "p2"):
         accs = []
         for seed in SYNTH_SEEDS:
-            config = TrainConfig(seed=seed, **overrides, **SYNTH_CONFIG)
+            config = TrainConfig(seed=seed, variant=variant, **SYNTH_CONFIG)
             source, target = make_shifted_pair(seed=seed,
                                                graphs_per_class=SYNTH_GRAPHS_PER_CLASS)
             state = train(config, source, target)
@@ -236,7 +234,7 @@ def test_criterion_6_synthetic_shift_efficacy(synthetic_shift_results):
     # covers the whole batch of runs, which is strictly more work.
     elapsed = r["elapsed"]
     ok = gap >= 5.0 and 0.45 <= disc <= 0.65 and elapsed < 300.0
-    report(6, ok, f"full {100 * full:.1f}% vs source-only {100 * base:.1f}% "
+    report(6, ok, f"full {100 * full:.1f}% vs source_only {100 * base:.1f}% "
                   f"(gap {gap:.1f} >= 5 points); discriminator domain accuracy "
                   f"{disc:.3f} in [0.45, 0.65]; {elapsed:.0f}s (< 300s)")
 

@@ -96,7 +96,7 @@ def test_plan_checkpoint_passes_the_benchmark_gate(workloads, tmp_path):
     assert workloads._array_problems(arrays, TrainConfig().epsilon) == []
 
 
-@pytest.mark.parametrize("overrides,slots", [({}, 2), ({"delta_enabled": False}, 1),
+@pytest.mark.parametrize("overrides,slots", [({}, 2), ({"variant": "p1"}, 1),
                                              ({"variant": "gkn_only_dual"}, 2)])
 def test_traced_epoch_counts_one_update_per_graph_and_slot(spans, overrides, slots):
     from dagrl.synthetic import make_shifted_pair

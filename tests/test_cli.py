@@ -6,6 +6,7 @@ from dagrl.autodiff import load_checkpoint
 from dagrl.cli import main, parse_config_file, parse_pairs, parse_seeds
 from dagrl.errors import DagrlError
 from dagrl.experiments import ALL_PAIRS
+from dagrl.trainer import VARIANTS
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ def test_config_file_round_trip(tmp_path):
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("learning_rate = 0.1\n")
-    with pytest.raises(DagrlError, match="unknown config key"):
+    with pytest.raises(DagrlError, match="line 1: unknown config key 'learning_rate'"):
         parse_config_file(cfg)
 
 
@@ -90,20 +91,24 @@ def test_config_file_nan_epsilon_exit_2(tmp_path, synth_root, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag,off,on", [("p1", "delta/", "zeta/"),
-                                               ("p2", "zeta/", "delta/")])
-def test_p1_p2_flags_switch_off_one_perturbation(tmp_path, synth_root, flag, off, on):
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_run_variant_writes_its_checkpoint(tmp_path, synth_root, variant):
+    # Branch kinds, perturbation slots and discriminators follow the
+    # variant's row of trainer.VARIANTS.
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs = 1\nlr = 0.01\nhidden_dim = 8\nbatch_size = 16\nwl_depth = 1\n")
     out = tmp_path / "out"
     code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
                  "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
-                 "--variant", flag, "--out", str(out)])
+                 "--variant", variant, "--out", str(out)])
     assert code == 0
     arrays = load_checkpoint(out / "checkpoint_0_1_0.txt")
-    assert "branch0_gin/head/lin1/weight" in arrays and "branch1_gkn/head/lin1/weight" in arrays
-    assert not any(k.startswith(off) for k in arrays)
-    assert any(v.any() for k, v in arrays.items() if k.startswith(on))
+    branches = {k.split("/")[0] for k in arrays if k.startswith("branch")}
+    assert branches == {f"branch{i}_{kind}" for i, (kind, _) in enumerate(VARIANTS[variant])}
+    for slot, (_, perturbed) in zip(("delta/", "zeta/"), VARIANTS[variant]):
+        values = [v for k, v in arrays.items() if k.startswith(slot)]
+        assert bool(values) == perturbed and any(v.any() for v in values) == perturbed
+    assert any(k.startswith("disc") for k in arrays) == (variant != "source_only")
 
 
 def test_run_end_to_end(tmp_path, synth_root, capsys):
@@ -126,9 +131,7 @@ def test_run_end_to_end(tmp_path, synth_root, capsys):
 @pytest.mark.parametrize("key,value,flag", [
     ("seed", "1", "--seeds"),
     ("variant", "gkn_only_dual", "--variant"),
-    ("delta_enabled", "false", "--variant"),
-    ("zeta_enabled", "0", "--variant"),
-], ids=["seed", "variant", "delta_enabled", "zeta_enabled"])
+], ids=["seed", "variant"])
 def test_config_file_flag_owned_key_exit_2(tmp_path, synth_root, capsys, key, value, flag):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(f"epochs = 1\n{key} = {value}\n")
@@ -138,6 +141,22 @@ def test_config_file_flag_owned_key_exit_2(tmp_path, synth_root, capsys, key, va
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"line 2: {key} is set by {flag}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("slot", ["delta", "zeta"])
+def test_config_file_unknown_key_exit_2(tmp_path, synth_root, capsys, slot):
+    # No config key switches a perturbation off: p1 and p2 are --variant
+    # values.
+    key = f"{slot}_enabled"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"epochs = 1\n{key} = false\n")
+    out = tmp_path / "out"
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", "0,1", "--seeds", "0", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line 2: unknown config key {key!r}" in err
     assert not out.exists()
 
 

@@ -1,9 +1,9 @@
 """Outputs stay bit-identical unless a change means to alter them.
 
-``golden.py`` trains every variant and the perturbation and lambda
-switches on small synthetic inputs, plus one ``dagrl run`` cell, in a
-subprocess pinned to one BLAS thread and one OpenBLAS kernel. Its
-digests must equal the committed ``golden_digests.json``.
+``golden.py`` trains every variant and the lambda switches on small
+synthetic inputs, plus one ``dagrl run`` cell, in a subprocess pinned
+to one BLAS thread and one OpenBLAS kernel. Its digests must equal the
+committed ``golden_digests.json``.
 """
 
 import json

@@ -15,6 +15,7 @@ from dagrl.gin import ClassifierHead, GinEncoder, GinLayer
 from dagrl.synthetic import make_shifted_pair
 from dagrl import trainer
 from dagrl.trainer import (
+    VARIANTS,
     Batch,
     GinBranch,
     GknBranch,
@@ -131,7 +132,7 @@ class TestVariants:
 
     def test_p1_keeps_delta_zero(self, tiny_pair):
         source, target = tiny_pair
-        state = train(toy_config(delta_enabled=False, lr=1e-2), source, target)
+        state = train(toy_config(variant="p1", lr=1e-2), source, target)
         delta, zeta = state.store.rows
         assert delta is None and state.store.offsets[0] is None
         assert not any(k.startswith("delta/") for k in state.named_arrays())
@@ -139,7 +140,7 @@ class TestVariants:
 
     def test_p2_keeps_zeta_zero(self, tiny_pair):
         source, target = tiny_pair
-        state = train(toy_config(zeta_enabled=False, lr=1e-2), source, target)
+        state = train(toy_config(variant="p2", lr=1e-2), source, target)
         delta, zeta = state.store.rows
         assert zeta is None and state.store.offsets[1] is None
         assert not any(k.startswith("zeta/") for k in state.named_arrays())
@@ -187,12 +188,12 @@ class TestDeterminism:
         assert h1 == h2
 
     def test_reduction_to_source_only(self, tiny_pair):
-        # lambda1 = lambda2 = 0 with both perturbations disabled must
-        # reproduce the source-only run bit for bit: same loss trace and
-        # same final model parameters.
+        # lambda1 = lambda2 = 0 without perturbations must reproduce the
+        # source_only run bit for bit: same loss trace and same final
+        # model parameters.
         source, target = tiny_pair
         cfg_zero = toy_config(epochs=3, lr=1e-2, lambda1=0.0, lambda2=0.0,
-                              delta_enabled=False, zeta_enabled=False)
+                              variant="unperturbed")
         cfg_base = toy_config(epochs=3, lr=1e-2, variant="source_only")
         state_zero = train(cfg_zero, source, target)
         state_base = train(cfg_base, source, target)
@@ -397,12 +398,12 @@ class TestAssemblyReuse:
         assert counts["feature_row"] == 0
 
 
-# The eight configs the step must reproduce bit for bit.
+# The configs the step must reproduce bit for bit: every variant, and
+# two lambda switches.
 STEP_CONFIGS = {
-    "full": {}, "p1": {"delta_enabled": False}, "p2": {"zeta_enabled": False},
-    "gin_only_dual": {"variant": "gin_only_dual"}, "gkn_only_dual": {"variant": "gkn_only_dual"},
-    "source_only": {"variant": "source_only"}, "lambda1_zero": {"lambda1": 0.0},
-    "lambda2_zero_delta_off": {"lambda2": 0.0, "delta_enabled": False},
+    **{variant: {"variant": variant} for variant in VARIANTS},
+    "lambda1_zero": {"lambda1": 0.0},
+    "lambda2_zero_delta_off": {"lambda2": 0.0, "variant": "p1"},
 }
 
 
