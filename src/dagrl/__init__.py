@@ -17,7 +17,7 @@ from .errors import (
     IngestionError,
 )
 from .experiments import ALL_PAIRS, ExperimentPlan, ResultTable, emit_report, run_plan
-from .gin import ClassifierHead, GinEncoder
+from .gin import GinEncoder
 from .graphs import (
     DensityPartition,
     DomainDataset,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_PAIRS",
     "Adam",
-    "ClassifierHead",
     "ConfigurationError",
     "ContractViolation",
     "DagrlError",

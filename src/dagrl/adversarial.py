@@ -27,19 +27,15 @@ from .graphs import gather_rows
 DEGENERATE_GRADIENT_NORM = 1e-12
 
 
-class DomainDiscriminator(ad.Module):
+class DomainDiscriminator(ad.Mlp):
     """Sigmoid classifier over concatenated [representation, prediction]."""
 
     def __init__(self, rng: np.random.Generator, repr_dim: int, num_classes: int,
                  hidden_dim: int):
-        self.lin1 = ad.Linear(rng, repr_dim + num_classes, hidden_dim)
-        self.lin2 = ad.Linear(rng, hidden_dim, 1)
+        super().__init__(rng, repr_dim + num_classes, hidden_dim, 1)
 
     def logits(self, tape: ad.Tape, z: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
-        if z.shape[0] != p.shape[0]:
-            raise ContractViolation(f"{z.shape[0]} representations vs {p.shape[0]} predictions")
-        joint = ad.concat(tape, z, p)
-        return self.lin2(tape, ad.relu(tape, self.lin1(tape, joint)))
+        return self(tape, ad.concat(tape, z, p))
 
 
 def domain_loss_from_logits(tape: ad.Tape, source_logits: ad.Tensor,
@@ -136,7 +132,8 @@ def segment_norms(x: np.ndarray, offsets) -> np.ndarray:
     return np.sqrt(sums)
 
 
-def perturbation_step(store: PerturbationStore, slot: int, indices, grad: np.ndarray) -> None:
+def perturbation_step(store: PerturbationStore, slot: int, indices,
+                      grad: np.ndarray) -> np.ndarray:
     """Apply the normalized-gradient update to the graphs ``indices`` of one slot.
 
     ``grad`` is the gradient of the stacked entries ``store.gather(slot,
@@ -146,7 +143,8 @@ def perturbation_step(store: PerturbationStore, slot: int, indices, grad: np.nda
     scales from :func:`segment_norms`, repeated onto the rows, one raw
     step, one shrink and one scatter. Gradients with Frobenius norm below
     1e-12 are documented no-ops, not errors: those entries keep their
-    bytes. ``indices`` must be distinct.
+    bytes. ``indices`` must be distinct. Returns the updated entries,
+    stacked like ``grad``: what ``store.gather(slot, indices)`` now gives.
     """
     row_index, local_offsets = gather_rows(store.offsets[slot], indices)
     entries = store.rows[slot][row_index]
@@ -174,6 +172,7 @@ def perturbation_step(store: PerturbationStore, slot: int, indices, grad: np.nda
     store.max_step_error = float(np.max(step_error, initial=store.max_step_error))
     store.max_post_norm = float(np.max(segment_norms(moved, local_offsets),
                                        initial=store.max_post_norm))
+    return moved
 
 
 def domain_accuracy(source_logits: np.ndarray, target_logits: np.ndarray) -> float:

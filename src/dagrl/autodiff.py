@@ -343,6 +343,17 @@ class Linear(Module):
         return add(tape, matmul_const(tape, m, self.weight), self.bias)
 
 
+class Mlp(Module):
+    """Two-layer perceptron: ``lin2(relu(lin1(x)))``."""
+
+    def __init__(self, rng: np.random.Generator, in_dim: int, hidden_dim: int, out_dim: int):
+        self.lin1 = Linear(rng, in_dim, hidden_dim)
+        self.lin2 = Linear(rng, hidden_dim, out_dim)
+
+    def __call__(self, tape: Tape, x: Tensor) -> Tensor:
+        return self.lin2(tape, relu(tape, self.lin1(tape, x)))
+
+
 class Adam:
     """Adaptive-moment optimizer with bias correction.
 

@@ -109,10 +109,9 @@ def command_run(args) -> int:
     except PlanExecutionError as exc:
         manifest = output_dir(args.out) / "failures.txt"
         with atomic_write(manifest) as fh:
-            fh.writelines(f"{s}->{t} seed={seed}: {message}\n"
-                          for s, t, seed, message in exc.failures)
-        for s, t, seed, message in exc.failures:
-            print(f"FAILED {s}->{t} seed={seed}: {message}", file=sys.stderr)
+            fh.writelines(f"{line}\n" for line in exc.lines)
+        for line in exc.lines:
+            print(f"FAILED {line}", file=sys.stderr)
         print(f"failure manifest written to {manifest}", file=sys.stderr)
         return 1
     results_path, summary_path = emit_report(table, args.out)

@@ -96,11 +96,14 @@ class ResultTable:
 
 
 class PlanExecutionError(DagrlError):
-    """One or more runs of a plan failed; carries a per-run manifest."""
+    """One or more runs of a plan failed; carries a per-run manifest.
+
+    ``lines`` holds one ``"s->t seed=N: message"`` line per failed run.
+    """
 
     def __init__(self, failures, partial: ResultTable):
-        lines = [f"{s}->{t} seed={seed}: {message}" for s, t, seed, message in failures]
-        super().__init__("plan execution failed:\n" + "\n".join(lines))
+        self.lines = [f"{s}->{t} seed={seed}: {message}" for s, t, seed, message in failures]
+        super().__init__("plan execution failed:\n" + "\n".join(self.lines))
         self.failures = failures
         self.partial = partial
 

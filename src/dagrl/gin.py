@@ -3,8 +3,8 @@
 Two message-passing layers in the sum-aggregation style: each node adds
 its own embedding to the sum of its neighbors' embeddings (the GIN update
 with its self-weight eps fixed at 0) and pushes the result through a
-two-layer MLP. Graph-level representations come from a sum readout, and
-an MLP head maps them to class probabilities. A batch of graphs is
+two-layer MLP. Graph-level representations come from a sum readout; the
+branch's ``ad.Mlp`` head maps them to class logits. A batch of graphs is
 processed as one disjoint union; readout uses a constant graph-membership
 matrix, so batching is mathematically identical to per-graph processing.
 """
@@ -66,24 +66,20 @@ class GraphBatch:
         return ad.add(tape, ad.constant(self.features), perturbation)
 
 
-class GinLayer(ad.Module):
-    def __init__(self, rng: np.random.Generator, in_dim: int, hidden_dim: int):
-        self.lin1 = ad.Linear(rng, in_dim, hidden_dim)
-        self.lin2 = ad.Linear(rng, hidden_dim, hidden_dim)
+class GinLayer(ad.Mlp):
+    """The GIN update: the two-layer perceptron applied to ``h + A h``."""
 
     def __call__(self, tape: ad.Tape, h: ad.Tensor, adjacency) -> ad.Tensor:
         agg = ad.matmul_const(tape, adjacency, h)
-        combined = ad.add(tape, h, agg)
-        return self.lin2(tape, ad.relu(tape, self.lin1(tape, combined)))
+        return super().__call__(tape, ad.add(tape, h, agg))
 
 
 class GinEncoder(ad.Module):
     """Two stacked GIN layers plus sum readout."""
 
     def __init__(self, rng: np.random.Generator, input_dim: int, hidden_dim: int):
-        self.input_dim = input_dim
-        self.layer0 = GinLayer(rng, input_dim, hidden_dim)
-        self.layer1 = GinLayer(rng, hidden_dim, hidden_dim)
+        self.layer0 = GinLayer(rng, input_dim, hidden_dim, hidden_dim)
+        self.layer1 = GinLayer(rng, hidden_dim, hidden_dim, hidden_dim)
 
     def encode_batch(self, tape: ad.Tape, batch: GraphBatch, perturbation=None):
         """Node embeddings for the disjoint union and per-graph readouts."""
@@ -92,14 +88,3 @@ class GinEncoder(ad.Module):
             h = layer(tape, h, batch.adjacency)
         z = ad.matmul_const(tape, batch.readout, h)
         return h, z
-
-
-class ClassifierHead(ad.Module):
-    """linear -> relu -> linear map from graph representations to logits."""
-
-    def __init__(self, rng: np.random.Generator, hidden_dim: int, num_classes: int):
-        self.lin1 = ad.Linear(rng, hidden_dim, hidden_dim)
-        self.lin2 = ad.Linear(rng, hidden_dim, num_classes)
-
-    def logits(self, tape: ad.Tape, z: ad.Tensor) -> ad.Tensor:
-        return self.lin2(tape, ad.relu(tape, self.lin1(tape, z)))

@@ -11,10 +11,11 @@ with discriminators and perturbations frozen. The phases share forwards,
 not gradients: the branches change only at the model's Adam step, so a
 branch runs one target forward (recorded for the model, read as constants
 by its discriminator), one source forward with the stored perturbations
-as a leaf (for both adversaries) and the model's source forward. Runs are
-deterministic given the config seed: parameter groups and batch orders
-draw from independent child streams of one seed sequence, so structural
-variants stay bit-comparable.
+as a leaf (for both adversaries) and the model's source forward, on the
+rows the perturbation step returned. Runs are deterministic given the
+config seed: parameter groups and batch orders draw from independent
+child streams of one seed sequence, so structural variants stay
+bit-comparable.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .adversarial import (
 )
 from .errors import ConfigurationError, ContractViolation
 from .fileio import atomic_write
-from .gin import ClassifierHead, GinEncoder, GraphBatch
+from .gin import GinEncoder, GraphBatch
 from .graphs import SOURCE, TARGET, DomainDataset
 from .wl import GknHead, WlRefinement
 
@@ -87,16 +88,11 @@ class TrainConfig:
             raise ConfigurationError("lambda1 and lambda2 must be nonnegative")
         if self.epsilon <= 0:
             raise ConfigurationError("epsilon must be positive")
-        if self.hidden_dim < 1:
-            raise ConfigurationError("hidden_dim must be at least 1")
-        if self.wl_depth < 0:
-            raise ConfigurationError("wl_depth must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be nonnegative")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative")
+        for name, low in (("hidden_dim", 1), ("wl_depth", 0), ("batch_size", 1),
+                          ("epochs", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(
+                    f"{name} must be {'at least 1' if low else 'nonnegative'}")
 
 
 class GinBranch(ad.Module):
@@ -106,18 +102,13 @@ class GinBranch(ad.Module):
 
     def __init__(self, rng: np.random.Generator, input_dim: int, num_classes: int,
                  hidden_dim: int):
-        self.input_dim = input_dim
         self.encoder = GinEncoder(rng, input_dim, hidden_dim=hidden_dim)
-        self.head = ClassifierHead(rng, hidden_dim, num_classes)
+        self.head = ad.Mlp(rng, hidden_dim, hidden_dim, num_classes)
 
     def forward(self, tape: ad.Tape, batch: Batch, perturbation=None):
         _, z = self.encoder.encode_batch(tape, batch.union, perturbation)
-        logits = self.head.logits(tape, z)
+        logits = self.head(tape, z)
         return z, ad.softmax(tape, logits), logits
-
-    def perturbation_layout(self, source: DomainDataset):
-        """One perturbation row per source node: ``(row offsets, width)``."""
-        return source.packed.node_offsets, self.input_dim
 
 
 class GknBranch(ad.Module):
@@ -127,16 +118,11 @@ class GknBranch(ad.Module):
 
     def __init__(self, rng: np.random.Generator, refinement: WlRefinement,
                  num_classes: int, hidden_dim: int):
-        self.hidden_dim = hidden_dim
         self.head = GknHead(rng, refinement.vocab_size, num_classes, hidden_dim=hidden_dim)
 
     def forward(self, tape: ad.Tape, batch: Batch, perturbation=None):
         """``perturbation``: ``None`` or a tensor of shape (graphs, hidden)."""
         return self.head.forward(tape, batch.histograms, perturbation)
-
-    def perturbation_layout(self, source: DomainDataset):
-        """One perturbation row per source graph: ``(row offsets, width)``."""
-        return np.arange(len(source.graphs) + 1), self.hidden_dim
 
 
 @dataclass
@@ -251,8 +237,13 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     adversarial = config.variant != "source_only"
     discriminators = [DomainDiscriminator(rng, hidden, c, hidden_dim=hidden)
                       for rng in rngs[2:4]] if adversarial else []
+    # A perturbation slot per kind, as (row offsets, width): one row per
+    # source node for GIN's one-hot inputs, one per source graph for the
+    # GKN embedding.
+    layouts = {"gin": (source.packed.node_offsets, d),
+               "gkn": (np.arange(len(source.graphs) + 1), hidden)}
     store = PerturbationStore.zeros(config.epsilon, [
-        b.perturbation_layout(source) if on else None for b, on in zip(branches, perturbed)])
+        layouts[kind] if on else None for kind, on in zip(kinds, perturbed)])
 
     return TrainState(
         config=config,
@@ -301,18 +292,14 @@ def _chunks(seq, size):
         yield seq[start:start + size]
 
 
-def _store_constants(state: TrainState, branch_idx: int, indices):
-    """The batch's stored perturbations for one branch, as one constant; ``None`` if off."""
-    rows = state.store.gather(branch_idx, indices)
-    return None if rows is None else ad.constant(rows)
-
-
-def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
-    """Branch ``b``'s discriminator ascent, then its perturbation step; returns L_DA.
+def _adversary_step(state: TrainState, b: int, src: Batch, target):
+    """Branch ``b``'s discriminator ascent, then its perturbation step.
 
     One source forward, with the stored perturbations as a leaf, serves
     both; the discriminator's own tape reads its values as constants. Call
     it with the branches frozen, so that only the leaf gets a gradient.
+    Returns L_DA and the batch's updated perturbations as one constant,
+    ``None`` if the branch has none.
     """
     branch, disc, opt = state.branches[b], state.discriminators[b], state.disc_opts[b]
     rows = state.store.gather(b, src.indices)
@@ -324,15 +311,15 @@ def _adversary_step(state: TrainState, b: int, src: Batch, target) -> float:
     loss = domain_loss(disc_tape, disc, *(ad.constant(t.data) for t in (z_s, p_s, *target)))
     discriminator_update(disc_tape, loss, opt)
     opt.zero_grad()
-    if leaf is not None:
-        with ad.frozen(opt.params):
-            logit = disc.logits(tape, z_s, p_s)
-            # Disjoint graphs: the gradient of the summed log D splits into
-            # each graph's own gradient.
-            tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
-        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        perturbation_step(state.store, b, src.indices, grad)
-    return loss.item()
+    if leaf is None:
+        return loss.item(), None
+    with ad.frozen(opt.params):
+        logit = disc.logits(tape, z_s, p_s)
+        # Disjoint graphs: the gradient of the summed log D splits into
+        # each graph's own gradient.
+        tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
+    grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+    return loss.item(), ad.constant(perturbation_step(state.store, b, src.indices, grad))
 
 
 def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
@@ -340,13 +327,13 @@ def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
     cfg = state.config
     tape = ad.Tape()
     da = [0.0, 0.0]
+    perts = [None, None]
     targets = [branch.forward(tape, tgt)[:2]
                for branch, _ in zip(state.branches, state.discriminators)]
     with ad.frozen(state.branch_params()):
         for b, target in enumerate(targets):
-            da[b] = _adversary_step(state, b, src, target)
+            da[b], perts[b] = _adversary_step(state, b, src, target)
     with ad.frozen(state.discriminator_params()):
-        perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
         l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
         total = l_s
         for b, (disc, lam) in enumerate(zip(state.discriminators, (cfg.lambda1, cfg.lambda2))):
@@ -451,9 +438,10 @@ def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
     disc = state.discriminators[branch_idx]
     src = Batch(state, source, range(len(source.graphs)))
     tgt = Batch(state, target, range(len(target.graphs)))
+    rows = state.store.gather(branch_idx, src.indices)
     with ad.frozen(branch.params() + disc.params()):
         tape = ad.Tape()
-        z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, branch_idx, src.indices))
+        z_s, p_s, _ = branch.forward(tape, src, None if rows is None else ad.constant(rows))
         z_t, p_t, _ = branch.forward(tape, tgt)
         return domain_accuracy(disc.logits(tape, z_s, p_s).data, disc.logits(tape, z_t, p_t).data)
 

@@ -173,14 +173,17 @@ def normalized_gram(gram: np.ndarray) -> np.ndarray:
     return gram / np.outer(diag, diag)
 
 
-class GknHead(ad.Module):
-    """Embedding plus classifier over densified refinement histograms."""
+class GknHead(ad.Mlp):
+    """Embedding plus classifier over densified refinement histograms.
+
+    The embedding is assigned, and so drawn, before the classifier's two
+    layers: parameter names and order are embedding, lin1, lin2.
+    """
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, num_classes: int,
                  hidden_dim: int):
         self.embedding = ad.Linear(rng, vocab_size, hidden_dim)
-        self.lin1 = ad.Linear(rng, hidden_dim, hidden_dim)
-        self.lin2 = ad.Linear(rng, hidden_dim, num_classes)
+        super().__init__(rng, hidden_dim, hidden_dim, num_classes)
 
     def forward(self, tape: ad.Tape, features, zeta=None):
         """Representation, probabilities, and logits for a feature batch.
@@ -195,5 +198,5 @@ class GknHead(ad.Module):
                 raise ContractViolation(f"perturbation shape {zeta.shape} != {emb.shape}")
             emb = ad.add(tape, emb, zeta)
         z = ad.relu(tape, emb)
-        logits = self.lin2(tape, ad.relu(tape, self.lin1(tape, z)))
+        logits = self(tape, z)
         return z, ad.softmax(tape, logits), logits

@@ -29,21 +29,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dagrl import cli  # noqa: E402
 from dagrl.synthetic import make_shifted_pair  # noqa: E402
-from dagrl.trainer import TrainConfig, export_loss_history, train  # noqa: E402
+from dagrl.trainer import VARIANTS, TrainConfig, export_loss_history, train  # noqa: E402
 
 TABLE = Path(__file__).with_name("golden_digests.json")
 
 BASE = dict(epochs=2, lr=1e-2, hidden_dim=8, batch_size=8, lambda1=0.1, lambda2=0.1,
             epsilon=1.0, wl_depth=2, seed=0)
-CONFIGS = {
-    "full": {},
-    "gin_only_dual": {"variant": "gin_only_dual"},
-    "gkn_only_dual": {"variant": "gkn_only_dual"},
-    "source_only": {"variant": "source_only"},
-    "delta_off": {"variant": "p1"},
-    "zeta_off": {"variant": "p2"},
-    "lambda_zero": {"lambda1": 0.0, "lambda2": 0.0},
-}
+# Every variant under its own name, plus ``full`` with both domain terms off.
+CONFIGS = {**{name: {"variant": name} for name in VARIANTS},
+           "lambda_zero": {"lambda1": 0.0, "lambda2": 0.0}}
 RUN_CONFIG = "epochs = 2\nlr = 0.01\nhidden_dim = 8\nbatch_size = 8\nwl_depth = 1\n"
 
 

@@ -14,7 +14,7 @@ from dagrl import autodiff as ad
 from dagrl.adversarial import discriminator_update, domain_loss, perturbation_step
 from dagrl.gin import GraphBatch
 from dagrl.graphs import Graph, PackedGraphs
-from dagrl.trainer import _store_constants, source_loss
+from dagrl.trainer import source_loss
 
 
 def path_graph(n: int, labels=None) -> Graph:
@@ -51,7 +51,7 @@ def permute_graph(g: Graph, perm) -> Graph:
 
 def encode_graph(encoder, tape, g: Graph, delta=None):
     """``encoder.encode_batch`` on a one-graph batch; ``delta`` perturbs its one-hot inputs."""
-    batch = GraphBatch(PackedGraphs([g]), [0], encoder.input_dim)
+    batch = GraphBatch(PackedGraphs([g]), [0], encoder.layer0.lin1.weight.shape[0])
     return encoder.encode_batch(tape, batch, delta)
 
 
@@ -116,6 +116,12 @@ class ReferenceRefinement:
         return sp.vstack([self.feature_row(g) for g in graphs], format="csr")
 
 
+def _stored(state, b, src):
+    """Branch ``b``'s stored perturbations of the batch, read from the store as one constant."""
+    rows = state.store.gather(b, src.indices)
+    return None if rows is None else ad.constant(rows)
+
+
 def _phase_discriminators(state, src, tgt):
     """Branches are frozen: each backward reaches one discriminator only."""
     values = []
@@ -123,7 +129,7 @@ def _phase_discriminators(state, src, tgt):
         for b, (branch, disc, opt) in enumerate(
                 zip(state.branches, state.discriminators, state.disc_opts)):
             tape = ad.Tape()
-            z_s, p_s, _ = branch.forward(tape, src, _store_constants(state, b, src.indices))
+            z_s, p_s, _ = branch.forward(tape, src, _stored(state, b, src))
             z_t, p_t, _ = branch.forward(tape, tgt)
             loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
             discriminator_update(tape, loss, opt)
@@ -152,7 +158,7 @@ def _phase_model(state, src, labels, tgt):
     cfg = state.config
     with ad.frozen(state.discriminator_params()):
         tape = ad.Tape()
-        perts = [_store_constants(state, b, src.indices) for b in range(len(state.branches))]
+        perts = [_stored(state, b, src) for b in range(len(state.branches))]
         l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
         total = l_s
         lambdas = (cfg.lambda1, cfg.lambda2)

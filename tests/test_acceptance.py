@@ -13,7 +13,7 @@ import pytest
 
 from dagrl import autodiff as ad
 from dagrl.adversarial import DomainDiscriminator
-from dagrl.gin import ClassifierHead, GinEncoder
+from dagrl.gin import GinEncoder
 from dagrl.graphs import parse_tudataset, split_by_density, subset_as_source, subset_as_target
 from dagrl.synthetic import make_shifted_pair
 from dagrl.trainer import (
@@ -58,7 +58,7 @@ def test_criterion_1_gradient_correctness():
         g = random_graph(rng, max_nodes=5, num_labels=3, edge_prob=0.5)
         label = int(rng.integers(0, 2))
         encoder = GinEncoder(rng, input_dim=3, hidden_dim=6)
-        head = ClassifierHead(rng, hidden_dim=6, num_classes=2)
+        head = ad.Mlp(rng, 6, 6, 2)
         disc = DomainDiscriminator(rng, repr_dim=6, num_classes=2, hidden_dim=6)
         refinement = WlRefinement(depth=2).fit([g])
         gkn = GknHead(rng, refinement.vocab_size, num_classes=2, hidden_dim=6)
@@ -69,7 +69,7 @@ def test_criterion_1_gradient_correctness():
         def class_loss():
             tape = ad.Tape()
             _, z = encode_graph(encoder, tape, g, delta)
-            loss = ad.softmax_cross_entropy(tape, head.logits(tape, z), [label])
+            loss = ad.softmax_cross_entropy(tape, head(tape, z), [label])
             return tape, loss
 
         tape, loss = class_loss()
@@ -84,7 +84,7 @@ def test_criterion_1_gradient_correctness():
         def disc_loss_delta():
             tape = ad.Tape()
             _, z = encode_graph(encoder, tape, g, delta)
-            p = ad.softmax(tape, head.logits(tape, z))
+            p = ad.softmax(tape, head(tape, z))
             logit = disc.logits(tape, z, p)
             return tape, ad.log_sigmoid(tape, logit)
 

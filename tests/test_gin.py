@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
-from dagrl.gin import ClassifierHead, GinEncoder, GraphBatch
+from dagrl.gin import GinEncoder, GraphBatch
 from dagrl.graphs import SOURCE, DomainDataset, Graph, PackedGraphs
 from dagrl.wl import WlRefinement
 from helpers import (
@@ -97,12 +97,12 @@ def test_delta_shape_mismatch_rejected():
 
 def test_loss_gradient_wrt_delta_is_nonzero():
     enc = make_encoder(seed=9)
-    head = ClassifierHead(np.random.default_rng(10), hidden_dim=8, num_classes=2)
+    head = ad.Mlp(np.random.default_rng(10), 8, 8, 2)
     g = random_graph(np.random.default_rng(11), max_nodes=5)
     tape = ad.Tape()
     delta = ad.parameter(np.zeros((g.node_count, 3)))
     _, z = encode_graph(enc, tape, g, delta=delta)
-    loss = ad.softmax_cross_entropy(tape, head.logits(tape, z), [1])
+    loss = ad.softmax_cross_entropy(tape, head(tape, z), [1])
     tape.backward(loss)
     assert delta.grad is not None
     assert np.linalg.norm(delta.grad) > 0.0
@@ -110,14 +110,14 @@ def test_loss_gradient_wrt_delta_is_nonzero():
 
 def test_delta_gradient_matches_finite_differences():
     enc = make_encoder(seed=12)
-    head = ClassifierHead(np.random.default_rng(13), hidden_dim=8, num_classes=3)
+    head = ad.Mlp(np.random.default_rng(13), 8, 8, 3)
     g = random_graph(np.random.default_rng(14), max_nodes=5)
     delta = ad.parameter(0.1 * np.random.default_rng(15).standard_normal((g.node_count, 3)))
 
     def run():
         tape = ad.Tape()
         _, z = encode_graph(enc, tape, g, delta=delta)
-        return tape, ad.softmax_cross_entropy(tape, head.logits(tape, z), [2])
+        return tape, ad.softmax_cross_entropy(tape, head(tape, z), [2])
 
     tape, loss = run()
     tape.backward(loss)
@@ -127,19 +127,19 @@ def test_delta_gradient_matches_finite_differences():
 
 class TestHead:
     def test_zero_initialized_head_is_uniform(self):
-        head = ClassifierHead(np.random.default_rng(0), hidden_dim=8, num_classes=4)
+        head = ad.Mlp(np.random.default_rng(0), 8, 8, 4)
         for p in head.params():
             p.data[:] = 0.0
         tape = ad.Tape()
         z = ad.constant(np.random.default_rng(1).standard_normal((1, 8)))
-        p = ad.softmax(tape, head.logits(tape, z))
+        p = ad.softmax(tape, head(tape, z))
         assert np.allclose(p.data, 0.25, atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
-        head = ClassifierHead(np.random.default_rng(2), hidden_dim=8, num_classes=5)
+        head = ad.Mlp(np.random.default_rng(2), 8, 8, 5)
         rng = np.random.default_rng(3)
         tape = ad.Tape()
-        p = ad.softmax(tape, head.logits(tape, ad.constant(rng.standard_normal((7, 8)))))
+        p = ad.softmax(tape, head(tape, ad.constant(rng.standard_normal((7, 8)))))
         assert np.max(np.abs(p.data.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_positive_logit_scaling_preserves_argmax(self):

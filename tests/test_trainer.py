@@ -11,7 +11,7 @@ from dagrl import autodiff as ad
 from dagrl.adversarial import DomainDiscriminator
 from dagrl.errors import ConfigurationError, ContractViolation
 from dagrl.graphs import SOURCE, DomainDataset, Graph, subset_as_target
-from dagrl.gin import ClassifierHead, GinEncoder, GinLayer
+from dagrl.gin import GinEncoder, GinLayer
 from dagrl.synthetic import make_shifted_pair
 from dagrl import trainer
 from dagrl.trainer import (
@@ -520,8 +520,8 @@ class TestParameterNames:
         rng = np.random.default_rng(0)
         refinement = WlRefinement(depth=1).fit(source.graphs)
         modules = [
-            ad.Linear(rng, 3, 2), GinLayer(rng, 3, 4), GinEncoder(rng, 3, hidden_dim=4),
-            ClassifierHead(rng, 4, 2), GknHead(rng, 5, 2, hidden_dim=4),
+            ad.Linear(rng, 3, 2), GinLayer(rng, 3, 4, 4), GinEncoder(rng, 3, hidden_dim=4),
+            ad.Mlp(rng, 4, 4, 2), GknHead(rng, 5, 2, hidden_dim=4),
             DomainDiscriminator(rng, 4, 2, hidden_dim=4), GinBranch(rng, 3, 2, 4),
             GknBranch(rng, refinement, 2, 4),
         ]
@@ -536,3 +536,16 @@ class TestParameterNames:
             named = module.named_params()
             assert named and all(isinstance(t, ad.Tensor) for t in named.values())
             assert [id(t) for t in module.params()] == [id(t) for t in named.values()]
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_modules_hold_only_parameters(self, tiny_pair, variant):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant=variant), source, target)
+        pending = list(state.branches) + list(state.discriminators)
+        while pending:
+            module = pending.pop()
+            for attr, value in vars(module).items():
+                assert isinstance(value, (ad.Tensor, ad.Module)), (
+                    f"{type(module).__name__}.{attr} is a {type(value).__name__}")
+                if isinstance(value, ad.Module):
+                    pending.append(value)
