@@ -2,11 +2,12 @@
 
 Tensors are 2-D float64 arrays; a :class:`Tape` records executed
 operations and replays their adjoints in exact reverse order. The
-primitive set is deliberately small (matrix multiply, row-broadcast add,
-scalar scale, relu, softmax, row reductions, column concatenation, softmax
-cross-entropy, and a clamped log-sigmoid), which keeps every adjoint
-hand-checkable. Gradients flow to any leaf created with
-``requires_grad=True``, including input tensors, not just parameters.
+primitive set is deliberately small (the affine map ``x @ w + b`` as one
+op, a product with a constant left factor, add, scalar scale, relu,
+softmax, row reductions, column concatenation, softmax cross-entropy, and
+a clamped log-sigmoid), which keeps every adjoint hand-checkable.
+Gradients flow to any leaf created with ``requires_grad=True``, including
+input tensors, not just parameters.
 
 Model classes subclass :class:`Module`, which names their parameters
 from their attributes: a ``Tensor`` attribute by its attribute name, a
@@ -24,6 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import ContractViolation, DatasetFormatError
@@ -75,8 +77,10 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # A fresh array equal to zeros + g: -0.0 becomes +0.0, and an
-            # array handed to several inputs (add's backward) is not shared.
+            # A fresh array equal to zeros + g: -0.0 becomes +0.0, and g is
+            # not kept, so the caller may still read it or hand it to
+            # another input. Tape.backward hands over the arrays it owns
+            # without this copy.
             self.grad = g + 0.0
         else:
             self.grad += g
@@ -114,7 +118,12 @@ def frozen(params):
 
 
 class Tape:
-    """Ordered record of executed operations for one backward pass."""
+    """Ordered record of executed operations for one backward pass.
+
+    A backward function returns, per input, ``None``, its ``out.grad``
+    argument, a view, or an array it has just allocated and keeps no
+    reference to.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
@@ -133,13 +142,24 @@ class Tape:
             raise ContractViolation("backward on an empty tape")
         loss.accumulate_grad(np.ones((1, 1)))
         for out, inputs, backward_fn in reversed(self._records):
-            if out.grad is None:
+            g = out.grad
+            if g is None:
                 continue
-            contributions = backward_fn(out.grad)
-            for tensor, contrib in zip(inputs, contributions):
+            handed: set[int] = set()
+            for tensor, contrib in zip(inputs, backward_fn(g)):
                 if contrib is None or not tensor.requires_grad:
                     continue
-                tensor.accumulate_grad(contrib)
+                if (tensor.grad is None and contrib is not g and contrib.base is None
+                        and id(contrib) not in handed):
+                    # A fresh array goes to its first recipient as is; the
+                    # in-place +0.0 turns -0.0 into +0.0, as zeros + g would.
+                    # out.grad stays out's, and views or a second recipient
+                    # of one array get accumulate_grad's copy.
+                    np.add(contrib, 0.0, out=contrib)
+                    tensor.grad = contrib
+                    handed.add(id(contrib))
+                else:
+                    tensor.accumulate_grad(contrib)
 
 
 def _result(tape: Tape, inputs: tuple[Tensor, ...], value: np.ndarray, backward_fn) -> Tensor:
@@ -149,30 +169,50 @@ def _result(tape: Tape, inputs: tuple[Tensor, ...], value: np.ndarray, backward_
     return out
 
 
-def _chunked_transpose_product(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``a.T @ g``, summed over ``WEIGHT_GRAD_CHUNK``-row chunks in row order."""
+def _transpose_product(a, g: np.ndarray) -> np.ndarray:
+    """``a.T @ g`` for a weight gradient.
+
+    A dense ``a`` is summed over ``WEIGHT_GRAD_CHUNK``-row chunks in row
+    order. A scipy-sparse ``a`` is one product: scipy does not thread it,
+    and it sums in row order already.
+    """
+    if sp.issparse(a):
+        return np.asarray(a.T @ g)
     out = a[:WEIGHT_GRAD_CHUNK].T @ g[:WEIGHT_GRAD_CHUNK]
     for lo in range(WEIGHT_GRAD_CHUNK, a.shape[0], WEIGHT_GRAD_CHUNK):
         out += a[lo:lo + WEIGHT_GRAD_CHUNK].T @ g[lo:lo + WEIGHT_GRAD_CHUNK]
     return out
 
 
-def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+def linear(tape: Tape, x, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x @ w + b`` as one record; ``b`` is a (1, m) row bias.
+
+    ``x`` is a tensor or a constant matrix, which may be scipy-sparse. The
+    bias is added in place to the fresh product.
+    """
+    is_tensor = isinstance(x, Tensor)
+    x_data = x.data if is_tensor else x
+    if x_data.shape[1] != w.shape[0]:
+        raise ContractViolation(f"linear shape mismatch: {x_data.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ContractViolation(f"bias shape {b.shape} for a product with {w.shape[1]} columns")
+    value = np.asarray(x_data @ w.data)
+    value += b.data
+    # A constant x is not an input; zip in Tape.backward drops its slot.
+    inputs = (w, b, x) if is_tensor else (w, b)
 
     def backward_fn(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                _chunked_transpose_product(a.data, g) if b.requires_grad else None)
+        return (_transpose_product(x_data, g) if w.requires_grad else None,
+                g.sum(axis=0, keepdims=True) if b.requires_grad else None,
+                g @ w.data.T if is_tensor and x.requires_grad else None)
 
-    return _result(tape, (a, b), a.data @ b.data, backward_fn)
+    return _result(tape, inputs, value, backward_fn)
 
 
 def matmul_const(tape: Tape, m, x: Tensor) -> Tensor:
-    """Multiply by a constant left factor, which may be scipy-sparse.
+    """``m @ x`` for a constant left factor ``m``, which may be scipy-sparse.
 
-    Semantically ``matmul(constant(m), x)``; the sparse path exists for
-    adjacency, readout, and feature-histogram matrices.
+    The sparse path exists for the adjacency and readout matrices.
     """
     if m.shape[1] != x.shape[0]:
         raise ContractViolation(f"matmul shape mismatch: {m.shape} @ {x.shape}")
@@ -209,11 +249,15 @@ def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
 def relu(tape: Tape, x: Tensor) -> Tensor:
     # Subgradient at exactly 0 is defined as 0.
     mask = x.data > 0.0
+    # Equal, bit for bit, to np.where(mask, x, 0.0): fmax maps NaN and
+    # -inf to 0.0, and the in-place +0.0 turns fmax's -0.0 into +0.0.
+    value = np.fmax(x.data, 0.0)
+    value += 0.0
 
     def backward_fn(g):
         return (g * mask,)
 
-    return _result(tape, (x,), np.where(mask, x.data, 0.0), backward_fn)
+    return _result(tape, (x,), value, backward_fn)
 
 
 def softmax(tape: Tape, x: Tensor) -> Tensor:
@@ -329,18 +373,17 @@ class Module:
 
 
 class Linear(Module):
-    """Affine map with a Glorot-uniform weight and zero bias."""
+    """Affine map with a Glorot-uniform weight and zero bias.
+
+    The input is a tensor or a constant matrix, which may be scipy-sparse.
+    """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int):
         self.weight = parameter(glorot_uniform(rng, in_dim, out_dim))
         self.bias = parameter(np.zeros((1, out_dim)))
 
-    def __call__(self, tape: Tape, x: Tensor) -> Tensor:
-        return add(tape, matmul(tape, x, self.weight), self.bias)
-
-    def apply_const(self, tape: Tape, m) -> Tensor:
-        """Apply to a constant (possibly sparse) input matrix."""
-        return add(tape, matmul_const(tape, m, self.weight), self.bias)
+    def __call__(self, tape: Tape, x) -> Tensor:
+        return linear(tape, x, self.weight, self.bias)
 
 
 class Mlp(Module):

@@ -11,6 +11,7 @@ byte-identical CSV files, and no output file is ever left half-written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -128,9 +129,18 @@ def run_plan(plan: ExperimentPlan) -> ResultTable:
     Raises :class:`PlanExecutionError` with a per-run manifest if any
     cell fails; completed cells are kept on the exception's ``partial``.
     """
-    dataset = parse_tudataset(plan.data_root, plan.dataset_name)
-    groups = split_by_density(dataset).groups
-    output_dir(plan.out_dir)
+    # A bad output path fails before the parse. A bad dataset still
+    # writes nothing: the directories made for the output are removed.
+    out = Path(plan.out_dir)
+    made = list(takewhile(lambda d: not d.exists(), (out, *out.parents)))
+    output_dir(out)
+    try:
+        dataset = parse_tudataset(plan.data_root, plan.dataset_name)
+        groups = split_by_density(dataset).groups
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
 
     table = ResultTable(dataset_name=plan.dataset_name, pairs=plan.pairs)
     failures = []

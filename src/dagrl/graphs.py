@@ -89,6 +89,22 @@ class PackedGraphs:
         self.adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(total, total))
         self.adjacency.sort_indices()
 
+    @classmethod
+    def join(cls, parts) -> PackedGraphs:
+        """The union of packed ``parts``, in order, built from their arrays.
+
+        Equal to packing all of their graphs at once, without the pass
+        over the graphs.
+        """
+        joined = cls.__new__(cls)
+        joined.graphs = tuple(g for part in parts for g in part.graphs)
+        shifts = np.cumsum([0] + [part.node_offsets[-1] for part in parts])
+        joined.node_offsets = np.concatenate(
+            [[0]] + [part.node_offsets[1:] + shift for part, shift in zip(parts, shifts)])
+        joined.node_labels = np.concatenate([part.node_labels for part in parts])
+        joined.adjacency = sp.block_diag([part.adjacency for part in parts], format="csr")
+        return joined
+
 
 def gather_rows(offsets: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
     """The rows of segments ``indices``, in order, and their offsets among them.

@@ -39,7 +39,7 @@ from .adversarial import (
 from .errors import ConfigurationError, ContractViolation
 from .fileio import atomic_write
 from .gin import GinEncoder, GraphBatch
-from .graphs import SOURCE, TARGET, DomainDataset
+from .graphs import SOURCE, TARGET, DomainDataset, PackedGraphs
 from .wl import GknHead, WlRefinement
 
 # Each variant's two branches as (kind, perturbed) pairs: p1 drops the
@@ -228,8 +228,7 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     refinement = None
     if "gkn" in kinds:
         refinement = WlRefinement(depth=config.wl_depth).fit(
-            list(source.graphs) + list(target.graphs)
-        )
+            PackedGraphs.join((source.packed, target.packed)))
     branches = [GinBranch(rng, d, c, hidden) if kind == "gin"
                 else GknBranch(rng, refinement, c, hidden)
                 for kind, rng in zip(kinds, rngs[:2])]

@@ -58,8 +58,11 @@ class WlRefinement:
         return len(self.feature_index)
 
     def fit(self, graphs) -> "WlRefinement":
-        """Build the table from one synchronized pass over all of ``graphs``."""
-        packed = PackedGraphs(graphs)
+        """Build the table from one synchronized pass over all of ``graphs``.
+
+        ``graphs`` is a sequence of graphs or their :class:`PackedGraphs` union.
+        """
+        packed = graphs if isinstance(graphs, PackedGraphs) else PackedGraphs(graphs)
         if not packed.graphs:
             raise ConfigurationError("cannot fit a refinement on zero graphs")
         self.label_table = {}
@@ -192,7 +195,7 @@ class GknHead(ad.Mlp):
         an optional (B, hidden) additive perturbation tensor applied to
         the embedding before the nonlinearity.
         """
-        emb = self.embedding.apply_const(tape, features)
+        emb = self.embedding(tape, features)
         if zeta is not None:
             if zeta.shape != emb.shape:
                 raise ContractViolation(f"perturbation shape {zeta.shape} != {emb.shape}")

@@ -8,9 +8,14 @@ from dagrl.errors import ContractViolation, DatasetFormatError
 from helpers import finite_difference, max_relative_error
 
 
+def matmul(tape, a, b):
+    """``a @ b`` as ``ad.linear`` with a constant zero bias."""
+    return ad.linear(tape, a, b, ad.constant(np.zeros((1, b.shape[1]))))
+
+
 def sum_all(tape, t):
     ones = ad.constant(np.ones((t.shape[1], 1)))
-    return ad.matmul(tape, ad.sum_rows(tape, t), ones)
+    return matmul(tape, ad.sum_rows(tape, t), ones)
 
 
 def test_relu_value_and_mask():
@@ -33,7 +38,7 @@ def test_relu_subgradient_at_zero_is_zero():
 def test_matmul_identity():
     tape = ad.Tape()
     a = ad.constant(np.arange(6.0).reshape(2, 3))
-    out = ad.matmul(tape, ad.constant(np.eye(2)), a)
+    out = matmul(tape, ad.constant(np.eye(2)), a)
     assert np.array_equal(out.data, a.data)
 
 
@@ -49,7 +54,7 @@ def test_bilinear_gradient():
     tape = ad.Tape()
     x = ad.parameter([[1.0, 2.0, 3.0]])
     y = ad.constant([[4.0, 5.0, 6.0]])
-    tape.backward(ad.matmul(tape, x, ad.constant(y.data.T)))
+    tape.backward(matmul(tape, x, ad.constant(y.data.T)))
     assert np.array_equal(x.grad, y.data)
 
 
@@ -92,11 +97,11 @@ def test_accumulation_is_consumer_order_independent():
     for order in ((a, b, c), (c, a, b), (b, c, a)):
         tape = ad.Tape()
         x = ad.parameter(np.ones((2, 3)))
-        terms = [ad.matmul(tape, x, ad.constant(m)) for m in order]
+        terms = [matmul(tape, x, ad.constant(m)) for m in order]
         total = terms[0]
         for t in terms[1:]:
             total = ad.add(tape, total, t)
-        loss = ad.sum_rows(tape, ad.matmul(tape, total, ad.constant(np.ones((3, 1)))))
+        loss = ad.sum_rows(tape, matmul(tape, total, ad.constant(np.ones((3, 1)))))
         tape.backward(loss)
         grads.append(x.grad.copy())
     assert np.array_equal(grads[0], grads[1])
@@ -116,7 +121,7 @@ def test_shape_mismatch_reports_both_shapes():
     a = ad.parameter(np.ones((2, 3)))
     b = ad.parameter(np.ones((2, 3)))
     with pytest.raises(ContractViolation, match=r"\(2, 3\).*\(2, 3\)"):
-        ad.matmul(tape, a, b)
+        matmul(tape, a, b)
 
 
 def test_mlp_matches_finite_differences():
@@ -130,8 +135,8 @@ def test_mlp_matches_finite_differences():
 
     def run():
         tape = ad.Tape()
-        h = ad.relu(tape, ad.add(tape, ad.matmul(tape, x, w1), b1))
-        logits = ad.add(tape, ad.matmul(tape, h, w2), b2)
+        h = ad.relu(tape, ad.add(tape, matmul(tape, x, w1), b1))
+        logits = ad.add(tape, matmul(tape, h, w2), b2)
         return tape, ad.softmax_cross_entropy(tape, logits, labels)
 
     tape, loss = run()
@@ -153,8 +158,8 @@ class TestFrozen:
     @staticmethod
     def loss(tape, params, x):
         w1, b1, w2, b2 = params
-        h = ad.relu(tape, ad.add(tape, ad.matmul(tape, x, w1), b1))
-        logits = ad.add(tape, ad.matmul(tape, h, w2), b2)
+        h = ad.relu(tape, ad.add(tape, matmul(tape, x, w1), b1))
+        logits = ad.add(tape, matmul(tape, h, w2), b2)
         return ad.softmax_cross_entropy(tape, logits, [0, 1, 2, 0, 1, 2])
 
     def test_ops_on_frozen_parameters_are_not_recorded(self):
@@ -200,8 +205,8 @@ class TestFrozen:
 
 
 PRIMITIVE_CASES = [
-    "matmul", "matmul_const", "matmul_const_sparse", "add", "add_bias", "scale",
-    "relu", "softmax", "sum_rows", "mean_rows", "concat1",
+    "matmul", "linear", "linear_sparse", "matmul_const", "matmul_const_sparse", "add",
+    "add_bias", "scale", "relu", "softmax", "sum_rows", "mean_rows", "concat1",
     "cross_entropy", "log_sigmoid",
 ]
 
@@ -229,7 +234,14 @@ def test_primitive_gradients(name, seed):
 
     if name == "matmul":
         a, b = leaf((3, 4)), leaf((4, 2))
-        build = lambda tape: ad.matmul(tape, a, b)
+        build = lambda tape: matmul(tape, a, b)
+    elif name == "linear":
+        x, w, b = leaf((3, 4)), leaf((4, 2)), leaf((1, 2))
+        build = lambda tape: ad.linear(tape, x, w, b)
+    elif name == "linear_sparse":
+        m = sp.random(3, 4, density=0.5, random_state=5, format="csr")
+        w, b = leaf((4, 2)), leaf((1, 2))
+        build = lambda tape: ad.linear(tape, m, w, b)
     elif name == "matmul_const":
         m = sample((3, 4))
         x = leaf((4, 2))
@@ -282,7 +294,7 @@ def test_primitive_gradients(name, seed):
             weights = (rng.uniform(0.5, 1.5, size=(1, out.shape[0])),
                        rng.uniform(0.5, 1.5, size=(out.shape[1], 1)))
         rows, cols = weights
-        return ad.matmul(tape, ad.matmul_const(tape, rows, out), ad.constant(cols))
+        return matmul(tape, ad.matmul_const(tape, rows, out), ad.constant(cols))
 
     def run():
         tape = ad.Tape()
@@ -294,6 +306,122 @@ def test_primitive_gradients(name, seed):
     for t in leaves:
         numeric = finite_difference(lambda: run()[1].item(), t.data)
         assert max_relative_error(t.grad, numeric) <= 1e-4, name
+
+
+def chunked_transpose_product(a, g):
+    out = a[:ad.WEIGHT_GRAD_CHUNK].T @ g[:ad.WEIGHT_GRAD_CHUNK]
+    for lo in range(ad.WEIGHT_GRAD_CHUNK, a.shape[0], ad.WEIGHT_GRAD_CHUNK):
+        out += a[lo:lo + ad.WEIGHT_GRAD_CHUNK].T @ g[lo:lo + ad.WEIGHT_GRAD_CHUNK]
+    return out
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_linear_is_bitwise_numpy(sparse):
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(8)
+    n = 2 * ad.WEIGHT_GRAD_CHUNK + 37
+    if sparse:
+        x = sp.random(n, 6, density=0.3, random_state=9, format="csr")
+        x_data = x
+    else:
+        x = ad.parameter(rng.uniform(-2, 2, size=(n, 6)))
+        x_data = x.data
+    w = ad.parameter(rng.uniform(-1, 1, size=(6, 5)))
+    b = ad.parameter(rng.uniform(-1, 1, size=(1, 5)))
+    tape = ad.Tape()
+    out = ad.linear(tape, x, w, b)
+    assert len(tape) == 1
+    assert out.data.tobytes() == (np.asarray(x_data @ w.data) + b.data).tobytes()
+    # log_sigmoid makes the upstream gradient full-rank.
+    tape.backward(sum_all(tape, ad.log_sigmoid(tape, out)))
+    g = out.grad
+    if sparse:
+        # One sparse product: it sums in row order and does not thread.
+        weight_grad = np.asarray(x_data.T @ g)
+    else:
+        weight_grad = chunked_transpose_product(x_data, g)
+        assert x.grad.tobytes() == (g @ w.data.T + 0.0).tobytes()
+        assert np.allclose(weight_grad, x_data.T @ g, rtol=1e-12, atol=1e-12)
+    assert w.grad.tobytes() == (weight_grad + 0.0).tobytes()
+    assert b.grad.tobytes() == (g.sum(axis=0, keepdims=True) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    np.array([[-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1.5, 2.5, 5e-324, -5e-324]]),
+    # np.fmax keeps -0.0 on some arrays and not on others.
+    np.full((3, 7), -0.0),
+    np.where(np.arange(600).reshape(20, 30) % 3 == 0, -0.0,
+             np.random.default_rng(2).uniform(-1, 1, size=(20, 30))),
+], ids=["special", "negative-zeros", "mixed"])
+def test_relu_is_bitwise_where(x):
+    y = ad.relu(ad.Tape(), ad.constant(x))
+    assert y.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
+
+def test_handed_gradient_turns_negative_zero_positive():
+    # scale's backward hands x the fresh array g * -1, which holds -0.0
+    # where relu's mask zeroed the upstream gradient.
+    tape = ad.Tape()
+    x = ad.parameter([[1.0, -2.0]])
+    tape.backward(sum_all(tape, ad.relu(tape, ad.scale(tape, x, -1.0))))
+    assert np.array_equal(x.grad, [[0.0, -1.0]])
+    assert not np.signbit(x.grad[0, 0])
+
+
+def test_one_fresh_array_for_two_inputs_is_copied_for_the_second():
+    tape = ad.Tape()
+    a = ad.parameter(np.ones((2, 2)))
+    b = ad.parameter(np.ones((2, 2)))
+    out = ad.Tensor(a.data + b.data, requires_grad=True)
+    tape.record(out, (a, b), lambda g: (g * 2.0,) * 2)
+    tape.backward(sum_all(tape, out))
+    assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+    assert np.array_equal(b.grad, a.grad)
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def every_primitive(tape, leaves):
+    """Every tensor of a graph that uses each primitive, the leaves first."""
+    import scipy.sparse as sp
+
+    x, w, b, w2, b2, bias, w3, b3 = leaves
+    histograms = sp.random(5, 3, density=0.6, random_state=3, format="csr")
+    adjacency = sp.random(5, 5, density=0.4, random_state=4, format="csr")
+    h = ad.linear(tape, x, w, b)
+    e = ad.linear(tape, histograms, w2, b2)
+    s = ad.add(tape, ad.add(tape, h, e), bias)
+    twice = ad.add(tape, s, s)
+    agg = ad.matmul_const(tape, adjacency, twice)
+    r = ad.relu(tape, ad.scale(tape, agg, 0.5))
+    p = ad.softmax(tape, r)
+    c = ad.concat(tape, r, p)
+    logits = ad.linear(tape, c, w3, b3)
+    ce = ad.softmax_cross_entropy(tape, logits, [0, 1, 1, 0, 1])
+    domain = sum_all(tape, ad.mean_rows(tape, ad.log_sigmoid(tape, logits)))
+    spread = sum_all(tape, r)
+    loss = ad.add(tape, ad.add(tape, ce, domain), spread)
+    return list(leaves) + [h, e, s, twice, agg, r, p, c, logits, ce, domain, spread, loss]
+
+
+def test_backward_hands_each_input_its_own_gradient():
+    rng = np.random.default_rng(6)
+    shapes = [(5, 4), (4, 4), (1, 4), (3, 4), (1, 4), (1, 4), (8, 2), (1, 2)]
+    leaves = [ad.parameter(rng.uniform(-1, 1, size=s)) for s in shapes]
+    tape = ad.Tape()
+    tensors = every_primitive(tape, leaves)
+    tape.backward(tensors[-1])
+    grads = [t.grad for t in tensors if t.grad is not None]
+    assert len(grads) == len(tensors)
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    first = [t.grad.tobytes() for t in leaves]
+    for t in leaves:
+        t.grad = None
+    again = ad.Tape()
+    again.backward(every_primitive(again, leaves)[-1])
+    assert [t.grad.tobytes() for t in leaves] == first
 
 
 class TestAdam:

@@ -199,6 +199,25 @@ def test_bad_path_exit_2_writes_nothing(tmp_path, synth_root, capsys, case):
     assert taken.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_run_out_is_file_fails_before_parse(tmp_path, synth_root, capsys, monkeypatch, under):
+    import dagrl.experiments as experiments
+
+    def parse(*_):
+        raise AssertionError("parsed before the output path was checked")
+
+    monkeypatch.setattr(experiments, "parse_tudataset", parse)
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+    out = taken / "out" if under else taken
+    code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
+                 "--pairs", "0,1", "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot use {out} ")
+    assert sorted(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "keep\n"
+
+
 def test_run_undecodable_dataset_file_exit_2(tmp_path, synth_root, capsys):
     root = tmp_path / "data"
     shutil.copytree(synth_root, root)
@@ -233,10 +252,12 @@ def test_run_failure_writes_manifest_and_exits_1(tmp_path, synth_root, capsys, m
 
 def test_run_missing_dataset_fails_with_exit_2(tmp_path, capsys):
     code = main(["run", "--data-root", str(tmp_path), "--dataset", "Nope",
-                 "--pairs", "0,1", "--seeds", "0", "--out", str(tmp_path / "out")])
+                 "--pairs", "0,1", "--seeds", "0", "--out", str(tmp_path / "out" / "inner")])
     captured = capsys.readouterr()
     assert code == 2
     assert "Nope" in captured.err
+    # The output directories made before the parse are removed again.
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_bad_pairs_usage_error(tmp_path, synth_root, capsys):

@@ -11,6 +11,7 @@ from dagrl.graphs import (
     TARGET,
     DomainDataset,
     Graph,
+    PackedGraphs,
     edge_density,
     parse_tudataset,
     split_by_density,
@@ -264,3 +265,17 @@ class TestSubsets:
         assert all(g.graph_label is None for g in sub.graphs)
         assert sub.eval_labels == (1, 1, 1)
         assert sub.domain == TARGET
+
+
+def test_join_equals_packing_all_graphs():
+    rng = np.random.default_rng(17)
+    empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
+    parts = [[random_graph(rng) for _ in range(5)] + [empty], [empty], [random_graph(rng)]]
+    joined = PackedGraphs.join([PackedGraphs(graphs) for graphs in parts])
+    whole = PackedGraphs([g for graphs in parts for g in graphs])
+    assert joined.graphs == whole.graphs
+    for name in ("node_offsets", "node_labels"):
+        assert np.array_equal(getattr(joined, name), getattr(whole, name))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(joined.adjacency, name), getattr(whole.adjacency, name))
+    assert joined.adjacency.shape == whole.adjacency.shape

@@ -7,6 +7,7 @@ from dagrl.graphs import (
     SOURCE,
     DomainDataset,
     Graph,
+    PackedGraphs,
     split_by_density,
     subset_as_source,
     subset_as_target,
@@ -139,6 +140,17 @@ class TestReferenceEquality:
         ref, oracle = self.assert_matches_reference(fitted, unseen, depth=2)
         for part in (source, target):
             assert_bitwise_csr(ref.dataset_features(part), oracle.feature_matrix(part.graphs))
+
+
+    def test_fit_on_joined_unions_equals_fit_on_graphs(self):
+        dataset = make_benchmark(2, graphs_per_block=12)
+        groups = split_by_density(dataset).groups
+        source = subset_as_source(dataset, groups[0])
+        target = subset_as_target(dataset, groups[2])
+        joined = WlRefinement(depth=2).fit(PackedGraphs.join((source.packed, target.packed)))
+        listed = WlRefinement(depth=2).fit(list(source.graphs) + list(target.graphs))
+        assert joined.label_table == listed.label_table
+        assert joined.feature_index == listed.feature_index
 
 
 class TestEdgeCases:
