@@ -7,7 +7,8 @@ digests with it.
 
 Each training config records the SHA-256 of its loss-history CSV and of
 ``named_arrays()``: every key, dtype, shape and byte, in order. The
-``run`` entry is one ``dagrl run`` cell and records its output files.
+``run`` entry is one ``dagrl run`` cell: it records the dataset files
+that ``dagrl synth`` writes for it and the cell's output files.
 """
 
 import os
@@ -76,7 +77,9 @@ def run_digests(work: Path) -> dict:
     if codes != [0, 0]:
         raise SystemExit(f"dagrl synth/run exited with {codes}")
     files = ("loss_history_0_1_0.csv", "checkpoint_0_1_0.txt", "results.csv", "summary.csv")
-    return {name: sha256_file(out / name) for name in files}
+    table = {path.name: sha256_file(path) for path in (data / "SynthBench").iterdir()}
+    table.update((name, sha256_file(out / name)) for name in files)
+    return table
 
 
 def digests() -> dict:
