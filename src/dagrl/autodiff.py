@@ -7,7 +7,9 @@ op, a product with a constant left factor, add, scalar scale, relu,
 softmax, row reductions, column concatenation, softmax cross-entropy, and
 a clamped log-sigmoid), which keeps every adjoint hand-checkable.
 Gradients flow to any leaf created with ``requires_grad=True``, including
-input tensors, not just parameters.
+input tensors, not just parameters. :meth:`Tape.backward` is the only
+code that stores or adds a gradient, under the three-case rule that
+:class:`Tape` states, and it runs once per tape.
 
 Model classes subclass :class:`Module`, which names their parameters
 from their attributes: a ``Tensor`` attribute by its attribute name, a
@@ -50,18 +52,14 @@ ADAM_EPS = 1e-8
 
 
 class Tensor:
-    """A dense rank-<=2 value with an optional gradient buffer."""
+    """A dense 2-D value with an optional gradient buffer."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ContractViolation(f"tensors are rank <= 2, got shape {arr.shape}")
+        if arr.ndim != 2:
+            raise ContractViolation(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -74,16 +72,6 @@ class Tensor:
         if self.data.shape != (1, 1):
             raise ContractViolation(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # A fresh array equal to zeros + g: -0.0 becomes +0.0, and g is
-            # not kept, so the caller may still read it or hand it to
-            # another input. Tape.backward hands over the arrays it owns
-            # without this copy.
-            self.grad = g + 0.0
-        else:
-            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -121,12 +109,17 @@ class Tape:
     """Ordered record of executed operations for one backward pass.
 
     A backward function returns, per input, ``None``, its ``out.grad``
-    argument, a view, or an array it has just allocated and keeps no
-    reference to.
+    argument, a view of it, or a fresh array for that input alone.
+    ``backward`` stores each contribution under one rule: a tensor that
+    already has a gradient adds it in place; ``out.grad`` or a view of it
+    is copied; a fresh array is kept. A stored gradient equals
+    ``zeros + contribution``, so -0.0 becomes +0.0. Intermediates keep
+    their gradients after the pass, so ``backward`` runs once per tape.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._differentiated = False
 
     def __len__(self) -> int:
         return len(self._records)
@@ -136,30 +129,28 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad tensor reachable from ``loss``."""
+        if self._differentiated:
+            raise ContractViolation("backward runs once per tape")
         if loss.shape != (1, 1):
             raise ContractViolation(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._records:
             raise ContractViolation("backward on an empty tape")
-        loss.accumulate_grad(np.ones((1, 1)))
+        self._differentiated = True
+        loss.grad = np.ones((1, 1))
         for out, inputs, backward_fn in reversed(self._records):
             g = out.grad
             if g is None:
                 continue
-            handed: set[int] = set()
             for tensor, contrib in zip(inputs, backward_fn(g)):
                 if contrib is None or not tensor.requires_grad:
                     continue
-                if (tensor.grad is None and contrib is not g and contrib.base is None
-                        and id(contrib) not in handed):
-                    # A fresh array goes to its first recipient as is; the
-                    # in-place +0.0 turns -0.0 into +0.0, as zeros + g would.
-                    # out.grad stays out's, and views or a second recipient
-                    # of one array get accumulate_grad's copy.
+                if tensor.grad is not None:
+                    tensor.grad += contrib
+                elif contrib is g or contrib.base is not None:
+                    tensor.grad = contrib + 0.0
+                else:
                     np.add(contrib, 0.0, out=contrib)
                     tensor.grad = contrib
-                    handed.add(id(contrib))
-                else:
-                    tensor.accumulate_grad(contrib)
 
 
 def _result(tape: Tape, inputs: tuple[Tensor, ...], value: np.ndarray, backward_fn) -> Tensor:
@@ -225,15 +216,13 @@ def matmul_const(tape: Tape, m, x: Tensor) -> Tensor:
 
 
 def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; ``b`` may be a (1, m) row bias broadcast over rows."""
-    if a.shape == b.shape:
-        def backward_fn(g):
-            return (g, g)
-    elif b.shape == (1, a.shape[1]):
-        def backward_fn(g):
-            return (g, g.sum(axis=0, keepdims=True) if b.requires_grad else None)
-    else:
+    """Elementwise sum of two tensors of one shape; ``linear`` adds row biases."""
+    if a.shape != b.shape:
         raise ContractViolation(f"add shape mismatch: {a.shape} + {b.shape}")
+
+    def backward_fn(g):
+        return (g, g)
+
     return _result(tape, (a, b), a.data + b.data, backward_fn)
 
 
@@ -454,9 +443,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
     The file starts with the text line ``dagrl-ckpt-v2 <entry count>``.
     Each entry is the text line ``<key> <rows> <cols>`` followed by
     ``rows*cols`` raw little-endian float64 values in row-major order, so
-    values round-trip bit for bit. Scalars and vectors are stored as one
-    row. The file is written atomically: a failure part-way (such as a
-    key containing whitespace) leaves no file at ``path``.
+    values round-trip bit for bit. Every entry must be 2-D. The file is
+    written atomically: a failure part-way (such as a key containing
+    whitespace) leaves no file at ``path``.
     """
     with atomic_write(path, mode="wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {len(arrays)}\n".encode())
@@ -465,9 +454,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
                 raise ContractViolation(f"checkpoint key {key!r} must be non-empty, "
                                         "printable and free of whitespace")
             arr = np.asarray(value, dtype=_CHECKPOINT_DTYPE)
-            if arr.ndim < 2:
-                arr = arr.reshape(1, -1)
-            elif arr.ndim > 2:
+            if arr.ndim != 2:
                 raise ContractViolation(f"checkpoint entry {key!r} has {arr.ndim} dimensions")
             fh.write(f"{key} {arr.shape[0]} {arr.shape[1]}\n".encode())
             fh.write(arr.tobytes())

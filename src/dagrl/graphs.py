@@ -377,27 +377,22 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
 
     base = output_dir(Path(root_path) / dataset_name)
     files = _dataset_files(root_path, dataset_name)
-
-    offsets = []
-    total = 0
-    for g in ds.graphs:
-        offsets.append(total)
-        total += g.node_count
+    packed = ds.packed
+    sizes = np.diff(packed.node_offsets)
 
     with atomic_write(files["graph_indicator"]) as fh:
-        for gid, g in enumerate(ds.graphs, start=1):
-            for _ in range(g.node_count):
-                fh.write(f"{gid}\n")
+        for gid in np.repeat(np.arange(1, len(sizes) + 1), sizes).tolist():
+            fh.write(f"{gid}\n")
     with atomic_write(files["node_labels"]) as fh:
-        for g in ds.graphs:
-            for label in g.node_labels:
-                fh.write(f"{label}\n")
+        for label in packed.node_labels.tolist():
+            fh.write(f"{label}\n")
     with atomic_write(files["graph_labels"]) as fh:
         for label in labels:
             fh.write(f"{label}\n")
+    # The union's adjacency in row-major order lists each graph's directed
+    # edges in (u, v) order, graph after graph.
+    edges = packed.adjacency.tocoo()
     with atomic_write(files["A"]) as fh:
-        for off, g in zip(offsets, ds.graphs):
-            directed = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
-            for u, v in directed:
-                fh.write(f"{off + u + 1}, {off + v + 1}\n")
+        for u, v in zip((edges.row + 1).tolist(), (edges.col + 1).tolist()):
+            fh.write(f"{u}, {v}\n")
     return base

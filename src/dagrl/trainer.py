@@ -210,6 +210,11 @@ def _check_domains(source: DomainDataset, target: DomainDataset) -> None:
             f"source and target must share one label space, got "
             f"{source.num_classes} vs {target.num_classes} classes"
         )
+    if source.label_alphabet_size != target.label_alphabet_size:
+        raise ConfigurationError(
+            f"source and target must share one node-label alphabet, got "
+            f"{source.label_alphabet_size} vs {target.label_alphabet_size} labels"
+        )
 
 
 def build_state(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> TrainState:

@@ -66,14 +66,6 @@ def test_reuse_accumulates():
     assert np.array_equal(x.grad, [[2.0]])
 
 
-def test_first_contribution_negative_zero_is_stored_as_positive_zero():
-    # zeros + g, as a zero-initialized buffer would give.
-    x = ad.parameter(np.ones((1, 2)))
-    x.accumulate_grad(np.array([[-0.0, -1.5]]))
-    assert np.array_equal(x.grad, [[0.0, -1.5]])
-    assert not np.signbit(x.grad[0, 0])
-
-
 def test_add_of_one_input_twice_doubles_without_aliasing():
     tape = ad.Tape()
     x = ad.parameter(np.arange(4.0).reshape(2, 2))
@@ -135,8 +127,8 @@ def test_mlp_matches_finite_differences():
 
     def run():
         tape = ad.Tape()
-        h = ad.relu(tape, ad.add(tape, matmul(tape, x, w1), b1))
-        logits = ad.add(tape, matmul(tape, h, w2), b2)
+        h = ad.relu(tape, ad.linear(tape, x, w1, b1))
+        logits = ad.linear(tape, h, w2, b2)
         return tape, ad.softmax_cross_entropy(tape, logits, labels)
 
     tape, loss = run()
@@ -158,8 +150,8 @@ class TestFrozen:
     @staticmethod
     def loss(tape, params, x):
         w1, b1, w2, b2 = params
-        h = ad.relu(tape, ad.add(tape, matmul(tape, x, w1), b1))
-        logits = ad.add(tape, matmul(tape, h, w2), b2)
+        h = ad.relu(tape, ad.linear(tape, x, w1, b1))
+        logits = ad.linear(tape, h, w2, b2)
         return ad.softmax_cross_entropy(tape, logits, [0, 1, 2, 0, 1, 2])
 
     def test_ops_on_frozen_parameters_are_not_recorded(self):
@@ -172,7 +164,7 @@ class TestFrozen:
         assert not loss.requires_grad
         unfrozen = ad.Tape()
         self.loss(unfrozen, params, x)
-        assert len(unfrozen) == 6
+        assert len(unfrozen) == 4
 
     def test_flags_restored_after_block(self):
         params, x = self.mlp()
@@ -206,7 +198,7 @@ class TestFrozen:
 
 PRIMITIVE_CASES = [
     "matmul", "linear", "linear_sparse", "matmul_const", "matmul_const_sparse", "add",
-    "add_bias", "scale", "relu", "softmax", "sum_rows", "mean_rows", "concat1",
+    "scale", "relu", "softmax", "sum_rows", "mean_rows", "concat1",
     "cross_entropy", "log_sigmoid",
 ]
 
@@ -252,9 +244,6 @@ def test_primitive_gradients(name, seed):
         build = lambda tape: ad.matmul_const(tape, m, x)
     elif name == "add":
         a, b = leaf((3, 4)), leaf((3, 4))
-        build = lambda tape: ad.add(tape, a, b)
-    elif name == "add_bias":
-        a, b = leaf((3, 4)), leaf((1, 4))
         build = lambda tape: ad.add(tape, a, b)
     elif name == "scale":
         a = leaf((3, 4))
@@ -369,28 +358,58 @@ def test_handed_gradient_turns_negative_zero_positive():
     assert not np.signbit(x.grad[0, 0])
 
 
-def test_one_fresh_array_for_two_inputs_is_copied_for_the_second():
+def relu_linear(tape):
+    """``linear(relu(x), w, b)`` for x = (1, -1): w's gradient is (1, 0)."""
+    x = ad.parameter([[1.0, -1.0]])
+    w = ad.parameter([[0.5], [2.0]])
+    b = ad.parameter([[0.0]])
+    return w, ad.linear(tape, ad.relu(tape, x), w, b)
+
+
+def test_second_backward_on_one_tape_raises():
+    # A replay would add the loss's seed to intermediates that still hold
+    # their gradients: w's gradient would become (3, 0), not (2, 0).
     tape = ad.Tape()
-    a = ad.parameter(np.ones((2, 2)))
-    b = ad.parameter(np.ones((2, 2)))
-    out = ad.Tensor(a.data + b.data, requires_grad=True)
-    tape.record(out, (a, b), lambda g: (g * 2.0,) * 2)
-    tape.backward(sum_all(tape, out))
-    assert np.array_equal(a.grad, np.full((2, 2), 2.0))
-    assert np.array_equal(b.grad, a.grad)
-    assert not np.shares_memory(a.grad, b.grad)
+    w, y = relu_linear(tape)
+    tape.backward(y)
+    assert np.array_equal(w.grad, [[1.0], [0.0]])
+    with pytest.raises(ContractViolation, match="once per tape"):
+        tape.backward(y)
+    assert np.array_equal(w.grad, [[1.0], [0.0]])
+
+
+def test_backward_of_a_second_loss_on_a_differentiated_tape_raises():
+    tape = ad.Tape()
+    w, y = relu_linear(tape)
+    other = ad.scale(tape, y, 2.0)
+    tape.backward(y)
+    with pytest.raises(ContractViolation, match="once per tape"):
+        tape.backward(other)
+    assert np.array_equal(w.grad, [[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (1, 1, 1)], ids=["0-d", "1-d", "3-d"])
+def test_tensor_rejects_data_that_is_not_2d(shape):
+    with pytest.raises(ContractViolation, match="2-D"):
+        ad.Tensor(np.ones(shape))
+
+
+def test_add_rejects_a_row_operand():
+    # Row biases go through linear; add takes equal shapes only.
+    with pytest.raises(ContractViolation, match=r"\(3, 4\) \+ \(1, 4\)"):
+        ad.add(ad.Tape(), ad.parameter(np.ones((3, 4))), ad.parameter(np.ones((1, 4))))
 
 
 def every_primitive(tape, leaves):
     """Every tensor of a graph that uses each primitive, the leaves first."""
     import scipy.sparse as sp
 
-    x, w, b, w2, b2, bias, w3, b3 = leaves
+    x, w, b, w2, b2, offset, w3, b3 = leaves
     histograms = sp.random(5, 3, density=0.6, random_state=3, format="csr")
     adjacency = sp.random(5, 5, density=0.4, random_state=4, format="csr")
     h = ad.linear(tape, x, w, b)
     e = ad.linear(tape, histograms, w2, b2)
-    s = ad.add(tape, ad.add(tape, h, e), bias)
+    s = ad.add(tape, ad.add(tape, h, e), offset)
     twice = ad.add(tape, s, s)
     agg = ad.matmul_const(tape, adjacency, twice)
     r = ad.relu(tape, ad.scale(tape, agg, 0.5))
@@ -406,7 +425,7 @@ def every_primitive(tape, leaves):
 
 def test_backward_hands_each_input_its_own_gradient():
     rng = np.random.default_rng(6)
-    shapes = [(5, 4), (4, 4), (1, 4), (3, 4), (1, 4), (1, 4), (8, 2), (1, 2)]
+    shapes = [(5, 4), (4, 4), (1, 4), (3, 4), (1, 4), (5, 4), (8, 2), (1, 2)]
     leaves = [ad.parameter(rng.uniform(-1, 1, size=s)) for s in shapes]
     tape = ad.Tape()
     tensors = every_primitive(tape, leaves)
@@ -562,8 +581,8 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key,value", [("b\nc", [[1.0]]), ("", [[1.0]]), ("b\x00c", [[1.0]]),
-                                           ("cube", np.ones((1, 1, 1)))],
-                             ids=["newline", "empty", "control", "3-d"])
+                                           ("cube", np.ones((1, 1, 1))), ("row", np.ones(3))],
+                             ids=["newline", "empty", "control", "3-d", "1-d"])
     def test_unloadable_entry_rejected_on_save(self, tmp_path, key, value):
         with pytest.raises(ContractViolation, match="checkpoint"):
             ad.save_checkpoint(tmp_path / "model.ckpt", {"a": np.ones((1, 1)), key: value})

@@ -293,6 +293,17 @@ class TestTraining:
         with pytest.raises(ConfigurationError, match="label space"):
             build_state(toy_config(), source, skewed)
 
+    def test_mismatched_node_label_alphabets_rejected(self, tiny_pair):
+        # Both domains would be one-hot encoded at the source's width.
+        from dataclasses import replace
+
+        source, target = tiny_pair
+        wider = replace(target, label_alphabet_size=source.label_alphabet_size + 2)
+        with pytest.raises(ConfigurationError,
+                           match=f"{source.label_alphabet_size} vs "
+                                 f"{source.label_alphabet_size + 2} labels"):
+            build_state(toy_config(), source, wider)
+
 
 class TestEvaluate:
     def test_all_correct_heads(self, tiny_pair):
