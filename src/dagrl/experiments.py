@@ -3,13 +3,24 @@
 A plan names a dataset, a set of ordered (source_group, target_group)
 pairs over the four density quartiles, a training config, and seeds.
 Each (pair, seed) cell trains one model and records final-epoch target
-accuracy. Cells run one after another. Reports are written
+accuracy. A plan of more than one cell trains its cells in
+``min(cells, CPUs)`` forked worker processes, CPUs being those the
+process may run on; the workers run numpy's bundled OpenBLAS at one
+thread. A plan runs its cells in-process, one after another, when it
+has one cell, when it may run on one CPU, or where ``fork`` is not a
+start method. Either way results and failures are collected in plan
+order, and every output file is byte-identical. Reports are written
 deterministically and atomically: identical plans and seeds produce
 byte-identical CSV files, and no output file is ever left half-written.
 """
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from pathlib import Path
@@ -123,9 +134,81 @@ def _run_cell(plan: ExperimentPlan, dataset, groups, pair, seed: int) -> RunResu
     return RunResult(source_group=s, target_group=t, seed=seed, accuracy=accuracy)
 
 
+def _attempt(call, *args) -> RunResult | str:
+    """``call(*args)``, or its ``"<Type>: <message>"`` failure line."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - manifest reports every failure
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _worker_count(cells: int) -> int:
+    """Worker processes for a plan of ``cells`` cells; 1 means in-process."""
+    if (cells < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(cells, len(os.sched_getaffinity(0)))
+
+
+def _openblas_threads():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, or None.
+
+    None means another BLAS, which is left alone. ``RTLD_NOLOAD`` opens
+    only the copy numpy loaded, never a second one.
+    """
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread for the block, then restore it.
+
+    Workers forked inside the block inherit the count: one worker per CPU
+    already fills the machine, and more BLAS threads would spin against
+    the other workers. Setting the count in a worker instead restarts
+    OpenBLAS's thread pool there, and its idle thread spins as well.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+# ``(plan, dataset, groups)`` in a pool worker, set by ``_init_worker``.
+_worker_plan = None
+
+
+def _init_worker(plan: ExperimentPlan, dataset, groups) -> None:
+    # The arguments reach the worker through fork; nothing is pickled.
+    global _worker_plan
+    _worker_plan = (plan, dataset, groups)
+
+
+def _worker_cell(pair, seed: int) -> RunResult | str:
+    # ``_run_cell`` is looked up at call time, so a wrapper set on it
+    # before the fork runs in the worker too.
+    return _attempt(_run_cell, *_worker_plan, pair, seed)
+
+
 def run_plan(plan: ExperimentPlan) -> ResultTable:
     """Execute every (pair, seed) cell and collect target accuracies.
 
+    Cells run in forked worker processes when ``_worker_count`` gives
+    more than one; results and failures keep plan order either way.
     Raises :class:`PlanExecutionError` with a per-run manifest if any
     cell fails; completed cells are kept on the exception's ``partial``.
     """
@@ -142,14 +225,30 @@ def run_plan(plan: ExperimentPlan) -> ResultTable:
             d.rmdir()
         raise
 
+    cells = [(pair, seed) for pair in plan.pairs for seed in plan.seeds]
+    workers = _worker_count(len(cells))
+    if workers == 1:
+        outcomes = [_attempt(_run_cell, plan, dataset, groups, pair, seed)
+                    for pair, seed in cells]
+    else:
+        with _one_blas_thread():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_init_worker,
+                                       initargs=(plan, dataset, groups))
+            try:
+                futures = [pool.submit(_worker_cell, pair, seed) for pair, seed in cells]
+                # A dead worker fails its cells with BrokenProcessPool; the rest stand.
+                outcomes = [_attempt(f.result) for f in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
+
     table = ResultTable(dataset_name=plan.dataset_name, pairs=plan.pairs)
     failures = []
-    for pair in plan.pairs:
-        for seed in plan.seeds:
-            try:
-                table.rows.append(_run_cell(plan, dataset, groups, pair, seed))
-            except Exception as exc:  # noqa: BLE001 - manifest reports every failure
-                failures.append((pair[0], pair[1], seed, f"{type(exc).__name__}: {exc}"))
+    for (pair, seed), outcome in zip(cells, outcomes):
+        if isinstance(outcome, str):
+            failures.append((pair[0], pair[1], seed, outcome))
+        else:
+            table.rows.append(outcome)
     if failures:
         raise PlanExecutionError(failures, table)
     return table

@@ -86,6 +86,28 @@ def test_traced_plan_reaches_every_layer(spans, tmp_path):
     assert tracer.counts["autodiff.checkpoint_bytes"] > 0
 
 
+def test_two_cell_plan_runs_under_the_plan_probes(spans, tmp_path, monkeypatch):
+    # ``plan-cli --trace 0`` installs these probes; two CPUs put the cells
+    # in forked workers, which inherit the wrapped ``_run_cell``.
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    args = one_pair_run_args(tmp_path)
+    args[args.index("0,1")] = "0,1;1,0"
+    tracer = spans.Tracer("t")
+    spans.install_plan_probes(tracer)
+    try:
+        code = main(args)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    out = tmp_path / "out"
+    assert len((out / "results.csv").read_text().splitlines()) == 3
+    for s, t in ((0, 1), (1, 0)):
+        assert (out / f"loss_history_{s}_{t}_0.csv").is_file()
+        assert (out / f"checkpoint_{s}_{t}_0.txt").is_file()
+
+
 def test_plan_checkpoint_passes_the_benchmark_gate(workloads, tmp_path):
     from dagrl.autodiff import load_checkpoint
     from dagrl.trainer import TrainConfig

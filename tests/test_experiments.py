@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
+import dagrl.experiments as exp
+from dagrl.cli import main
 from dagrl.errors import ConfigurationError
 from dagrl.experiments import (
     ALL_PAIRS,
@@ -13,7 +19,7 @@ from dagrl.experiments import (
 )
 from dagrl.graphs import write_tudataset
 from dagrl.synthetic import make_benchmark
-from dagrl.trainer import TrainConfig
+from dagrl.trainer import VARIANTS, TrainConfig
 
 
 def tiny_config(**overrides):
@@ -127,6 +133,104 @@ class TestRunPlan:
         results, summary = emit_report(table, tmp_path / "o")
         assert results.read_text().splitlines()[1].endswith(f",{accuracy!r}")
         assert summary.read_text().splitlines()[1].endswith(f",{accuracy!r}")
+
+
+def use_cpus(monkeypatch, count):
+    """Let the plan see ``count`` CPUs: 1 runs cells in-process, 2 in a fork pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the worker pool forks")
+
+
+@needs_fork
+class TestWorkerPool:
+    """Two CPUs put a plan in worker processes, so these also run on a 1-CPU box."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_pool_outputs_are_byte_identical_to_in_process(self, bench_root, tmp_path,
+                                                           monkeypatch, variant):
+        pairs = ((0, 1), (2, 0))
+        for count in (1, 2):
+            use_cpus(monkeypatch, count)
+            assert exp._worker_count(len(pairs)) == count
+            out = tmp_path / f"cpus{count}"
+            emit_report(run_plan(make_plan(bench_root, out, pairs=pairs, variant=variant)), out)
+            assert multiprocessing.active_children() == []
+        names = ["results.csv", "summary.csv"]
+        for s, t in pairs:
+            names += [f"loss_history_{s}_{t}_0.csv", f"checkpoint_{s}_{t}_0.txt"]
+        assert sorted(p.name for p in (tmp_path / "cpus1").iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / "cpus1" / name).read_bytes() == \
+                (tmp_path / "cpus2" / name).read_bytes(), name
+
+    @staticmethod
+    def crash_second_seed(monkeypatch, out):
+        # Seed 1 kills its worker once seed 0's cell has written its files;
+        # the pause lets seed 0's result reach the parent first.
+        original = exp.train
+
+        def crash(config, source, target):
+            if config.seed == 1:
+                deadline = time.monotonic() + 60
+                while (not (out / "checkpoint_0_1_0.txt").exists()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                time.sleep(0.5)
+                os._exit(3)
+            return original(config, source, target)
+
+        monkeypatch.setattr(exp, "train", crash)
+
+    def test_dead_worker_fails_its_cell_and_keeps_the_rest(self, bench_root, tmp_path,
+                                                          monkeypatch):
+        use_cpus(monkeypatch, 2)
+        out = tmp_path / "o"
+        self.crash_second_seed(monkeypatch, out)
+        with pytest.raises(PlanExecutionError) as excinfo:
+            run_plan(make_plan(bench_root, out, seeds=(0, 1)))
+        assert multiprocessing.active_children() == []
+        [(s, t, seed, message)] = excinfo.value.failures
+        assert (s, t, seed) == (0, 1, 1)
+        assert message.startswith("BrokenProcessPool: ")
+        assert [r.seed for r in excinfo.value.partial.rows] == [0]
+        assert (out / "checkpoint_0_1_0.txt").is_file()
+        assert not (out / "checkpoint_0_1_1.txt").exists()
+
+    def test_dead_worker_run_exits_1_with_manifest(self, bench_root, tmp_path, monkeypatch,
+                                                  capsys):
+        use_cpus(monkeypatch, 2)
+        out = tmp_path / "o"
+        self.crash_second_seed(monkeypatch, out)
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("epochs = 1\nhidden_dim = 8\nbatch_size = 16\nwl_depth = 1\n")
+        code = main(["run", "--data-root", str(bench_root), "--dataset", "SynthBench",
+                     "--pairs", "0,1", "--seeds", "0,1", "--config", str(cfg),
+                     "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        assert code == 1
+        [line] = (out / "failures.txt").read_text().splitlines()
+        assert line.startswith("0->1 seed=1: BrokenProcessPool: ")
+        assert f"FAILED {line}" in capsys.readouterr().err
+
+    def test_each_worker_runs_one_blas_thread(self, bench_root, tmp_path, monkeypatch):
+        threads = exp._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
+        get_threads, set_threads = threads
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(exp, "_run_cell", lambda *args: get_threads())
+        before = get_threads()
+        set_threads(2)
+        try:
+            table = run_plan(make_plan(bench_root, tmp_path / "o", seeds=(0, 1)))
+            assert get_threads() == 2  # restored in the parent
+        finally:
+            set_threads(before)
+        assert table.rows == [1, 1]
+        assert multiprocessing.active_children() == []
 
 
 class TestReport:
