@@ -9,13 +9,15 @@ then (3) Adam descent of the model parameters on
 
 with discriminators and perturbations frozen. The phases share forwards,
 not gradients: the branches change only at the model's Adam step, so a
-branch runs one target forward (recorded for the model, read as constants
-by its discriminator), one source forward with the stored perturbations
-as a leaf (for both adversaries) and the model's source forward, on the
-rows the perturbation step returned. Runs are deterministic given the
-config seed: parameter groups and batch orders draw from independent
-child streams of one seed sequence, so structural variants stay
-bit-comparable.
+branch runs one target forward, recorded for the model and read as
+constants by its discriminator. A perturbed branch adds one source
+forward with the stored perturbations as a leaf (for both adversaries)
+and the model's source forward on the rows the perturbation step
+returned. An unperturbed branch runs one source forward, recorded for
+the model, which its discriminator also reads as constants. Runs are
+deterministic given the config seed: parameter groups and batch orders
+draw from independent child streams of one seed sequence, so structural
+variants stay bit-comparable.
 """
 
 from __future__ import annotations
@@ -263,26 +265,16 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     )
 
 
-def source_loss(tape: ad.Tape, branches, batch: Batch, labels, perturbations):
-    """Mean cross-entropy over the branch heads on a labeled source batch.
-
-    ``perturbations`` holds each branch's perturbation, ``None`` if it has
-    none. Returns the loss tensor and each branch's (representation,
-    probabilities) pair for reuse by the domain terms.
-    """
+def source_loss(tape: ad.Tape, outputs, labels):
+    """Mean cross-entropy of the branches' ``(z, p, logits)`` source forwards."""
     labels = list(labels)
     if any(l is None for l in labels):
         raise ContractViolation("unlabeled graph in a source batch")
-    ce_terms = []
-    outputs = []
-    for branch, pert in zip(branches, perturbations):
-        z, p, logits = branch.forward(tape, batch, pert)
-        outputs.append((z, p))
-        ce_terms.append(ad.softmax_cross_entropy(tape, logits, labels))
-    total = ce_terms[0]
-    for term in ce_terms[1:]:
+    terms = [ad.softmax_cross_entropy(tape, logits, labels) for _, _, logits in outputs]
+    total = terms[0]
+    for term in terms[1:]:
         total = ad.add(tape, total, term)
-    return ad.scale(tape, total, 1.0 / len(ce_terms)), outputs
+    return ad.scale(tape, total, 1.0 / len(terms))
 
 
 def fuse_predictions(prob_blocks) -> np.ndarray:
@@ -296,21 +288,24 @@ def _chunks(seq, size):
         yield seq[start:start + size]
 
 
-def _adversary_step(state: TrainState, b: int, src: Batch, target):
+def _adversary_step(state: TrainState, b: int, src: Batch, target, source):
     """Branch ``b``'s discriminator ascent, then its perturbation step.
 
-    One source forward, with the stored perturbations as a leaf, serves
-    both; the discriminator's own tape reads its values as constants. Call
-    it with the branches frozen, so that only the leaf gets a gradient.
-    Returns L_DA and the batch's updated perturbations as one constant,
-    ``None`` if the branch has none.
+    ``source`` is an unperturbed branch's source forward, ``None`` for a
+    perturbed one: then one source forward, with the stored perturbations
+    as a leaf, serves both. The discriminator's own tape reads the
+    forwards' values as constants. Call it with the branches frozen, so
+    that only the leaf gets a gradient. Returns L_DA and the batch's
+    updated perturbations as one constant, ``None`` if the branch has none.
     """
     branch, disc, opt = state.branches[b], state.discriminators[b], state.disc_opts[b]
-    rows = state.store.gather(b, src.indices)
-    # One leaf for the whole batch; each graph's gradient is its rows.
-    leaf = None if rows is None else ad.parameter(rows)
-    tape = ad.Tape()
-    z_s, p_s, _ = branch.forward(tape, src, leaf)
+    leaf = None
+    if source is None:
+        # One leaf for the whole batch; each graph's gradient is its rows.
+        leaf = ad.parameter(state.store.gather(b, src.indices))
+        tape = ad.Tape()
+        source = branch.forward(tape, src, leaf)
+    z_s, p_s, _ = source
     disc_tape = ad.Tape()
     loss = domain_loss(disc_tape, disc, *(ad.constant(t.data) for t in (z_s, p_s, *target)))
     discriminator_update(disc_tape, loss, opt)
@@ -334,16 +329,22 @@ def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
     perts = [None, None]
     targets = [branch.forward(tape, tgt)[:2]
                for branch, _ in zip(state.branches, state.discriminators)]
+    # An unperturbed branch's one source forward serves its discriminator
+    # and the model.
+    sources = [branch.forward(tape, src) if state.store.rows[b] is None else None
+               for b, branch in enumerate(state.branches)]
     with ad.frozen(state.branch_params()):
         for b, target in enumerate(targets):
-            da[b], perts[b] = _adversary_step(state, b, src, target)
+            da[b], perts[b] = _adversary_step(state, b, src, target, sources[b])
     with ad.frozen(state.discriminator_params()):
-        l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
+        sources = [out if out is not None else branch.forward(tape, src, pert)
+                   for out, branch, pert in zip(sources, state.branches, perts)]
+        l_s = source_loss(tape, sources, labels)
         total = l_s
         for b, (disc, lam) in enumerate(zip(state.discriminators, (cfg.lambda1, cfg.lambda2))):
             if lam == 0.0:
                 continue
-            term = domain_loss(tape, disc, *src_outputs[b], *targets[b])
+            term = domain_loss(tape, disc, *sources[b][:2], *targets[b])
             da[b] = term.item()
             total = ad.add(tape, total, ad.scale(tape, term, -lam))
         tape.backward(total)
@@ -372,19 +373,12 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
         batch_stats.append(_train_step(state, Batch(state, source, src_idx), labels,
                                        Batch(state, target, tgt_idx)))
 
-    means = [float(np.mean([s[i] for s in batch_stats])) for i in range(4)]
-    for value in means:
+    means = [float(np.mean(column)) for column in zip(*batch_stats)]
+    for name, value in zip(("L_S", "L_DA_C", "L_DA_K", "L"), means):
         if not np.isfinite(value):
-            raise ContractViolation(f"non-finite loss in epoch {state.epoch}: {means}")
+            raise ContractViolation(f"non-finite {name} in epoch {state.epoch}: {means}")
     accuracy = evaluate(state, target) if target.eval_labels is not None else None
-    state.history.append(EpochStats(
-        epoch=state.epoch,
-        source_loss=means[0],
-        domain_loss_first=means[1],
-        domain_loss_second=means[2],
-        total_loss=means[3],
-        target_accuracy=accuracy,
-    ))
+    state.history.append(EpochStats(state.epoch, *means, accuracy))
     state.epoch += 1
     return state
 

@@ -158,8 +158,9 @@ def _phase_model(state, src, labels, tgt):
     cfg = state.config
     with ad.frozen(state.discriminator_params()):
         tape = ad.Tape()
-        perts = [_stored(state, b, src) for b in range(len(state.branches))]
-        l_s, src_outputs = source_loss(tape, state.branches, src, labels, perts)
+        outputs = [branch.forward(tape, src, _stored(state, b, src))
+                   for b, branch in enumerate(state.branches)]
+        l_s = source_loss(tape, outputs, labels)
         total = l_s
         lambdas = (cfg.lambda1, cfg.lambda2)
         da_values = [None, None]
@@ -167,7 +168,7 @@ def _phase_model(state, src, labels, tgt):
             if lambdas[b] == 0.0:
                 continue
             z_t, p_t, _ = branch.forward(tape, tgt)
-            da = domain_loss(tape, disc, *src_outputs[b], z_t, p_t)
+            da = domain_loss(tape, disc, *outputs[b][:2], z_t, p_t)
             da_values[b] = da.item()
             total = ad.add(tape, total, ad.scale(tape, da, -lambdas[b]))
         tape.backward(total)

@@ -137,10 +137,16 @@ def test_traced_epoch_counts_one_update_per_graph_and_slot(spans, overrides, slo
 
 
 @pytest.mark.parametrize("variant,span,per_step", [("full", "trainer.gin_forward", 3),
-                                                   ("gkn_only_dual", "wl.head_forward", 6)])
+                                                   ("gkn_only_dual", "wl.head_forward", 6),
+                                                   ("p1", "trainer.gin_forward", 2),
+                                                   ("p2", "wl.head_forward", 2),
+                                                   ("unperturbed", "trainer.gin_forward", 2),
+                                                   ("source_only", "trainer.gin_forward", 1)])
 def test_traced_step_runs_three_forwards_per_branch(spans, variant, span, per_step):
-    # One target forward, one leaf-perturbed source forward for both
-    # adversaries and one source forward for the model, per branch.
+    # A perturbed branch runs one target forward, one leaf-perturbed source
+    # forward for both adversaries and one source forward for the model.
+    # An unperturbed branch's discriminator and the model share its one
+    # source forward, and source_only runs no target forward.
     from dataclasses import replace
 
     from dagrl.synthetic import make_shifted_pair

@@ -91,9 +91,10 @@ class TestSourceLoss:
         source, target = tiny_pair
         state = build_state(toy_config(), source, target)
         tape = ad.Tape()
+        batch = Batch(state, target, [0, 1])
+        outputs = [branch.forward(tape, batch) for branch in state.branches]
         with pytest.raises(ContractViolation, match="unlabeled"):
-            source_loss(tape, state.branches, Batch(state, target, [0, 1]), [None, None],
-                        [None, None])
+            source_loss(tape, outputs, [None, None])
 
     def test_uniform_heads_give_log_c(self, tiny_pair):
         source, target = tiny_pair
@@ -102,8 +103,9 @@ class TestSourceLoss:
             for p in branch.params():
                 p.data[:] = 0.0
         tape = ad.Tape()
-        loss, _ = source_loss(tape, state.branches, Batch(state, source, range(4)),
-                              [g.graph_label for g in source.graphs[:4]], [None, None])
+        batch = Batch(state, source, range(4))
+        outputs = [branch.forward(tape, batch) for branch in state.branches]
+        loss = source_loss(tape, outputs, [g.graph_label for g in source.graphs[:4]])
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_mean_of_extreme_and_uniform(self):
@@ -273,6 +275,14 @@ class TestTraining:
             expected = (e.source_loss - cfg.lambda1 * e.domain_loss_first
                         - cfg.lambda2 * e.domain_loss_second)
             assert e.total_loss == pytest.approx(expected, abs=1e-9)
+
+    def test_non_finite_loss_names_its_column(self, tiny_pair, monkeypatch):
+        source, target = tiny_pair
+        state = build_state(toy_config(), source, target)
+        monkeypatch.setattr(trainer, "_train_step", lambda *args: (0.7, 1.4, float("inf"), 0.5))
+        with pytest.raises(ContractViolation, match="non-finite L_DA_K in epoch 0"):
+            train_epoch(state, source, target)
+        assert state.history == []
 
     def test_empty_domain_rejected(self, tiny_pair):
         source, target = tiny_pair
