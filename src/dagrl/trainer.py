@@ -140,7 +140,9 @@ class EpochStats:
 @dataclass
 class TrainState:
     """``discriminators`` and ``disc_opts`` are empty for ``source_only``;
-    ``store`` holds a slot only for each branch its variant perturbs."""
+    ``store`` holds a slot only for each branch its variant perturbs. The
+    state trains only on ``source`` and ``target``, the datasets it was
+    built from: the refinement was fitted and the store sized on them."""
 
     config: TrainConfig
     branches: list
@@ -152,6 +154,8 @@ class TrainState:
     rng_source: np.random.Generator
     rng_target: np.random.Generator
     input_dim: int
+    source: DomainDataset
+    target: DomainDataset
     epoch: int = 0
     history: list[EpochStats] = field(default_factory=list)
 
@@ -262,6 +266,8 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
         rng_source=rngs[4],
         rng_target=rngs[5],
         input_dim=d,
+        source=source,
+        target=target,
     )
 
 
@@ -353,13 +359,19 @@ def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
     return l_s.item(), da[0], da[1], total.item()
 
 
+def _check_pair(state: TrainState, source: DomainDataset, target: DomainDataset) -> None:
+    if source is not state.source or target is not state.target:
+        raise ConfigurationError(
+            "a state takes only the source and target datasets it was built from")
+
+
 def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset) -> TrainState:
     """One pass over the source data with cycled target batches.
 
     Each step gathers one source and one target batch and runs
     :func:`_train_step` on them.
     """
-    _check_domains(source, target)
+    _check_pair(state, source, target)
     cfg = state.config
     src_order = [int(i) for i in state.rng_source.permutation(len(source.graphs))]
     tgt_order = [int(i) for i in state.rng_target.permutation(len(target.graphs))]
@@ -430,6 +442,7 @@ def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
     Source graphs enter with their trained perturbations, matching what
     the discriminator saw during training.
     """
+    _check_pair(state, source, target)
     if not state.discriminators:
         raise ConfigurationError("this variant trains no discriminators")
     branch = state.branches[branch_idx]

@@ -315,6 +315,26 @@ class TestTraining:
             build_state(toy_config(), source, wider)
 
 
+class TestStatePair:
+    """A state takes only the datasets it was built from."""
+
+    @pytest.mark.parametrize("variant", ["full", "gkn_only_dual"])
+    def test_foreign_datasets_rejected(self, variant):
+        source, target = make_shifted_pair(0, 10)
+        other_source, other_target = make_shifted_pair(1, 10)
+        config = toy_config(variant=variant, epochs=1)
+        state = build_state(config, source, target)
+        for pair in ((other_source, other_target), (source, other_target),
+                     (other_source, target)):
+            with pytest.raises(ConfigurationError, match="built from"):
+                train_epoch(state, *pair)
+            with pytest.raises(ConfigurationError, match="built from"):
+                trainer.discriminator_domain_accuracy(state, *pair)
+        # A rejected call changes nothing: the own pair still trains as a fresh state.
+        train_epoch(state, source, target)
+        assert state.history == train(config, source, target).history
+
+
 class TestEvaluate:
     def test_all_correct_heads(self, tiny_pair):
         source, target = tiny_pair
