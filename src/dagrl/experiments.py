@@ -5,11 +5,11 @@ pairs over the four density quartiles, a training config, and seeds.
 Each (pair, seed) cell trains one model and records final-epoch target
 accuracy. A plan of more than one cell trains its cells in
 ``min(cells, CPUs)`` forked worker processes, CPUs being those the
-process may run on; the workers run numpy's bundled OpenBLAS at one
-thread. A plan runs its cells in-process, one after another, when it
-has one cell, when it may run on one CPU, or where ``fork`` is not a
-start method. Either way results and failures are collected in plan
-order, and every output file is byte-identical. Reports are written
+process may run on. A plan runs its cells in-process, one after
+another, when it has one cell, when it may run on one CPU, or where
+``fork`` is not a start method. Either way every cell runs numpy's
+bundled OpenBLAS at one thread, results and failures are collected in
+plan order, and every output file is byte-identical. Reports are written
 deterministically and atomically: identical plans and seeds produce
 byte-identical CSV files, and no output file is ever left half-written.
 """
@@ -170,10 +170,11 @@ def _openblas_threads():
 def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS at one thread for the block, then restore it.
 
-    Workers forked inside the block inherit the count: one worker per CPU
-    already fills the machine, and more BLAS threads would spin against
-    the other workers. Setting the count in a worker instead restarts
-    OpenBLAS's thread pool there, and its idle thread spins as well.
+    A cell's products are too small to gain from a second thread, whose
+    helper spins after each burst of work and burns a CPU. Workers forked
+    inside the block inherit the count: one worker per CPU already fills
+    the machine. Setting the count in a worker instead restarts OpenBLAS's
+    thread pool there, and its idle thread spins as well.
     """
     threads = _openblas_threads()
     if threads is None:
@@ -227,11 +228,11 @@ def run_plan(plan: ExperimentPlan) -> ResultTable:
 
     cells = [(pair, seed) for pair in plan.pairs for seed in plan.seeds]
     workers = _worker_count(len(cells))
-    if workers == 1:
-        outcomes = [_attempt(_run_cell, plan, dataset, groups, pair, seed)
-                    for pair, seed in cells]
-    else:
-        with _one_blas_thread():
+    with _one_blas_thread():
+        if workers == 1:
+            outcomes = [_attempt(_run_cell, plan, dataset, groups, pair, seed)
+                        for pair, seed in cells]
+        else:
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_init_worker,
                                        initargs=(plan, dataset, groups))

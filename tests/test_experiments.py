@@ -140,6 +140,29 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def blas_threads_per_cell(bench_root, tmp_path, monkeypatch, cpus):
+    """The OpenBLAS thread count each cell of a 2-cell plan sees, started at 2 threads."""
+    threads = exp._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
+    get_threads, set_threads = threads
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(exp, "_run_cell", lambda *args: get_threads())
+    before = get_threads()
+    set_threads(2)
+    try:
+        table = run_plan(make_plan(bench_root, tmp_path / "o", seeds=(0, 1)))
+        assert get_threads() == 2  # restored after the plan
+    finally:
+        set_threads(before)
+    return table.rows
+
+
+def test_in_process_cells_run_one_blas_thread(bench_root, tmp_path, monkeypatch):
+    # One CPU keeps both cells in this process.
+    assert blas_threads_per_cell(bench_root, tmp_path, monkeypatch, cpus=1) == [1, 1]
+
+
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="the worker pool forks")
 
@@ -216,20 +239,7 @@ class TestWorkerPool:
         assert f"FAILED {line}" in capsys.readouterr().err
 
     def test_each_worker_runs_one_blas_thread(self, bench_root, tmp_path, monkeypatch):
-        threads = exp._openblas_threads()
-        if threads is None:
-            pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
-        get_threads, set_threads = threads
-        use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(exp, "_run_cell", lambda *args: get_threads())
-        before = get_threads()
-        set_threads(2)
-        try:
-            table = run_plan(make_plan(bench_root, tmp_path / "o", seeds=(0, 1)))
-            assert get_threads() == 2  # restored in the parent
-        finally:
-            set_threads(before)
-        assert table.rows == [1, 1]
+        assert blas_threads_per_cell(bench_root, tmp_path, monkeypatch, cpus=2) == [1, 1]
         assert multiprocessing.active_children() == []
 
 
