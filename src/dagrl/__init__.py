@@ -30,7 +30,7 @@ from .graphs import (
     write_tudataset,
 )
 from .trainer import TrainConfig, TrainState, build_state, evaluate, train, train_epoch
-from .wl import GknHead, WlRefinement, gram_matrix, kernel
+from .wl import GknHead, WlRefinement, gram_matrix
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "emit_report",
     "evaluate",
     "gram_matrix",
-    "kernel",
     "load_checkpoint",
     "parse_tudataset",
     "perturbation_step",

@@ -21,8 +21,6 @@ graph exact.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -152,15 +150,6 @@ class WlRefinement:
         if entry is None:
             entry = self._dataset_rows[id(dataset)] = (dataset, self._histograms(dataset.packed))
         return entry[1]
-
-
-def kernel(refinement: WlRefinement, g1: Graph, g2: Graph) -> int:
-    """Subtree-kernel value: matched label pairs summed over depths 0..l."""
-    total = 0
-    for l1, l2 in zip(refinement.node_labels(g1), refinement.node_labels(g2)):
-        c1, c2 = Counter(l1.tolist()), Counter(l2.tolist())
-        total += sum(c1[label] * c2[label] for label in c1 if label in c2)
-    return total
 
 
 def gram_matrix(refinement: WlRefinement, graphs) -> np.ndarray:
