@@ -10,14 +10,15 @@ then (3) Adam descent of the model parameters on
 with discriminators and perturbations frozen. The phases share forwards,
 not gradients: the branches change only at the model's Adam step, so a
 branch runs one target forward, recorded for the model and read as
-constants by its discriminator. A perturbed branch adds one source
-forward with the stored perturbations as a leaf (for both adversaries)
-and the model's source forward on the rows the perturbation step
-returned. An unperturbed branch runs one source forward, recorded for
-the model, which its discriminator also reads as constants. Runs are
-deterministic given the config seed: parameter groups and batch orders
-draw from independent child streams of one seed sequence, so structural
-variants stay bit-comparable.
+constants by its discriminator (``source_only`` has none). A perturbed
+branch adds one source forward with the stored perturbations as a leaf
+(for both adversaries) and the model's source forward on the rows the
+perturbation step returned: three forwards. An unperturbed branch adds
+one source forward, recorded for the model, which its discriminator
+also reads as constants: two. Runs are deterministic given the config
+seed: parameter groups and batch orders draw from independent child
+streams of one seed sequence, so structural variants stay
+bit-comparable.
 """
 
 from __future__ import annotations
