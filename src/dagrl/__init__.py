@@ -30,7 +30,7 @@ from .graphs import (
     write_tudataset,
 )
 from .trainer import TrainConfig, TrainState, build_state, evaluate, train, train_epoch
-from .wl import GknHead, WlRefinement, gram_matrix
+from .wl import GknHead, WlRefinement
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "edge_density",
     "emit_report",
     "evaluate",
-    "gram_matrix",
     "load_checkpoint",
     "parse_tudataset",
     "perturbation_step",

@@ -1,13 +1,13 @@
-"""Explicit-topology branch: label refinement, subtree kernel, and head.
+"""Explicit-topology branch: label refinement, subtree-kernel feature map, and head.
 
 Nodes are iteratively relabeled by compressing the pair (own label,
 sorted multiset of neighbor labels) through an injective table shared by
-every graph in a source/target pair. Counting label matches between two
-graphs at each refinement depth and summing over depths 0..l yields the
-subtree kernel; equivalently, the kernel is the inner product of sparse
-per-graph label histograms. Those histograms, densified over a frozen
-vocabulary, feed a small trainable head whose embedding layer accepts an
-additive perturbation.
+every graph in a source/target pair. Each graph is read through the
+subtree kernel's feature map: its sparse label histogram over depths
+0..l, whose inner products are the kernel values (counting label
+matches between two graphs at each depth and summing over depths).
+Those histograms, densified over a frozen vocabulary, feed a small
+trainable head whose embedding layer accepts an additive perturbation.
 
 Refinement is one vectorized pass per depth over a packed union of
 graphs. A node's key row is its own label, its sorted neighbor labels,
@@ -42,18 +42,17 @@ class WlRefinement:
         self.label_table: dict[tuple, int] = {}
         self._next_label: int | None = None
         self._vocab = np.zeros(0, dtype=np.int64)
-        self.feature_index: dict[int, int] = {}
         # id(dataset) -> (dataset, rows); holding the dataset keeps its id unique.
         self._dataset_rows: dict[int, tuple[DomainDataset, sp.csr_matrix]] = {}
 
     @property
     def vocab_size(self) -> int:
         """Number of feature coordinates, including the reserved UNK slot."""
-        return len(self.feature_index) + 1
+        return len(self._vocab) + 1
 
     @property
     def unknown_column(self) -> int:
-        return len(self.feature_index)
+        return len(self._vocab)
 
     def fit(self, graphs) -> "WlRefinement":
         """Build the table from one synchronized pass over all of ``graphs``.
@@ -67,7 +66,6 @@ class WlRefinement:
         raw = packed.node_labels
         self._next_label = int(raw.max()) + 1 if len(raw) else 0
         self._vocab = np.unique(np.concatenate(self._refine(packed, grow=True)))
-        self.feature_index = {label: i for i, label in enumerate(self._vocab.tolist())}
         self._dataset_rows = {}
         return self
 
@@ -108,14 +106,6 @@ class WlRefinement:
             out.append(labels)
         return out
 
-    def node_labels(self, g: Graph) -> list[np.ndarray]:
-        """Per-iteration label arrays for ``g`` under the fitted table.
-
-        Signatures absent from the table map to ``UNKNOWN_LABEL``; this
-        only happens for graphs outside the fitted collection.
-        """
-        return self._refine(PackedGraphs([g]))
-
     def _histograms(self, packed: PackedGraphs) -> sp.csr_matrix:
         """Per graph, label counts over depths 0..l; unseen labels count on UNK."""
         labels = np.concatenate(self._refine(packed))
@@ -130,13 +120,7 @@ class WlRefinement:
 
     def feature_row(self, g: Graph) -> sp.csr_matrix:
         """Densified histogram over the frozen vocabulary (1 x vocab_size)."""
-        return self.feature_matrix([g])
-
-    def feature_matrix(self, graphs) -> sp.csr_matrix:
-        packed = PackedGraphs(graphs)
-        if not packed.graphs:
-            raise ContractViolation("feature_matrix of zero graphs")
-        return self._histograms(packed)
+        return self._histograms(PackedGraphs([g]))
 
     def dataset_features(self, dataset: DomainDataset) -> sp.csr_matrix:
         """The feature matrix of ``dataset.graphs``, computed at first use.
@@ -150,19 +134,6 @@ class WlRefinement:
         if entry is None:
             entry = self._dataset_rows[id(dataset)] = (dataset, self._histograms(dataset.packed))
         return entry[1]
-
-
-def gram_matrix(refinement: WlRefinement, graphs) -> np.ndarray:
-    """Pairwise kernel values as inner products of feature histograms."""
-    fv = refinement.feature_matrix(graphs)
-    return np.asarray((fv @ fv.T).todense(), dtype=np.float64)
-
-
-def normalized_gram(gram: np.ndarray) -> np.ndarray:
-    diag = np.sqrt(np.diag(gram))
-    if np.any(diag == 0):
-        raise ContractViolation("graph with zero self-similarity cannot be normalized")
-    return gram / np.outer(diag, diag)
 
 
 class GknHead(ad.Mlp):

@@ -49,10 +49,14 @@ def permute_graph(g: Graph, perm) -> Graph:
                  graph_label=g.graph_label)
 
 
+def one_graph_batch(encoder, g: Graph) -> GraphBatch:
+    """The disjoint union of ``g`` alone, over ``encoder``'s input alphabet."""
+    return GraphBatch(PackedGraphs([g]), [0], encoder.layer0.lin1.weight.shape[0])
+
+
 def encode_graph(encoder, tape, g: Graph, delta=None):
     """``encoder.encode_batch`` on a one-graph batch; ``delta`` perturbs its one-hot inputs."""
-    batch = GraphBatch(PackedGraphs([g]), [0], encoder.layer0.lin1.weight.shape[0])
-    return encoder.encode_batch(tape, batch, delta)
+    return encoder.encode_batch(tape, one_graph_batch(encoder, g), delta)
 
 
 class ReferenceRefinement:
@@ -114,6 +118,30 @@ class ReferenceRefinement:
 
     def feature_matrix(self, graphs) -> sp.csr_matrix:
         return sp.vstack([self.feature_row(g) for g in graphs], format="csr")
+
+
+def kernel_gram(refinement, graphs, normalized: bool = False) -> np.ndarray:
+    """Subtree-kernel values of every pair of ``graphs``: ``h @ h.T`` over their histogram rows.
+
+    ``normalized`` divides entry (i, j) by the square roots of entries
+    (i, i) and (j, j).
+    """
+    h = refinement._histograms(PackedGraphs(graphs))
+    gram = np.asarray((h @ h.T).todense(), dtype=np.float64)
+    if not normalized:
+        return gram
+    diag = np.sqrt(np.diag(gram))
+    assert np.all(diag > 0), "a graph with zero self-similarity cannot be normalized"
+    return gram / np.outer(diag, diag)
+
+
+def brute_force_kernel(oracle: ReferenceRefinement, g1: Graph, g2: Graph) -> int:
+    """Subtree-kernel value as a double sum over node pairs at every depth.
+
+    The labels come from the oracle, not from the code under test.
+    """
+    return sum(int(a == b) for l1, l2 in zip(oracle.node_labels(g1), oracle.node_labels(g2))
+               for a in l1 for b in l2)
 
 
 def _stored(state, b, src):

@@ -13,24 +13,28 @@ from dagrl.graphs import (
     subset_as_target,
 )
 from dagrl.synthetic import make_benchmark
-from dagrl.wl import UNKNOWN_LABEL, GknHead, WlRefinement, gram_matrix, normalized_gram
-from helpers import ReferenceRefinement, permute_graph, random_graph
+from dagrl.wl import UNKNOWN_LABEL, GknHead, WlRefinement
+from helpers import (
+    ReferenceRefinement,
+    brute_force_kernel,
+    kernel_gram,
+    permute_graph,
+    random_graph,
+)
 
 
-def brute_force_kernel(refinement, g1, g2):
-    # Independent oracle: double sum over node pairs at every depth.
-    total = 0
-    for l1, l2 in zip(refinement.node_labels(g1), refinement.node_labels(g2)):
-        for a in l1:
-            for b in l2:
-                if a == b:
-                    total += 1
-    return total
+def node_labels(refinement, g):
+    """Per-depth label arrays of ``g`` under the fitted table."""
+    return refinement._refine(PackedGraphs([g]))
+
+
+def histograms(refinement, graphs):
+    return refinement._histograms(PackedGraphs(graphs))
 
 
 def kernel(refinement, g1, g2):
     """Subtree-kernel value of two graphs, read off their Gram matrix."""
-    return int(gram_matrix(refinement, [g1, g2])[0, 1])
+    return int(kernel_gram(refinement, [g1, g2])[0, 1])
 
 
 def star_graph(leaves, label=0):
@@ -48,7 +52,7 @@ class TestRefinement:
         a = Graph(node_count=1, edges=(), node_labels=(5,), graph_label=0)
         b = Graph(node_count=1, edges=(), node_labels=(5,), graph_label=0)
         ref = WlRefinement(depth=3).fit([a, b])
-        la, lb = ref.node_labels(a), ref.node_labels(b)
+        la, lb = node_labels(ref, a), node_labels(ref, b)
         assert len(la) == 4
         assert la[0][0] == 5
         for step_a, step_b in zip(la, lb):
@@ -60,7 +64,7 @@ class TestRefinement:
         # (0, (0, 0, 0)), so iteration 1 must separate them.
         g = star_graph(3)
         ref = WlRefinement(depth=1).fit([g])
-        labels = ref.node_labels(g)
+        labels = node_labels(ref, g)
         assert len(set(labels[0].tolist())) == 1
         center, leaf = labels[1][0], labels[1][1]
         assert center != leaf
@@ -72,7 +76,7 @@ class TestRefinement:
             g = random_graph(rng, max_nodes=7)
             g2 = permute_graph(g, rng.permutation(g.node_count))
             ref = WlRefinement(depth=2).fit([g, g2])
-            for l1, l2 in zip(ref.node_labels(g), ref.node_labels(g2)):
+            for l1, l2 in zip(node_labels(ref, g), node_labels(ref, g2)):
                 assert sorted(l1.tolist()) == sorted(l2.tolist())
 
     def test_table_independent_of_graph_order(self):
@@ -107,14 +111,15 @@ class TestReferenceEquality:
         ref = WlRefinement(depth=depth).fit(fitted)
         oracle = ReferenceRefinement(fitted, depth)
         assert ref.label_table == oracle.label_table
-        assert ref.feature_index == oracle.feature_index
+        # The oracle numbers its columns in sorted label order.
+        assert ref._vocab.tolist() == sorted(oracle.feature_index)
         assert ref.vocab_size == len(oracle.feature_index) + 1
         for g, expected in zip(fitted, oracle.fitted_labels):
-            assert [labels.tolist() for labels in ref.node_labels(g)] == expected
+            assert [labels.tolist() for labels in node_labels(ref, g)] == expected
         for g in unseen:
-            assert [labels.tolist() for labels in ref.node_labels(g)] == oracle.node_labels(g)
+            assert [labels.tolist() for labels in node_labels(ref, g)] == oracle.node_labels(g)
         for graphs in (fitted, unseen):
-            assert_bitwise_csr(ref.feature_matrix(graphs), oracle.feature_matrix(graphs))
+            assert_bitwise_csr(histograms(ref, graphs), oracle.feature_matrix(graphs))
         return ref, oracle
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -155,27 +160,24 @@ class TestReferenceEquality:
         joined = WlRefinement(depth=2).fit(PackedGraphs.join((source.packed, target.packed)))
         listed = WlRefinement(depth=2).fit(list(source.graphs) + list(target.graphs))
         assert joined.label_table == listed.label_table
-        assert joined.feature_index == listed.feature_index
+        assert joined._vocab.tolist() == listed._vocab.tolist()
 
 
 class TestEdgeCases:
     def test_fit_on_empty_graphs_keeps_only_unk(self):
         empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
         ref = WlRefinement(depth=2).fit([empty, empty])
-        assert ref.label_table == {} and ref.feature_index == {}
+        assert ref.label_table == {}
         assert ref.vocab_size == 1
-        assert ref.feature_matrix([empty]).toarray().tolist() == [[0.0]]
+        assert histograms(ref, [empty]).toarray().tolist() == [[0.0]]
         g = Graph(node_count=1, edges=(), node_labels=(3,), graph_label=0)
         assert ref.feature_row(g).toarray().tolist() == [[3.0]]
 
-    def test_feature_matrix_of_zero_graphs_rejected(self):
-        ref = WlRefinement(depth=1).fit([star_graph(2)])
-        with pytest.raises(ContractViolation, match="zero graphs"):
-            ref.feature_matrix([])
-
     def test_unfitted_refinement_rejected(self):
+        dataset = DomainDataset(graphs=(star_graph(2),), domain=SOURCE, num_classes=1,
+                                label_alphabet_size=1)
         with pytest.raises(ContractViolation, match="not fitted"):
-            WlRefinement(depth=1).node_labels(star_graph(2))
+            WlRefinement(depth=1).dataset_features(dataset)
 
     def test_dataset_rows_are_kept_per_refinement_until_refit(self):
         dataset = DomainDataset(graphs=(star_graph(2), star_graph(3)), domain=SOURCE,
@@ -187,7 +189,8 @@ class TestEdgeCases:
         ref.fit(dataset.graphs)
         refit = ref.dataset_features(dataset)
         assert refit.shape[1] == ref.vocab_size > rows.shape[1]
-        assert_bitwise_csr(refit, ref.feature_matrix(dataset.graphs))
+        assert_bitwise_csr(refit, ReferenceRefinement(dataset.graphs, 1).feature_matrix(
+            dataset.graphs))
 
     def test_negative_raw_labels_rejected(self):
         # A raw label equal to UNKNOWN_LABEL would become a vocabulary column
@@ -209,8 +212,8 @@ class TestEdgeCases:
         assert any(neighbors == () for _, neighbors in ref.label_table)
         unseen = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 1, 5),
                        graph_label=0)
-        labels = ref.node_labels(unseen)
-        assert labels[1][0] == ref.node_labels(fitted[0])[1][0]
+        labels = node_labels(ref, unseen)
+        assert labels[1][0] == node_labels(ref, fitted[0])[1][0]
         assert labels[1][1] == UNKNOWN_LABEL
         assert labels[2].tolist() == [UNKNOWN_LABEL] * 3
         assert labels[3].tolist() == [UNKNOWN_LABEL] * 3
@@ -231,7 +234,7 @@ class TestKernel:
         g = Graph(node_count=2, edges=((0, 1),), node_labels=(3, 3), graph_label=0)
         ref = WlRefinement(depth=1).fit([g])
         assert kernel(ref, g, g) == 8
-        assert brute_force_kernel(ref, g, g) == 8
+        assert brute_force_kernel(ReferenceRefinement([g], 1), g, g) == 8
 
     def test_disjoint_alphabets_give_zero(self):
         a = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 0, 0), graph_label=0)
@@ -245,7 +248,8 @@ class TestKernel:
             g1 = random_graph(rng, max_nodes=6, num_labels=3)
             g2 = random_graph(rng, max_nodes=6, num_labels=3)
             ref = WlRefinement(depth=2).fit([g1, g2])
-            assert kernel(ref, g1, g2) == brute_force_kernel(ref, g1, g2)
+            oracle = ReferenceRefinement([g1, g2], 2)
+            assert kernel(ref, g1, g2) == brute_force_kernel(oracle, g1, g2)
 
     def test_kernel_symmetric(self):
         rng = np.random.default_rng(6)
@@ -261,7 +265,7 @@ class TestKernel:
             value = kernel(ref, g, g)
             floor = g.node_count * 3
             assert value >= floor
-            labels = ref.node_labels(g)
+            labels = node_labels(ref, g)
             all_distinct = all(len(set(l.tolist())) == len(l) for l in labels)
             assert (value == floor) == all_distinct
 
@@ -269,7 +273,7 @@ class TestKernel:
         rng = np.random.default_rng(8)
         graphs = [random_graph(rng, max_nodes=6) for _ in range(16)]
         ref = WlRefinement(depth=2).fit(graphs)
-        gram = normalized_gram(gram_matrix(ref, graphs))
+        gram = kernel_gram(ref, graphs, normalized=True)
         sym = (gram + gram.T) / 2.0
         assert np.linalg.eigvalsh(sym).min() >= -1e-8
 
@@ -301,7 +305,7 @@ class TestGknHead:
         ref = WlRefinement(depth=2).fit([train])
         # Every label of this graph is outside the fitted vocabulary.
         alien = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(9, 9, 9), graph_label=0)
-        labels = ref.node_labels(alien)
+        labels = node_labels(ref, alien)
         assert all(v == UNKNOWN_LABEL for v in labels[1])
         row = ref.feature_row(alien)
         # Raw label 9 is itself unseen, so every count lands on UNK.
