@@ -8,19 +8,19 @@ accuracy. A plan of more than one cell trains its cells in
 process may run on. A plan runs its cells in-process, one after
 another, when it has one cell, when it may run on one CPU, or where
 ``fork`` is not a start method. Either way every cell runs numpy's
-bundled OpenBLAS at one thread, results and failures are collected in
-plan order, and every output file is byte-identical. Reports are written
-deterministically and atomically: identical plans and seeds produce
-byte-identical CSV files, and no output file is ever left half-written.
+bundled OpenBLAS at one thread, as ``trainer.train`` does: the plan sets
+the count before it forks, so workers inherit it and never reset it.
+Results and failures are collected in plan order, and every output file
+is byte-identical. Reports are written deterministically and atomically:
+identical plans and seeds produce byte-identical CSV files, and no
+output file is ever left half-written.
 """
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from pathlib import Path
@@ -31,7 +31,7 @@ from .autodiff import save_checkpoint
 from .errors import ConfigurationError, DagrlError
 from .fileio import atomic_write, output_dir
 from .graphs import parse_tudataset, split_by_density, subset_as_source, subset_as_target
-from .trainer import TrainConfig, evaluate, export_loss_history, train
+from .trainer import TrainConfig, _one_blas_thread, evaluate, export_loss_history, train
 
 # Ordered as in the transfer-result tables: both directions of each
 # unordered group pair, lowest-density groups first.
@@ -148,45 +148,6 @@ def _worker_count(cells: int) -> int:
             or not hasattr(os, "sched_getaffinity")):
         return 1
     return min(cells, len(os.sched_getaffinity(0)))
-
-
-def _openblas_threads():
-    """Getter and setter of numpy's bundled OpenBLAS thread count, or None.
-
-    None means another BLAS, which is left alone. ``RTLD_NOLOAD`` opens
-    only the copy numpy loaded, never a second one.
-    """
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's bundled OpenBLAS at one thread for the block, then restore it.
-
-    A cell's products are too small to gain from a second thread, whose
-    helper spins after each burst of work and burns a CPU. Workers forked
-    inside the block inherit the count: one worker per CPU already fills
-    the machine. Setting the count in a worker instead restarts OpenBLAS's
-    thread pool there, and its idle thread spins as well.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 # ``(plan, dataset, groups)`` in a pool worker, set by ``_init_worker``.

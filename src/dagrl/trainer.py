@@ -23,9 +23,13 @@ bit-comparable.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -396,10 +400,59 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
     return state
 
 
+def _openblas_threads():
+    """Getter and setter of numpy's bundled OpenBLAS thread count, or None.
+
+    None means another BLAS, which is left alone. ``RTLD_NOLOAD`` opens
+    only the copy numpy loaded, never a second one; where the platform
+    has no such mode, or that copy is not loaded, the lookup gives None.
+    """
+    mode = getattr(os, "RTLD_NOLOAD", None)
+    if mode is None:
+        return None
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            lib = ctypes.CDLL(str(path), mode=mode)
+        except OSError:
+            return None
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread for the block, then restore it.
+
+    Training's products are too small to gain from a second thread, whose
+    helper spins after each burst of work and burns a CPU. Processes
+    forked inside the block inherit the count, so a block inside them
+    finds it at 1 and calls no setter: setting the count in a forked
+    process restarts OpenBLAS's thread pool there, and its idle thread
+    spins as well.
+    """
+    threads = _openblas_threads()
+    before = threads[0]() if threads else 1
+    if before == 1:
+        yield
+        return
+    set_ = threads[1]
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def train(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> TrainState:
+    """Build a state and train it for ``config.epochs`` epochs at one OpenBLAS thread."""
     state = build_state(config, source, target)
-    for _ in range(config.epochs):
-        train_epoch(state, source, target)
+    with _one_blas_thread():
+        for _ in range(config.epochs):
+            train_epoch(state, source, target)
     return state
 
 

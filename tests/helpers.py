@@ -120,13 +120,18 @@ class ReferenceRefinement:
         return sp.vstack([self.feature_row(g) for g in graphs], format="csr")
 
 
+def histograms(refinement, graphs) -> sp.csr_matrix:
+    """The refinement's histogram rows of ``graphs``, counted as training counts them."""
+    return refinement._histograms(PackedGraphs(graphs))
+
+
 def kernel_gram(refinement, graphs, normalized: bool = False) -> np.ndarray:
     """Subtree-kernel values of every pair of ``graphs``: ``h @ h.T`` over their histogram rows.
 
     ``normalized`` divides entry (i, j) by the square roots of entries
     (i, i) and (j, j).
     """
-    h = refinement._histograms(PackedGraphs(graphs))
+    h = histograms(refinement, graphs)
     gram = np.asarray((h @ h.T).todense(), dtype=np.float64)
     if not normalized:
         return gram

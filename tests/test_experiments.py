@@ -19,6 +19,7 @@ from dagrl.experiments import (
 )
 from dagrl.graphs import write_tudataset
 from dagrl.synthetic import make_benchmark
+from dagrl import trainer
 from dagrl.trainer import VARIANTS, TrainConfig
 
 
@@ -142,7 +143,7 @@ def use_cpus(monkeypatch, count):
 
 def blas_threads_per_cell(bench_root, tmp_path, monkeypatch, cpus):
     """The OpenBLAS thread count each cell of a 2-cell plan sees, started at 2 threads."""
-    threads = exp._openblas_threads()
+    threads = trainer._openblas_threads()
     if threads is None:
         pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
     get_threads, set_threads = threads
@@ -161,6 +162,13 @@ def blas_threads_per_cell(bench_root, tmp_path, monkeypatch, cpus):
 def test_in_process_cells_run_one_blas_thread(bench_root, tmp_path, monkeypatch):
     # One CPU keeps both cells in this process.
     assert blas_threads_per_cell(bench_root, tmp_path, monkeypatch, cpus=1) == [1, 1]
+
+
+def test_plan_runs_where_the_blas_lookup_has_no_rtld_noload(bench_root, tmp_path, monkeypatch):
+    # Platforms without the POSIX mode leave the BLAS alone instead of failing.
+    monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+    assert trainer._openblas_threads() is None
+    assert len(run_plan(make_plan(bench_root, tmp_path / "o")).rows) == 1
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -210,16 +210,24 @@ class TestDeterminism:
     def test_history_independent_of_blas_thread_count(self, tmp_path):
         # The criterion-6 config's weight gradients sum over ~2600 nodes, long
         # enough for OpenBLAS to split an unchunked product across threads.
+        # train() would hold one thread, so the script steps the epochs itself
+        # and prints the count it ran at.
         script = (
             "import sys\n"
             "from dagrl.synthetic import make_shifted_pair\n"
-            "from dagrl.trainer import TrainConfig, export_loss_history, train\n"
+            "from dagrl.trainer import (TrainConfig, _openblas_threads, build_state,\n"
+            "                           export_loss_history, train_epoch)\n"
             "source, target = make_shifted_pair(1, graphs_per_class=100)\n"
             "config = TrainConfig(epochs=3, lr=1e-2, hidden_dim=32, batch_size=256,\n"
             "                     lambda1=0.01, lambda2=0.01, epsilon=4.0, wl_depth=2, seed=1)\n"
-            "export_loss_history(sys.argv[1], train(config, source, target).history)\n")
+            "state = build_state(config, source, target)\n"
+            "for _ in range(config.epochs):\n"
+            "    train_epoch(state, source, target)\n"
+            "export_loss_history(sys.argv[1], state.history)\n"
+            "threads = _openblas_threads()\n"
+            "print(threads[0]() if threads else None)\n")
         src = str(Path(trainer.__file__).resolve().parents[1])
-        histories = []
+        histories, ran_at = [], []
         for threads in ("1", "2"):
             path = tmp_path / f"history_{threads}.csv"
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
@@ -228,7 +236,33 @@ class TestDeterminism:
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             histories.append(path.read_bytes())
+            ran_at.append(proc.stdout.strip())
         assert histories[0] == histories[1]
+        # OpenBLAS runs at most one thread per CPU.
+        if ran_at[0] != "None" and len(os.sched_getaffinity(0)) >= 2:
+            assert ran_at == ["1", "2"]
+
+    def test_train_holds_one_blas_thread_and_restores_the_count(self, tiny_pair,
+                                                                monkeypatch):
+        threads = trainer._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
+        get_threads, set_threads = threads
+        seen, original = [], trainer.train_epoch
+
+        def counting(state, source, target):
+            seen.append(get_threads())
+            return original(state, source, target)
+
+        monkeypatch.setattr(trainer, "train_epoch", counting)
+        before = get_threads()
+        set_threads(2)
+        try:
+            train(toy_config(epochs=3), *tiny_pair)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1, 1, 1]
 
     def test_different_seeds_differ(self, tiny_pair):
         source, target = tiny_pair

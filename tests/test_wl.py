@@ -17,6 +17,7 @@ from dagrl.wl import UNKNOWN_LABEL, GknHead, WlRefinement
 from helpers import (
     ReferenceRefinement,
     brute_force_kernel,
+    histograms,
     kernel_gram,
     permute_graph,
     random_graph,
@@ -26,10 +27,6 @@ from helpers import (
 def node_labels(refinement, g):
     """Per-depth label arrays of ``g`` under the fitted table."""
     return refinement._refine(PackedGraphs([g]))
-
-
-def histograms(refinement, graphs):
-    return refinement._histograms(PackedGraphs(graphs))
 
 
 def kernel(refinement, g1, g2):
