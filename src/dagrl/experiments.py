@@ -8,8 +8,9 @@ accuracy. A plan of more than one cell trains its cells in
 process may run on. A plan runs its cells in-process, one after
 another, when it has one cell, when it may run on one CPU, or where
 ``fork`` is not a start method. Either way every cell runs numpy's
-bundled OpenBLAS at one thread, as ``trainer.train`` does: the plan sets
-the count before it forks, so workers inherit it and never reset it.
+bundled OpenBLAS at one thread, as ``trainer.train_epoch`` does: the
+plan sets the count before it forks, so workers inherit it and never
+reset it.
 Results and failures are collected in plan order, and every output file
 is byte-identical. Reports are written deterministically and atomically:
 identical plans and seeds produce byte-identical CSV files, and no

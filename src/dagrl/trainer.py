@@ -27,7 +27,7 @@ import ctypes
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -39,7 +39,6 @@ from .adversarial import (
     DomainDiscriminator,
     PerturbationStore,
     discriminator_update,
-    domain_accuracy,
     domain_loss,
     perturbation_step,
 )
@@ -62,6 +61,10 @@ VARIANTS = {
     "gkn_only_dual": (("gkn", True), ("gkn", True)),
     "source_only": (("gin", False), ("gkn", False)),
 }
+
+# The loss columns of an epoch, as ``_train_step`` returns them and
+# ``export_loss_history`` heads them.
+LOSS_COLUMNS = ("L_S", "L_DA_C", "L_DA_K", "L")
 
 # Graphs per forward in evaluate; fixed, so predictions do not depend on
 # the training batch size.
@@ -158,7 +161,6 @@ class TrainState:
     refinement: WlRefinement | None
     rng_source: np.random.Generator
     rng_target: np.random.Generator
-    input_dim: int
     source: DomainDataset
     target: DomainDataset
     epoch: int = 0
@@ -195,7 +197,7 @@ class Batch:
     def __init__(self, state: TrainState, dataset: DomainDataset, indices):
         self.dataset = dataset
         self.indices = list(indices)
-        self._input_dim = state.input_dim
+        self._input_dim = state.source.label_alphabet_size
         self._refinement = state.refinement
 
     @cached_property
@@ -270,7 +272,6 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
         refinement=refinement,
         rng_source=rngs[4],
         rng_target=rngs[5],
-        input_dim=d,
         source=source,
         target=target,
     )
@@ -333,7 +334,7 @@ def _adversary_step(state: TrainState, b: int, src: Batch, target, source):
 
 
 def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
-    """Both adversaries, then one model step; returns ``(L_S, L_DA_C, L_DA_K, L)``."""
+    """Both adversaries, then one model step; returns the ``LOSS_COLUMNS`` values."""
     cfg = state.config
     tape = ad.Tape()
     da = [0.0, 0.0]
@@ -364,37 +365,35 @@ def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
     return l_s.item(), da[0], da[1], total.item()
 
 
-def _check_pair(state: TrainState, source: DomainDataset, target: DomainDataset) -> None:
-    if source is not state.source or target is not state.target:
-        raise ConfigurationError(
-            "a state takes only the source and target datasets it was built from")
-
-
 def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset) -> TrainState:
     """One pass over the source data with cycled target batches.
 
     Each step gathers one source and one target batch and runs
-    :func:`_train_step` on them.
+    :func:`_train_step` on them, at one OpenBLAS thread. The state takes
+    only the ``source`` and ``target`` it was built from.
     """
-    _check_pair(state, source, target)
+    if source is not state.source or target is not state.target:
+        raise ConfigurationError(
+            "a state takes only the source and target datasets it was built from")
     cfg = state.config
     src_order = [int(i) for i in state.rng_source.permutation(len(source.graphs))]
     tgt_order = [int(i) for i in state.rng_target.permutation(len(target.graphs))]
 
     batch_stats = []
     cursor = 0
-    for src_idx in _chunks(src_order, cfg.batch_size):
-        tgt_idx = [tgt_order[(cursor + k) % len(tgt_order)] for k in range(len(src_idx))]
-        cursor += len(src_idx)
-        labels = [source.graphs[i].graph_label for i in src_idx]
-        batch_stats.append(_train_step(state, Batch(state, source, src_idx), labels,
-                                       Batch(state, target, tgt_idx)))
+    with _one_blas_thread():
+        for src_idx in _chunks(src_order, cfg.batch_size):
+            tgt_idx = [tgt_order[(cursor + k) % len(tgt_order)] for k in range(len(src_idx))]
+            cursor += len(src_idx)
+            labels = [source.graphs[i].graph_label for i in src_idx]
+            batch_stats.append(_train_step(state, Batch(state, source, src_idx), labels,
+                                           Batch(state, target, tgt_idx)))
 
-    means = [float(np.mean(column)) for column in zip(*batch_stats)]
-    for name, value in zip(("L_S", "L_DA_C", "L_DA_K", "L"), means):
-        if not np.isfinite(value):
-            raise ContractViolation(f"non-finite {name} in epoch {state.epoch}: {means}")
-    accuracy = evaluate(state, target) if target.eval_labels is not None else None
+        means = [float(np.mean(column)) for column in zip(*batch_stats)]
+        for name, value in zip(LOSS_COLUMNS, means):
+            if not np.isfinite(value):
+                raise ContractViolation(f"non-finite {name} in epoch {state.epoch}: {means}")
+        accuracy = evaluate(state, target) if target.eval_labels is not None else None
     state.history.append(EpochStats(state.epoch, *means, accuracy))
     state.epoch += 1
     return state
@@ -448,11 +447,10 @@ def _one_blas_thread():
 
 
 def train(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> TrainState:
-    """Build a state and train it for ``config.epochs`` epochs at one OpenBLAS thread."""
+    """Build a state and train it for ``config.epochs`` epochs."""
     state = build_state(config, source, target)
-    with _one_blas_thread():
-        for _ in range(config.epochs):
-            train_epoch(state, source, target)
+    for _ in range(config.epochs):
+        train_epoch(state, source, target)
     return state
 
 
@@ -482,31 +480,7 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
 def export_loss_history(path, history) -> None:
     """Write per-epoch losses and target accuracy as CSV, atomically."""
     with atomic_write(path) as fh:
-        fh.write("epoch,L_S,L_DA_C,L_DA_K,L,target_accuracy\n")
+        fh.write(",".join(("epoch", *LOSS_COLUMNS, "target_accuracy")) + "\n")
         for e in history:
-            acc = "" if e.target_accuracy is None else repr(e.target_accuracy)
-            fh.write(f"{e.epoch},{e.source_loss!r},{e.domain_loss_first!r},"
-                     f"{e.domain_loss_second!r},{e.total_loss!r},{acc}\n")
-
-
-def discriminator_domain_accuracy(state: TrainState, source: DomainDataset,
-                                  target: DomainDataset, branch_idx: int = 0) -> float:
-    """Post-training domain accuracy of one branch's discriminator.
-
-    Source graphs enter with their trained perturbations, matching what
-    the discriminator saw during training.
-    """
-    _check_pair(state, source, target)
-    if not state.discriminators:
-        raise ConfigurationError("this variant trains no discriminators")
-    branch = state.branches[branch_idx]
-    disc = state.discriminators[branch_idx]
-    src = Batch(state, source, range(len(source.graphs)))
-    tgt = Batch(state, target, range(len(target.graphs)))
-    rows = state.store.gather(branch_idx, src.indices)
-    with ad.frozen(branch.params() + disc.params()):
-        tape = ad.Tape()
-        z_s, p_s, _ = branch.forward(tape, src, None if rows is None else ad.constant(rows))
-        z_t, p_t, _ = branch.forward(tape, tgt)
-        return domain_accuracy(disc.logits(tape, z_s, p_s).data, disc.logits(tape, z_t, p_t).data)
+            fh.write(",".join("" if v is None else repr(v) for v in astuple(e)) + "\n")
 

@@ -11,10 +11,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from dagrl import autodiff as ad
-from dagrl.adversarial import discriminator_update, domain_loss, perturbation_step
+from dagrl.adversarial import (
+    discriminator_update,
+    domain_accuracy,
+    domain_loss,
+    perturbation_step,
+)
 from dagrl.gin import GraphBatch
 from dagrl.graphs import Graph, PackedGraphs
-from dagrl.trainer import source_loss
+from dagrl.trainer import Batch, source_loss
 
 
 def path_graph(n: int, labels=None) -> Graph:
@@ -222,6 +227,23 @@ def reference_train_step(state, src, labels, tgt):
     l_s, total, da_phase3 = _phase_model(state, src, labels, tgt)
     da = [p3 if p3 is not None else p1 for p3, p1 in zip(da_phase3, da_phase1)]
     return l_s, da[0], da[1], total
+
+
+def discriminator_domain_accuracy(state, b: int) -> float:
+    """Domain accuracy of branch ``b``'s discriminator over the state's whole pair.
+
+    Source graphs enter with their trained perturbations, as the
+    discriminator saw them in training. Nothing is recorded: the branch
+    and the discriminator are frozen and the perturbations are constants.
+    """
+    branch, disc = state.branches[b], state.discriminators[b]
+    src = Batch(state, state.source, range(len(state.source.graphs)))
+    tgt = Batch(state, state.target, range(len(state.target.graphs)))
+    with ad.frozen(branch.params() + disc.params()):
+        tape = ad.Tape()
+        z_s, p_s, _ = branch.forward(tape, src, _stored(state, b, src))
+        z_t, p_t, _ = branch.forward(tape, tgt)
+        return domain_accuracy(disc.logits(tape, z_s, p_s).data, disc.logits(tape, z_t, p_t).data)
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

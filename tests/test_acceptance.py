@@ -19,7 +19,6 @@ from dagrl.synthetic import make_shifted_pair
 from dagrl.trainer import (
     TrainConfig,
     build_state,
-    discriminator_domain_accuracy,
     evaluate,
     train,
 )
@@ -28,6 +27,7 @@ from helpers import (
     ReferenceRefinement,
     brute_force_kernel,
     dataset_root,
+    discriminator_domain_accuracy,
     finite_difference,
     have_dataset,
     kernel_gram,
@@ -219,8 +219,7 @@ def synthetic_shift_results():
             state = train(config, source, target)
             accs.append(evaluate(state, target))
             if variant == "full":
-                disc_accs.append([discriminator_domain_accuracy(state, source, target, b)
-                                  for b in (0, 1)])
+                disc_accs.append([discriminator_domain_accuracy(state, b) for b in (0, 1)])
         results[variant] = accs
     results["disc"] = disc_accs
     results["elapsed"] = time.perf_counter() - start

@@ -210,22 +210,26 @@ class TestDeterminism:
     def test_history_independent_of_blas_thread_count(self, tmp_path):
         # The criterion-6 config's weight gradients sum over ~2600 nodes, long
         # enough for OpenBLAS to split an unchunked product across threads.
-        # train() would hold one thread, so the script steps the epochs itself
-        # and prints the count it ran at.
+        # train_epoch would hold one thread, so the script replaces the hold
+        # with a null context and prints the count the first step ran at.
         script = (
-            "import sys\n"
+            "import contextlib, sys\n"
+            "from dagrl import trainer\n"
             "from dagrl.synthetic import make_shifted_pair\n"
-            "from dagrl.trainer import (TrainConfig, _openblas_threads, build_state,\n"
-            "                           export_loss_history, train_epoch)\n"
+            "trainer._one_blas_thread = contextlib.nullcontext\n"
+            "threads, ran_at, step = trainer._openblas_threads(), [], trainer._train_step\n"
+            "def first_step_count(*args):\n"
+            "    if not ran_at:\n"
+            "        ran_at.append(threads[0]() if threads else None)\n"
+            "    return step(*args)\n"
+            "trainer._train_step = first_step_count\n"
             "source, target = make_shifted_pair(1, graphs_per_class=100)\n"
-            "config = TrainConfig(epochs=3, lr=1e-2, hidden_dim=32, batch_size=256,\n"
-            "                     lambda1=0.01, lambda2=0.01, epsilon=4.0, wl_depth=2, seed=1)\n"
-            "state = build_state(config, source, target)\n"
-            "for _ in range(config.epochs):\n"
-            "    train_epoch(state, source, target)\n"
-            "export_loss_history(sys.argv[1], state.history)\n"
-            "threads = _openblas_threads()\n"
-            "print(threads[0]() if threads else None)\n")
+            "config = trainer.TrainConfig(epochs=3, lr=1e-2, hidden_dim=32, batch_size=256,\n"
+            "                             lambda1=0.01, lambda2=0.01, epsilon=4.0, wl_depth=2,\n"
+            "                             seed=1)\n"
+            "state = trainer.train(config, source, target)\n"
+            "trainer.export_loss_history(sys.argv[1], state.history)\n"
+            "print(ran_at[0])\n")
         src = str(Path(trainer.__file__).resolve().parents[1])
         histories, ran_at = [], []
         for threads in ("1", "2"):
@@ -242,27 +246,47 @@ class TestDeterminism:
         if ran_at[0] != "None" and len(os.sched_getaffinity(0)) >= 2:
             assert ran_at == ["1", "2"]
 
-    def test_train_holds_one_blas_thread_and_restores_the_count(self, tiny_pair,
-                                                                monkeypatch):
+    @staticmethod
+    def counts_at_two_threads(monkeypatch, run):
+        """``run()`` with the count set to 2: the count each step and evaluate
+        saw, and the count ``run`` left."""
         threads = trainer._openblas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS is not its bundled scipy-openblas")
         get_threads, set_threads = threads
-        seen, original = [], trainer.train_epoch
+        seen = []
+        for name in ("_train_step", "evaluate"):
+            def counting(*args, original=getattr(trainer, name), name=name):
+                seen.append((name, get_threads()))
+                return original(*args)
 
-        def counting(state, source, target):
-            seen.append(get_threads())
-            return original(state, source, target)
-
-        monkeypatch.setattr(trainer, "train_epoch", counting)
+            monkeypatch.setattr(trainer, name, counting)
         before = get_threads()
         set_threads(2)
         try:
-            train(toy_config(epochs=3), *tiny_pair)
-            assert get_threads() == 2
+            run()
+            left = get_threads()
         finally:
             set_threads(before)
-        assert seen == [1, 1, 1]
+        return seen, left
+
+    def test_train_holds_one_blas_thread_and_restores_the_count(self, tiny_pair,
+                                                                monkeypatch):
+        seen, left = self.counts_at_two_threads(
+            monkeypatch, lambda: train(toy_config(epochs=3), *tiny_pair))
+        steps = -(-len(tiny_pair[0].graphs) // 8)
+        assert seen == ([("_train_step", 1)] * steps + [("evaluate", 1)]) * 3
+        assert left == 2
+
+    def test_train_epoch_holds_one_blas_thread_and_restores_the_count(self, tiny_pair,
+                                                                      monkeypatch):
+        # The path a caller takes that steps the epochs itself.
+        state = build_state(toy_config(), *tiny_pair)
+        seen, left = self.counts_at_two_threads(
+            monkeypatch, lambda: train_epoch(state, *tiny_pair))
+        steps = -(-len(tiny_pair[0].graphs) // 8)
+        assert seen == [("_train_step", 1)] * steps + [("evaluate", 1)]
+        assert left == 2
 
     def test_different_seeds_differ(self, tiny_pair):
         source, target = tiny_pair
@@ -362,8 +386,6 @@ class TestStatePair:
                      (other_source, target)):
             with pytest.raises(ConfigurationError, match="built from"):
                 train_epoch(state, *pair)
-            with pytest.raises(ConfigurationError, match="built from"):
-                trainer.discriminator_domain_accuracy(state, *pair)
         # A rejected call changes nothing: the own pair still trains as a fresh state.
         train_epoch(state, source, target)
         assert state.history == train(config, source, target).history
@@ -541,8 +563,6 @@ class TestPhaseScope:
         records = []
         monkeypatch.setattr(ad.Tape, "record", lambda self, *args: records.append(args))
         evaluate(state, target)
-        for b in range(2):
-            trainer.discriminator_domain_accuracy(state, source, target, b)
         assert records == []
         assert all(p.requires_grad
                    for p in state.branch_params() + state.discriminator_params())
