@@ -15,6 +15,7 @@ They live in one flat array per branch, indexed like the packed graphs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +144,13 @@ def perturbation_step(store: PerturbationStore, slot: int, indices,
     scales from :func:`segment_norms`, repeated onto the rows, one raw
     step, one shrink and one scatter. Gradients with Frobenius norm below
     1e-12 are documented no-ops, not errors: those entries keep their
-    bytes. ``indices`` must be distinct. Returns the updated entries,
-    stacked like ``grad``: what ``store.gather(slot, indices)`` now gives.
+    bytes. A repeated index raises ``ContractViolation``. Returns the
+    updated entries, stacked like ``grad``: what ``store.gather(slot,
+    indices)`` now gives.
     """
+    if len(set(indices)) != len(indices):
+        repeated = next(i for i, n in Counter(indices).items() if n > 1)
+        raise ContractViolation(f"graph index {repeated} repeats in one perturbation step")
     row_index, local_offsets = gather_rows(store.offsets[slot], indices)
     entries = store.rows[slot][row_index]
     if grad.shape != entries.shape:

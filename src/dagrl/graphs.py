@@ -361,11 +361,21 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
     """Serialize a dataset back to the benchmark text layout.
 
     Each undirected edge is written in both directions, matching the way
-    published benchmark files list edges. Re-parsing the written files
-    yields a dataset identical to ``ds``. Every label is checked before
-    any file is opened, and each file is written atomically, so a failed
-    or killed writer leaves no partial file; ``_A.txt`` is written last.
+    published benchmark files list edges. Parsing renumbers node labels
+    and classes densely, so re-parsing gives back ``ds``, as a source
+    dataset, only when every node label in ``[0, label_alphabet_size)``
+    and every class in ``[0, num_classes)`` occurs. The layout counts
+    graphs up to the last node's graph, so an empty last graph is
+    rejected. Every graph is checked before any file is opened, and each
+    file is written atomically, so a failed or killed writer leaves no
+    partial file; ``_A.txt`` is written last.
     """
+    if not ds.graphs:
+        raise ConfigurationError("no graphs to serialize")
+    if ds.graphs[-1].node_count == 0:
+        raise ConfigurationError(
+            f"graph {len(ds.graphs) - 1} has no nodes; the text layout cannot hold an empty "
+            "last graph")
     labels = []
     for i, g in enumerate(ds.graphs):
         label = g.graph_label

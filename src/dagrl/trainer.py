@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -85,6 +86,12 @@ class TrainConfig:
     variant: str = "full"
 
     def __post_init__(self):
+        # A bool is an Integral but no count or rate.
+        kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; valid: {', '.join(VARIANTS)}"

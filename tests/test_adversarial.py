@@ -127,6 +127,16 @@ class TestPerturbationStep:
         with pytest.raises(ContractViolation, match="gradient shape"):
             perturbation_step(store, 0, [1, 0], np.ones((4, 2)))
 
+    def test_repeated_index_rejected(self):
+        # Each graph's rows would be stepped twice from the same entries and
+        # the scatter would keep only one of them.
+        store = self.make_store()
+        before = {k: v.copy() for k, v in store.as_arrays().items()}
+        with pytest.raises(ContractViolation, match="graph index 0 repeats"):
+            perturbation_step(store, 0, [0, 1, 0], np.ones((8, 2)))
+        assert store.steps == 0
+        assert all(np.array_equal(v, before[k]) for k, v in store.as_arrays().items())
+
 
 def reference_step(entries, eps, gradients):
     """The per-graph update on a list of arrays, one graph at a time.

@@ -129,6 +129,26 @@ class TestParser:
             write_tudataset(ds, tmp_path, "bad")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("with_graphs, message", [(True, "graph 1 has no nodes"),
+                                                       (False, "no graphs")])
+    def test_empty_last_graph_writes_no_file(self, tmp_path, with_graphs, message):
+        # The parser counts graphs up to the last node's graph, so the
+        # files would hold one graph label too many, or no node at all,
+        # and fail to parse.
+        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=1)
+        graphs = (path_graph(3), empty) if with_graphs else ()
+        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=2, label_alphabet_size=1)
+        with pytest.raises(ConfigurationError, match=message):
+            write_tudataset(ds, tmp_path, "bad")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_graph_before_the_last_round_trips(self, tmp_path):
+        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=1)
+        ds = DomainDataset(graphs=(path_graph(3), empty, path_graph(2)), domain=SOURCE,
+                           num_classes=2, label_alphabet_size=1)
+        write_tudataset(ds, tmp_path, "rt")
+        assert parse_tudataset(tmp_path, "rt") == ds
+
     def test_failure_while_writing_edges_leaves_no_edge_file(self, tmp_path, monkeypatch):
         # The edge file fails after two lines; a truncated edge list would
         # still parse as a dataset with fewer edges.

@@ -76,6 +76,9 @@ class TestConfig:
         ("epsilon", float("nan")), ("epsilon", float("inf")), ("lambda1", float("nan")),
         ("lambda2", float("inf")), ("lr", float("nan")), ("lr", -1.0), ("lr", 0.0),
         ("hidden_dim", 0), ("wl_depth", -1), ("seed", -1),
+        ("epochs", 1.5), ("batch_size", 2.5), ("hidden_dim", 4.0), ("wl_depth", 1.5),
+        ("seed", 1.5), ("epochs", True), ("lr", "0.1"), ("lambda1", False),
+        ("variant", ["full"]),
     ])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
