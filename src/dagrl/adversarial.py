@@ -42,8 +42,6 @@ class DomainDiscriminator(ad.Mlp):
 def domain_loss_from_logits(tape: ad.Tape, source_logits: ad.Tensor,
                             target_logits: ad.Tensor) -> ad.Tensor:
     """Batch-mean domain objective from raw discriminator logits."""
-    if source_logits.shape[0] == 0 or target_logits.shape[0] == 0:
-        raise ContractViolation("domain loss needs nonempty source and target batches")
     src_term = ad.mean_rows(tape, ad.log_sigmoid(tape, source_logits))
     tgt_term = ad.mean_rows(tape, ad.log_sigmoid(tape, ad.scale(tape, target_logits, -1.0)))
     return ad.add(tape, src_term, tgt_term)
@@ -144,9 +142,9 @@ def perturbation_step(store: PerturbationStore, slot: int, indices,
     scales from :func:`segment_norms`, repeated onto the rows, one raw
     step, one shrink and one scatter. Gradients with Frobenius norm below
     1e-12 are documented no-ops, not errors: those entries keep their
-    bytes. A repeated index raises ``ContractViolation``. Returns the
-    updated entries, stacked like ``grad``: what ``store.gather(slot,
-    indices)`` now gives.
+    bytes. A repeated or out-of-range index raises ``ContractViolation``.
+    Returns the updated entries, stacked like ``grad``: what
+    ``store.gather(slot, indices)`` now gives.
     """
     if len(set(indices)) != len(indices):
         repeated = next(i for i, n in Counter(indices).items() if n > 1)
@@ -154,8 +152,7 @@ def perturbation_step(store: PerturbationStore, slot: int, indices,
     row_index, local_offsets = gather_rows(store.offsets[slot], indices)
     entries = store.rows[slot][row_index]
     if grad.shape != entries.shape:
-        raise ContractViolation(
-            f"gradient shape {grad.shape} != perturbation shape {entries.shape}")
+        raise ContractViolation(f"gradient shape {grad.shape} != entries' shape {entries.shape}")
     eps = store.epsilon
     counts = np.diff(local_offsets)
     gnorm = segment_norms(grad, local_offsets)

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .errors import ContractViolation
 from .graphs import PackedGraphs, gather_rows
 
 
@@ -25,23 +24,19 @@ class GraphBatch:
     All three are index gathers from the packed arrays: the one-hot node
     features, the adjacency (the graphs' row slices of the packed
     adjacency, shifted to batch-local columns) and the sum readout, whose
-    ``indptr`` is the batch's node offsets.
+    ``indptr`` is the batch's node offsets. Node labels must lie in
+    ``[0, input_dim)``, as a dataset's packing checks.
     """
 
     def __init__(self, packed: PackedGraphs, indices, input_dim: int):
-        self.graphs = [packed.graphs[i] for i in indices]
         nodes, offsets = gather_rows(packed.node_offsets, indices)
+        self.graphs = [packed.graphs[i] for i in indices]
         total = len(nodes)
         # Batch node k is packed node nodes[k]; columns move back by the shift.
         shift = nodes - np.arange(total)
 
-        labels = packed.node_labels[nodes]
-        bad = labels >= input_dim
-        if bad.any():
-            raise ContractViolation(
-                f"node label {labels[bad][0]} outside alphabet of size {input_dim}")
         self.features = np.zeros((total, input_dim))
-        self.features[np.arange(total), labels] = 1.0
+        self.features[np.arange(total), packed.node_labels[nodes]] = 1.0
 
         adj = packed.adjacency
         positions, indptr = gather_rows(adj.indptr, nodes)
@@ -60,9 +55,6 @@ class GraphBatch:
         """
         if perturbation is None:
             return ad.constant(self.features)
-        if perturbation.shape != self.features.shape:
-            raise ContractViolation(
-                f"perturbation shape {perturbation.shape} != {self.features.shape}")
         return ad.add(tape, ad.constant(self.features), perturbation)
 
 

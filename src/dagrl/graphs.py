@@ -109,12 +109,16 @@ class PackedGraphs:
 def gather_rows(offsets: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
     """The rows of segments ``indices``, in order, and their offsets among them.
 
-    Segment ``i`` owns rows ``offsets[i]:offsets[i + 1]``. Returns
+    Segment ``i`` owns rows ``offsets[i]:offsets[i + 1]``; an index outside
+    ``[0, len(offsets) - 1)`` raises ``ContractViolation``. Returns
     ``row_index``, the picked segments' row numbers concatenated, and
     ``local_offsets``: picked segment ``k`` is
     ``row_index[local_offsets[k]:local_offsets[k + 1]]``.
     """
     idx = np.asarray(indices, dtype=np.int64)
+    outside = (idx < 0) | (idx >= len(offsets) - 1)
+    if outside.any():
+        raise ContractViolation(f"index {idx[outside][0]} outside [0, {len(offsets) - 1})")
     starts = offsets[idx]
     counts = offsets[idx + 1] - starts
     local_offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -126,9 +130,10 @@ def gather_rows(offsets: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
 class DomainDataset:
     """An ordered collection of graphs tagged as one adaptation domain.
 
-    Source datasets keep ``graph_label`` on every graph. Target datasets
-    carry ``None`` labels on the graphs themselves; the true labels are
-    detached into ``eval_labels`` and consumed only by evaluation code.
+    Source datasets keep a ``graph_label`` in ``[0, num_classes)`` on every
+    graph. Target datasets carry ``None`` labels on the graphs themselves;
+    the true labels are detached into ``eval_labels`` and consumed only by
+    evaluation code. Node labels are checked against the alphabet at packing.
     """
 
     graphs: tuple[Graph, ...]
@@ -142,8 +147,9 @@ class DomainDataset:
             raise ContractViolation(f"domain must be {SOURCE!r} or {TARGET!r}, got {self.domain!r}")
         if self.domain == SOURCE:
             for i, g in enumerate(self.graphs):
-                if g.graph_label is None:
-                    raise ContractViolation(f"source graph {i} has no label")
+                if g.graph_label not in range(self.num_classes):
+                    raise ContractViolation(f"source graph {i} has label {g.graph_label}, "
+                                            f"outside [0, {self.num_classes})")
         else:
             for i, g in enumerate(self.graphs):
                 if g.graph_label is not None:
@@ -152,6 +158,9 @@ class DomainDataset:
                     )
             if self.eval_labels is not None and len(self.eval_labels) != len(self.graphs):
                 raise ContractViolation("eval_labels length does not match graph count")
+            for label in self.eval_labels or ():
+                if label not in range(self.num_classes):
+                    raise ContractViolation(f"eval label {label} outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -159,7 +168,12 @@ class DomainDataset:
     @cached_property
     def packed(self) -> PackedGraphs:
         """The graphs packed once, at first use; GIN batches and WL rows are built from it."""
-        return PackedGraphs(self.graphs)
+        packed = PackedGraphs(self.graphs)
+        top = packed.node_labels.max(initial=-1)
+        if top >= self.label_alphabet_size:
+            raise ContractViolation(
+                f"node label {top} outside alphabet of size {self.label_alphabet_size}")
+        return packed
 
 
 @dataclass(frozen=True)
@@ -204,12 +218,8 @@ def split_by_density(ds: DomainDataset) -> DensityPartition:
 
 def subset_as_source(ds: DomainDataset, indices) -> DomainDataset:
     """Build a labeled source-domain dataset from a subset of ``ds``."""
-    graphs = tuple(ds.graphs[i] for i in indices)
-    for i, g in zip(indices, graphs):
-        if g.graph_label is None:
-            raise ConfigurationError(f"graph {i} is unlabeled and cannot join a source dataset")
-    return DomainDataset(graphs=graphs, domain=SOURCE, num_classes=ds.num_classes,
-                         label_alphabet_size=ds.label_alphabet_size)
+    return DomainDataset(graphs=tuple(ds.graphs[i] for i in indices), domain=SOURCE,
+                         num_classes=ds.num_classes, label_alphabet_size=ds.label_alphabet_size)
 
 
 def subset_as_target(ds: DomainDataset, indices) -> DomainDataset:
@@ -385,9 +395,9 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
             label = ds.eval_labels[i]
         labels.append(label)
 
+    packed = ds.packed
     base = output_dir(Path(root_path) / dataset_name)
     files = _dataset_files(root_path, dataset_name)
-    packed = ds.packed
     sizes = np.diff(packed.node_offsets)
 
     with atomic_write(files["graph_indicator"]) as fh:

@@ -216,6 +216,17 @@ class Batch:
         return self._refinement.dataset_features(self.dataset)[self.indices]
 
 
+def _check_compatible(a: DomainDataset, b: DomainDataset) -> None:
+    """Raise unless ``a`` and ``b`` share one label space and one node-label alphabet."""
+    if a.num_classes != b.num_classes:
+        raise ConfigurationError(
+            f"datasets must share one label space, got {a.num_classes} vs {b.num_classes} classes")
+    if a.label_alphabet_size != b.label_alphabet_size:
+        raise ConfigurationError(
+            f"datasets must share one node-label alphabet, got "
+            f"{a.label_alphabet_size} vs {b.label_alphabet_size} labels")
+
+
 def _check_domains(source: DomainDataset, target: DomainDataset) -> None:
     if len(source.graphs) == 0 or len(target.graphs) == 0:
         raise ConfigurationError("source and target datasets must be nonempty")
@@ -225,16 +236,7 @@ def _check_domains(source: DomainDataset, target: DomainDataset) -> None:
         raise ConfigurationError(
             "expected a target-domain dataset with detached labels; build it via subset_as_target"
         )
-    if source.num_classes != target.num_classes:
-        raise ConfigurationError(
-            f"source and target must share one label space, got "
-            f"{source.num_classes} vs {target.num_classes} classes"
-        )
-    if source.label_alphabet_size != target.label_alphabet_size:
-        raise ConfigurationError(
-            f"source and target must share one node-label alphabet, got "
-            f"{source.label_alphabet_size} vs {target.label_alphabet_size} labels"
-        )
+    _check_compatible(source, target)
 
 
 def build_state(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> TrainState:
@@ -286,9 +288,6 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
 
 def source_loss(tape: ad.Tape, outputs, labels):
     """Mean cross-entropy of the branches' ``(z, p, logits)`` source forwards."""
-    labels = list(labels)
-    if any(l is None for l in labels):
-        raise ContractViolation("unlabeled graph in a source batch")
     terms = [ad.softmax_cross_entropy(tape, logits, labels) for _, _, logits in outputs]
     total = terms[0]
     for term in terms[1:]:
@@ -300,11 +299,6 @@ def fuse_predictions(prob_blocks) -> np.ndarray:
     """Argmax of the mean of the branch probability rows."""
     stacked = np.stack([np.asarray(b) for b in prob_blocks])
     return stacked.mean(axis=0).argmax(axis=1)
-
-
-def _chunks(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
 
 
 def _adversary_step(state: TrainState, b: int, src: Batch, target, source):
@@ -336,8 +330,7 @@ def _adversary_step(state: TrainState, b: int, src: Batch, target, source):
         # Disjoint graphs: the gradient of the summed log D splits into
         # each graph's own gradient.
         tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
-    grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    return loss.item(), ad.constant(perturbation_step(state.store, b, src.indices, grad))
+    return loss.item(), ad.constant(perturbation_step(state.store, b, src.indices, leaf.grad))
 
 
 def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
@@ -382,19 +375,19 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
     if source is not state.source or target is not state.target:
         raise ConfigurationError(
             "a state takes only the source and target datasets it was built from")
-    cfg = state.config
-    src_order = [int(i) for i in state.rng_source.permutation(len(source.graphs))]
-    tgt_order = [int(i) for i in state.rng_target.permutation(len(target.graphs))]
+    size = state.config.batch_size
+    src_order = state.rng_source.permutation(len(source.graphs)).tolist()
+    # Target batches cycle through one target permutation.
+    tgt_order = np.resize(state.rng_target.permutation(len(target.graphs)),
+                          len(src_order)).tolist()
+    labels = np.array([g.graph_label for g in source.graphs])[src_order]
 
     batch_stats = []
-    cursor = 0
     with _one_blas_thread():
-        for src_idx in _chunks(src_order, cfg.batch_size):
-            tgt_idx = [tgt_order[(cursor + k) % len(tgt_order)] for k in range(len(src_idx))]
-            cursor += len(src_idx)
-            labels = [source.graphs[i].graph_label for i in src_idx]
-            batch_stats.append(_train_step(state, Batch(state, source, src_idx), labels,
-                                           Batch(state, target, tgt_idx)))
+        for start in range(0, len(src_order), size):
+            rows = slice(start, start + size)
+            batch_stats.append(_train_step(state, Batch(state, source, src_order[rows]),
+                                           labels[rows], Batch(state, target, tgt_order[rows])))
 
         means = [float(np.mean(column)) for column in zip(*batch_stats)]
         for name, value in zip(LOSS_COLUMNS, means):
@@ -462,19 +455,22 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> 
 
 
 def evaluate(state: TrainState, dataset: DomainDataset) -> float:
-    """Accuracy of the fused branch prediction; perturbations excluded."""
+    """Accuracy of the fused branch prediction; perturbations excluded.
+
+    ``dataset`` must have the state's classes and node-label alphabet.
+    """
+    _check_compatible(state.source, dataset)
     if not dataset.graphs:
         raise ConfigurationError("cannot evaluate on a dataset with no graphs")
-    if dataset.eval_labels is not None:
-        labels = dataset.eval_labels
-    else:
-        labels = tuple(g.graph_label for g in dataset.graphs)
-        if any(l is None for l in labels):
-            raise ConfigurationError("dataset has no labels to evaluate against")
+    labels = (dataset.eval_labels if dataset.domain == TARGET
+              else [g.graph_label for g in dataset.graphs])
+    if labels is None:
+        raise ConfigurationError("dataset has no labels to evaluate against")
     predictions = []
     with ad.frozen(state.branch_params()):
-        for indices in _chunks(range(len(dataset.graphs)), EVAL_CHUNK):
-            batch = Batch(state, dataset, indices)
+        graphs = range(len(dataset.graphs))
+        for start in range(0, len(graphs), EVAL_CHUNK):
+            batch = Batch(state, dataset, graphs[start:start + EVAL_CHUNK])
             probs = []
             for branch in state.branches:
                 _, p, _ = branch.forward(ad.Tape(), batch)

@@ -6,7 +6,7 @@ every graph in a source/target pair. Each graph is read through the
 subtree kernel's feature map: its sparse label histogram over depths
 0..l, whose inner products are the kernel values (counting label
 matches between two graphs at each depth and summing over depths).
-Those histograms, densified over a frozen vocabulary, feed a small
+Those histograms, sparse CSR rows over a frozen vocabulary, feed a small
 trainable head whose embedding layer accepts an additive perturbation.
 
 Refinement is one vectorized pass per depth over a packed union of
@@ -119,7 +119,7 @@ class WlRefinement:
                              shape=(len(packed.graphs), self.vocab_size))
 
     def feature_row(self, g: Graph) -> sp.csr_matrix:
-        """Densified histogram over the frozen vocabulary (1 x vocab_size)."""
+        """The graph's histogram over the frozen vocabulary, one sparse CSR row."""
         return self._histograms(PackedGraphs([g]))
 
     def dataset_features(self, dataset: DomainDataset) -> sp.csr_matrix:
@@ -137,7 +137,7 @@ class WlRefinement:
 
 
 class GknHead(ad.Mlp):
-    """Embedding plus classifier over densified refinement histograms.
+    """Embedding plus classifier over sparse refinement-histogram rows.
 
     The embedding is assigned, and so drawn, before the classifier's two
     layers: parameter names and order are embedding, lin1, lin2.
@@ -157,8 +157,6 @@ class GknHead(ad.Mlp):
         """
         emb = self.embedding(tape, features)
         if zeta is not None:
-            if zeta.shape != emb.shape:
-                raise ContractViolation(f"perturbation shape {zeta.shape} != {emb.shape}")
             emb = ad.add(tape, emb, zeta)
         z = ad.relu(tape, emb)
         logits = self(tape, z)

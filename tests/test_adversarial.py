@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import logit as inverse_sigmoid
@@ -126,6 +128,19 @@ class TestPerturbationStep:
         store = self.make_store()
         with pytest.raises(ContractViolation, match="gradient shape"):
             perturbation_step(store, 0, [1, 0], np.ones((4, 2)))
+
+    @pytest.mark.parametrize("index", [-2, -1, 2])
+    def test_index_outside_the_slot_rejected(self, index):
+        store = self.make_store()
+        with pytest.raises(ContractViolation, match=re.escape(f"index {index} outside [0, 2)")):
+            perturbation_step(store, 0, [index], np.ones((2, 2)))
+        assert store.steps == 0
+        assert not store.rows[0].any()
+
+    @pytest.mark.parametrize("index", [-2, -1, 2])
+    def test_gather_outside_the_slot_rejected(self, index):
+        with pytest.raises(ContractViolation, match=re.escape(f"index {index} outside [0, 2)")):
+            self.make_store().gather(0, [index])
 
     def test_repeated_index_rejected(self):
         # Each graph's rows would be stepped twice from the same entries and

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -220,13 +222,21 @@ class TestPackedBatch:
         assert_same_csr(batch.readout, readout)
 
     def test_label_outside_alphabet_names_the_label(self, packed):
+        # The alphabet is checked once, when a dataset packs its graphs.
+        dataset = DomainDataset(graphs=packed.graphs, domain=SOURCE, num_classes=1,
+                                label_alphabet_size=3)
         with pytest.raises(ContractViolation, match="node label 3 "):
-            GraphBatch(packed, [8], 3)
+            dataset.packed
+
+    @pytest.mark.parametrize("index", [-2, -1, 12])
+    def test_index_outside_the_graphs_rejected(self, packed, index):
+        with pytest.raises(ContractViolation, match=re.escape(f"index {index} outside [0, 12)")):
+            GraphBatch(packed, [0, index], 4)
 
     def test_wrong_shape_perturbation_rejected(self, packed):
         batch = GraphBatch(packed, [0, 1], 4)
         wrong = np.zeros((batch.features.shape[0] + 1, 4))
-        with pytest.raises(ContractViolation, match="perturbation shape"):
+        with pytest.raises(ContractViolation, match="shape mismatch"):
             batch.feature_tensor(ad.Tape(), ad.parameter(wrong))
 
     def test_gathered_kernel_rows_equal_feature_rows(self, packed):

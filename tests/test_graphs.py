@@ -19,6 +19,7 @@ from dagrl.graphs import (
     subset_as_target,
     write_tudataset,
 )
+from dagrl.synthetic import make_shifted_pair
 from helpers import complete_graph, dataset_root, have_dataset, path_graph, permute_graph, random_graph
 
 
@@ -129,6 +130,13 @@ class TestParser:
             write_tudataset(ds, tmp_path, "bad")
         assert list(tmp_path.iterdir()) == []
 
+    def test_node_label_outside_alphabet_writes_no_file(self, tmp_path):
+        graphs = (path_graph(3), replace(path_graph(2), node_labels=(0, 1)))
+        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=1)
+        with pytest.raises(ContractViolation, match="node label 1 outside alphabet of size 1"):
+            write_tudataset(ds, tmp_path, "bad")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("with_graphs, message", [(True, "graph 1 has no nodes"),
                                                        (False, "no graphs")])
     def test_empty_last_graph_writes_no_file(self, tmp_path, with_graphs, message):
@@ -197,6 +205,33 @@ class TestGraphType:
         g = path_graph(3)
         with pytest.raises(ContractViolation, match="detach"):
             DomainDataset(graphs=(g,), domain=TARGET, num_classes=2, label_alphabet_size=1)
+
+
+class TestDatasetLabels:
+    """Class labels are checked when a dataset is built, node labels when it is packed."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return make_shifted_pair(0, 10)
+
+    def test_source_class_outside_range_rejected(self, pair):
+        source, _ = pair
+        graphs = (replace(source.graphs[0], graph_label=2),) + source.graphs[1:]
+        with pytest.raises(ContractViolation, match=r"graph 0 has label 2, outside \[0, 2\)"):
+            replace(source, graphs=graphs)
+
+    def test_eval_labels_outside_range_rejected(self, pair):
+        _, target = pair
+        with pytest.raises(ContractViolation, match=r"eval label 7 outside \[0, 2\)"):
+            replace(target, eval_labels=(7,) * len(target))
+
+    def test_node_label_outside_alphabet_rejected_at_packing(self, pair):
+        source, _ = pair
+        first = source.graphs[0]
+        graphs = (replace(first, node_labels=(9,) + first.node_labels[1:]),) + source.graphs[1:]
+        dataset = replace(source, graphs=graphs)
+        with pytest.raises(ContractViolation, match="node label 9 outside alphabet of size 3"):
+            dataset.packed
 
 
 class TestEdgeDensity:
@@ -276,6 +311,11 @@ class TestSubsets:
         sub = subset_as_source(ds, [0, 2, 4])
         assert all(g.graph_label is not None for g in sub.graphs)
         assert sub.domain == SOURCE
+
+    def test_source_subset_of_unlabeled_graphs_rejected(self):
+        _, target = make_shifted_pair(0, 10)
+        with pytest.raises(ContractViolation, match="graph 0 has label None"):
+            subset_as_source(target, [4, 5])
 
     def test_target_subset_detaches_labels(self):
         rng = np.random.default_rng(5)

@@ -91,13 +91,11 @@ class TestConfig:
 
 class TestSourceLoss:
     def test_unlabeled_graph_rejected(self, tiny_pair):
-        source, target = tiny_pair
-        state = build_state(toy_config(), source, target)
-        tape = ad.Tape()
-        batch = Batch(state, target, [0, 1])
-        outputs = [branch.forward(tape, batch) for branch in state.branches]
-        with pytest.raises(ContractViolation, match="unlabeled"):
-            source_loss(tape, outputs, [None, None])
+        # Source batches come from a source dataset, which holds no unlabeled graph.
+        source, _ = tiny_pair
+        graphs = (replace(source.graphs[0], graph_label=None),) + source.graphs[1:]
+        with pytest.raises(ContractViolation, match="source graph 0 has label None"):
+            replace(source, graphs=graphs)
 
     def test_uniform_heads_give_log_c(self, tiny_pair):
         source, target = tiny_pair
@@ -307,6 +305,17 @@ class TestTraining:
         losses = [e.source_loss for e in state.history]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    def test_source_of_empty_graphs_steps_every_graph(self, tiny_pair):
+        # Each GIN perturbation leaf then has no rows, and still gets its
+        # (0, d) gradient from the discriminator's logit.
+        source, target = tiny_pair
+        source = replace(source, graphs=tuple(
+            Graph(node_count=0, edges=(), node_labels=(), graph_label=g.graph_label)
+            for g in source.graphs))
+        state = train(toy_config(epochs=1), source, target)
+        assert state.store.steps == 2 * len(source)
+        assert state.store.rows[0].shape == (0, source.label_alphabet_size)
+
     def test_three_class_task_trains_and_solves(self):
         source = separable_dataset(seed=5, n=18, num_classes=3)
         target = subset_as_target(separable_dataset(seed=6, n=18, num_classes=3), range(18))
@@ -440,6 +449,22 @@ class TestEvaluate:
         empty = replace(target, graphs=(), eval_labels=())
         with pytest.raises(ConfigurationError, match="no graphs"):
             evaluate(state, empty)
+
+    @pytest.mark.parametrize("variant", ["full", "gkn_only_dual"])
+    def test_dataset_with_other_classes_rejected(self, tiny_pair, variant):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant=variant), source, target)
+        with pytest.raises(ConfigurationError, match="2 vs 5 classes"):
+            evaluate(state, replace(target, num_classes=5))
+
+    @pytest.mark.parametrize("variant", ["full", "gkn_only_dual"])
+    def test_dataset_with_other_alphabet_rejected(self, tiny_pair, variant):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant=variant), source, target)
+        first = target.graphs[0]
+        graphs = (replace(first, node_labels=(4,) + first.node_labels[1:]),) + target.graphs[1:]
+        with pytest.raises(ConfigurationError, match="3 vs 5 labels"):
+            evaluate(state, replace(target, graphs=graphs, label_alphabet_size=5))
 
 
 class TestAssemblyReuse:
