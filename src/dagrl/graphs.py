@@ -4,7 +4,9 @@ Datasets arrive in the common graph-benchmark text layout (one ``_A.txt``
 edge file, a ``_graph_indicator.txt`` node-to-graph map, plus graph and
 node label files). Parsing produces immutable :class:`Graph` records with
 0-indexed contiguous node ids; directed duplicate edges in the files are
-merged into single undirected edges.
+merged into single undirected edges. A graph holds structure only: its
+class sits in its dataset's ``graph_labels``, aligned by graph index as
+in the ``_graph_labels.txt`` file.
 
 A dataset packs its graphs into flat arrays once, at first use
 (:class:`PackedGraphs`); batches are then gathered from those arrays by
@@ -13,7 +15,7 @@ index instead of being rebuilt graph by graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -32,14 +34,12 @@ class Graph:
     """An undirected simple graph with categorical node labels.
 
     ``edges`` holds each undirected edge once as an ``(u, v)`` pair of
-    0-indexed node ids. Node labels are nonnegative. ``graph_label`` is
-    ``None`` for graphs whose class is hidden (target-domain training data).
+    0-indexed node ids. Node labels are nonnegative.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
     node_labels: tuple[int, ...]
-    graph_label: int | None = None
 
     def __post_init__(self):
         if self.node_count < 0:
@@ -130,37 +130,35 @@ def gather_rows(offsets: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
 class DomainDataset:
     """An ordered collection of graphs tagged as one adaptation domain.
 
-    Source datasets keep a ``graph_label`` in ``[0, num_classes)`` on every
-    graph. Target datasets carry ``None`` labels on the graphs themselves;
-    the true labels are detached into ``eval_labels`` and consumed only by
-    evaluation code. Node labels are checked against the alphabet at packing.
+    Entry ``i`` of ``graph_labels`` is graph ``i``'s class, in
+    ``[0, num_classes)``. A source dataset must have ``graph_labels``; a
+    target dataset must not, so its classes cannot reach training. A
+    target may keep them aside in ``eval_labels``, which only evaluation
+    and the writer read. Node labels are checked against the alphabet at
+    packing.
     """
 
     graphs: tuple[Graph, ...]
     domain: str
     num_classes: int
     label_alphabet_size: int
+    graph_labels: tuple[int, ...] | None = None
     eval_labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.domain not in (SOURCE, TARGET):
             raise ContractViolation(f"domain must be {SOURCE!r} or {TARGET!r}, got {self.domain!r}")
-        if self.domain == SOURCE:
-            for i, g in enumerate(self.graphs):
-                if g.graph_label not in range(self.num_classes):
-                    raise ContractViolation(f"source graph {i} has label {g.graph_label}, "
-                                            f"outside [0, {self.num_classes})")
-        else:
-            for i, g in enumerate(self.graphs):
-                if g.graph_label is not None:
-                    raise ContractViolation(
-                        f"target graph {i} carries a label; detach labels via subset_as_target"
-                    )
-            if self.eval_labels is not None and len(self.eval_labels) != len(self.graphs):
-                raise ContractViolation("eval_labels length does not match graph count")
-            for label in self.eval_labels or ():
+        if self.domain == SOURCE and (self.graph_labels is None or self.eval_labels is not None):
+            raise ContractViolation("a source dataset needs graph_labels and takes no eval_labels")
+        if self.domain == TARGET and self.graph_labels is not None:
+            raise ContractViolation("a target dataset takes no graph_labels, only eval_labels")
+        for name, labels in (("graph_labels", self.graph_labels), ("eval_labels", self.eval_labels)):
+            if labels is not None and len(labels) != len(self):
+                raise ContractViolation(f"{name} has {len(labels)} entries for {len(self)} graphs")
+            for i, label in enumerate(labels or ()):
                 if label not in range(self.num_classes):
-                    raise ContractViolation(f"eval label {label} outside [0, {self.num_classes})")
+                    raise ContractViolation(
+                        f"{name}[{i}] is {label}, outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -216,28 +214,29 @@ def split_by_density(ds: DomainDataset) -> DensityPartition:
                             boundaries=boundaries)  # type: ignore[arg-type]
 
 
+def _pick(ds: DomainDataset, indices) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
+    """Graphs ``indices`` of ``ds``, shared with it, and their classes."""
+    if ds.graph_labels is None:
+        raise ConfigurationError(f"a {ds.domain} dataset holds no graph_labels to subset")
+    return tuple(ds.graphs[i] for i in indices), tuple(ds.graph_labels[i] for i in indices)
+
+
 def subset_as_source(ds: DomainDataset, indices) -> DomainDataset:
     """Build a labeled source-domain dataset from a subset of ``ds``."""
-    return DomainDataset(graphs=tuple(ds.graphs[i] for i in indices), domain=SOURCE,
-                         num_classes=ds.num_classes, label_alphabet_size=ds.label_alphabet_size)
+    graphs, labels = _pick(ds, indices)
+    return DomainDataset(graphs=graphs, domain=SOURCE, num_classes=ds.num_classes,
+                         label_alphabet_size=ds.label_alphabet_size, graph_labels=labels)
 
 
 def subset_as_target(ds: DomainDataset, indices) -> DomainDataset:
     """Build a target-domain dataset from a subset of ``ds``.
 
-    Graph labels are stripped from the graphs and kept aside in
-    ``eval_labels`` so they can never reach training code.
+    The classes go to ``eval_labels``, and the target holds no
+    ``graph_labels``, so they can never reach training code.
     """
-    picked = [ds.graphs[i] for i in indices]
-    labels = []
-    for i, g in zip(indices, picked):
-        if g.graph_label is None:
-            raise ConfigurationError(f"graph {i} has no label to hold out for evaluation")
-        labels.append(g.graph_label)
-    graphs = tuple(replace(g, graph_label=None) for g in picked)
+    graphs, labels = _pick(ds, indices)
     return DomainDataset(graphs=graphs, domain=TARGET, num_classes=ds.num_classes,
-                         label_alphabet_size=ds.label_alphabet_size,
-                         eval_labels=tuple(labels))
+                         label_alphabet_size=ds.label_alphabet_size, eval_labels=labels)
 
 
 def _dataset_files(root_path, dataset_name: str) -> dict[str, Path]:
@@ -355,7 +354,6 @@ def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
             node_count=counts[g],
             edges=tuple(sorted(edge_sets[g])),
             node_labels=tuple(node_labels_per_graph[g]),
-            graph_label=graph_label_map[raw_graph_labels[g]],
         )
         for g in range(num_graphs)
     )
@@ -364,6 +362,7 @@ def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
         domain=SOURCE,
         num_classes=len(graph_label_map),
         label_alphabet_size=len(node_label_map),
+        graph_labels=tuple(graph_label_map[raw] for raw in raw_graph_labels),
     )
 
 
@@ -371,7 +370,9 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
     """Serialize a dataset back to the benchmark text layout.
 
     Each undirected edge is written in both directions, matching the way
-    published benchmark files list edges. Parsing renumbers node labels
+    published benchmark files list edges. The classes written are a
+    source's ``graph_labels`` or a target's ``eval_labels``, which a target
+    must then have. Parsing renumbers node labels
     and classes densely, so re-parsing gives back ``ds``, as a source
     dataset, only when every node label in ``[0, label_alphabet_size)``
     and every class in ``[0, num_classes)`` occurs. The layout counts
@@ -386,14 +387,9 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
         raise ConfigurationError(
             f"graph {len(ds.graphs) - 1} has no nodes; the text layout cannot hold an empty "
             "last graph")
-    labels = []
-    for i, g in enumerate(ds.graphs):
-        label = g.graph_label
-        if label is None:
-            if ds.eval_labels is None:
-                raise ConfigurationError(f"graph {i} has no label to serialize")
-            label = ds.eval_labels[i]
-        labels.append(label)
+    labels = ds.graph_labels if ds.domain == SOURCE else ds.eval_labels
+    if labels is None:
+        raise ConfigurationError("a target dataset without eval_labels has no classes to serialize")
 
     packed = ds.packed
     base = output_dir(Path(root_path) / dataset_name)

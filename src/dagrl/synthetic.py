@@ -65,25 +65,25 @@ def make_graph(rng: np.random.Generator, label: int, spec: DomainSpec) -> Graph:
     # density-dependent neighbors.
     edges.append((int(rng.integers(0, n_bg)), motif_offset))
     labels = tuple(bg_labels) + (MOTIF_LABEL,) * 3
-    return Graph(node_count=n_bg + 3, edges=tuple(edges), node_labels=labels,
-                 graph_label=label)
+    return Graph(node_count=n_bg + 3, edges=tuple(edges), node_labels=labels)
 
 
-def make_domain(rng: np.random.Generator, spec: DomainSpec, graphs_per_class: int) -> DomainDataset:
-    graphs = []
-    for label in range(NUM_CLASSES):
-        for _ in range(graphs_per_class):
-            graphs.append(make_graph(rng, label, spec))
+def make_domain(rng: np.random.Generator, specs, graphs_per_class: int) -> DomainDataset:
+    """``graphs_per_class`` graphs per spec and class, drawn in that order, then shuffled."""
+    draws = [(spec, label) for spec in specs for label in range(NUM_CLASSES)
+             for _ in range(graphs_per_class)]
+    graphs = [make_graph(rng, label, spec) for spec, label in draws]
     order = rng.permutation(len(graphs))
     return DomainDataset(graphs=tuple(graphs[i] for i in order), domain=SOURCE,
-                         num_classes=NUM_CLASSES, label_alphabet_size=ALPHABET_SIZE)
+                         num_classes=NUM_CLASSES, label_alphabet_size=ALPHABET_SIZE,
+                         graph_labels=tuple(draws[i][1] for i in order))
 
 
 def make_shifted_pair(seed: int, graphs_per_class: int = 60):
     """A labeled ``SOURCE_SPEC`` dataset and a label-detached ``TARGET_SPEC`` one."""
     rng = _stream(seed, 0x51)
-    source = make_domain(rng, SOURCE_SPEC, graphs_per_class)
-    target_full = make_domain(rng, TARGET_SPEC, graphs_per_class)
+    source = make_domain(rng, [SOURCE_SPEC], graphs_per_class)
+    target_full = make_domain(rng, [TARGET_SPEC], graphs_per_class)
     target = subset_as_target(target_full, range(len(target_full.graphs)))
     return source, target
 
@@ -108,11 +108,4 @@ def make_benchmark(seed: int, graphs_per_block: int = 40) -> DomainDataset:
         DomainSpec(edge_prob=0.24, background_label1_prob=(0.35, 0.65)),
         DomainSpec(edge_prob=0.36, background_label1_prob=(0.5, 0.5)),
     ]
-    graphs = []
-    for spec in specs:
-        for label in range(NUM_CLASSES):
-            for _ in range(graphs_per_block // NUM_CLASSES):
-                graphs.append(make_graph(rng, label, spec))
-    order = rng.permutation(len(graphs))
-    return DomainDataset(graphs=tuple(graphs[i] for i in order), domain=SOURCE,
-                         num_classes=NUM_CLASSES, label_alphabet_size=ALPHABET_SIZE)
+    return make_domain(rng, specs, graphs_per_block // NUM_CLASSES)

@@ -380,7 +380,7 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
     # Target batches cycle through one target permutation.
     tgt_order = np.resize(state.rng_target.permutation(len(target.graphs)),
                           len(src_order)).tolist()
-    labels = np.array([g.graph_label for g in source.graphs])[src_order]
+    labels = np.array(source.graph_labels)[src_order]
 
     batch_stats = []
     with _one_blas_thread():
@@ -462,8 +462,7 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     _check_compatible(state.source, dataset)
     if not dataset.graphs:
         raise ConfigurationError("cannot evaluate on a dataset with no graphs")
-    labels = (dataset.eval_labels if dataset.domain == TARGET
-              else [g.graph_label for g in dataset.graphs])
+    labels = dataset.eval_labels if dataset.domain == TARGET else dataset.graph_labels
     if labels is None:
         raise ConfigurationError("dataset has no labels to evaluate against")
     predictions = []

@@ -25,21 +25,21 @@ from dagrl.trainer import Batch, source_loss
 def path_graph(n: int, labels=None) -> Graph:
     edges = tuple((i, i + 1) for i in range(n - 1))
     labels = tuple(labels) if labels is not None else tuple(0 for _ in range(n))
-    return Graph(node_count=n, edges=edges, node_labels=labels, graph_label=0)
+    return Graph(node_count=n, edges=edges, node_labels=labels)
 
 
 def complete_graph(n: int, labels=None) -> Graph:
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     labels = tuple(labels) if labels is not None else tuple(0 for _ in range(n))
-    return Graph(node_count=n, edges=edges, node_labels=labels, graph_label=0)
+    return Graph(node_count=n, edges=edges, node_labels=labels)
 
 
 def random_graph(rng: np.random.Generator, max_nodes: int = 6, num_labels: int = 3,
-                 edge_prob: float = 0.4, label: int = 0) -> Graph:
+                 edge_prob: float = 0.4) -> Graph:
     n = int(rng.integers(1, max_nodes + 1))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
     labels = tuple(int(v) for v in rng.integers(0, num_labels, size=n))
-    return Graph(node_count=n, edges=tuple(edges), node_labels=labels, graph_label=label)
+    return Graph(node_count=n, edges=tuple(edges), node_labels=labels)
 
 
 def permute_graph(g: Graph, perm) -> Graph:
@@ -50,8 +50,7 @@ def permute_graph(g: Graph, perm) -> Graph:
         inv[new] = old
     edges = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
     labels = tuple(g.node_labels[inv[i]] for i in range(g.node_count))
-    return Graph(node_count=g.node_count, edges=edges, node_labels=labels,
-                 graph_label=g.graph_label)
+    return Graph(node_count=g.node_count, edges=edges, node_labels=labels)
 
 
 def one_graph_batch(encoder, g: Graph) -> GraphBatch:

@@ -36,7 +36,7 @@ def test_zero_delta_matches_unperturbed():
 
 def test_single_node_is_mlp_of_own_features():
     enc = make_encoder()
-    g = Graph(node_count=1, edges=(), node_labels=(2,), graph_label=0)
+    g = Graph(node_count=1, edges=(), node_labels=(2,))
     tape = ad.Tape()
     h, z = encode_graph(enc, tape, g)
     # No neighbors: the aggregation term is zero, so layer 1 sees x.
@@ -81,7 +81,7 @@ def test_two_hop_locality():
     enc = make_encoder(seed=6)
     g = path_graph(4, labels=[0, 1, 2, 1])
     extra = Graph(node_count=7, edges=g.edges + ((4, 5), (5, 6)),
-                  node_labels=g.node_labels + (2, 0, 1), graph_label=0)
+                  node_labels=g.node_labels + (2, 0, 1))
     tape = ad.Tape()
     h_small, _ = encode_graph(enc, tape, g)
     tape2 = ad.Tape()
@@ -199,8 +199,8 @@ class TestPackedBatch:
         rng = np.random.default_rng(30)
         graphs = [random_graph(rng, max_nodes=7, num_labels=4, edge_prob=0.5)
                   for _ in range(12)]
-        graphs[3] = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
-        graphs[8] = Graph(node_count=4, edges=(), node_labels=(3, 0, 2, 1), graph_label=0)
+        graphs[3] = Graph(node_count=0, edges=(), node_labels=())
+        graphs[8] = Graph(node_count=4, edges=(), node_labels=(3, 0, 2, 1))
         return PackedGraphs(graphs)
 
     def test_matches_per_graph_reference(self, packed):
@@ -224,7 +224,7 @@ class TestPackedBatch:
     def test_label_outside_alphabet_names_the_label(self, packed):
         # The alphabet is checked once, when a dataset packs its graphs.
         dataset = DomainDataset(graphs=packed.graphs, domain=SOURCE, num_classes=1,
-                                label_alphabet_size=3)
+                                label_alphabet_size=3, graph_labels=(0,) * 12)
         with pytest.raises(ContractViolation, match="node label 3 "):
             dataset.packed
 
@@ -241,7 +241,7 @@ class TestPackedBatch:
 
     def test_gathered_kernel_rows_equal_feature_rows(self, packed):
         dataset = DomainDataset(graphs=packed.graphs, domain=SOURCE, num_classes=1,
-                                label_alphabet_size=4)
+                                label_alphabet_size=4, graph_labels=(0,) * 12)
         ref = WlRefinement(depth=2).fit(dataset.graphs)
         indices = [5, 3, 11, 0, 8]
         rows = ref.dataset_features(dataset)[indices]

@@ -58,8 +58,7 @@ class TestParser:
                       graph_labels=[1, -1], node_labels=[7, 3])
         ds = parse_tudataset(tmp_path, "toy")
         assert ds.num_classes == 2
-        assert ds.graphs[0].graph_label == 1  # raw 1 sorts after raw -1
-        assert ds.graphs[1].graph_label == 0
+        assert ds.graph_labels == (1, 0)  # raw 1 sorts after raw -1
         assert ds.label_alphabet_size == 2
         assert ds.graphs[0].node_labels == (1,)  # raw 7 sorts after raw 3
         assert ds.graphs[1].node_labels == (0,)
@@ -110,12 +109,14 @@ class TestParser:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        graphs = tuple(random_graph(rng, max_nodes=8, num_labels=4,
-                                    label=int(rng.integers(0, 3))) for _ in range(12))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=3, label_alphabet_size=4)
+        labels, graphs = zip(*((int(rng.integers(0, 3)), random_graph(rng, max_nodes=8, num_labels=4))
+                               for _ in range(12)))
+        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=3, label_alphabet_size=4,
+                           graph_labels=labels)
         write_tudataset(ds, tmp_path, "rt")
         again = parse_tudataset(tmp_path, "rt")
         assert again.graphs == ds.graphs
+        assert again.graph_labels == ds.graph_labels
         assert again.num_classes == ds.num_classes
         assert again.label_alphabet_size == ds.label_alphabet_size
         # Serializing the parsed dataset and re-parsing is also stable.
@@ -123,16 +124,17 @@ class TestParser:
         assert parse_tudataset(tmp_path, "rt2") == again
 
     def test_unlabeled_graph_writes_no_file(self, tmp_path):
-        # A target dataset whose labels were never kept for evaluation.
-        graphs = (replace(path_graph(3), graph_label=None), replace(path_graph(2), graph_label=None))
-        ds = DomainDataset(graphs=graphs, domain=TARGET, num_classes=1, label_alphabet_size=1)
-        with pytest.raises(ConfigurationError, match="graph 0 has no label"):
+        # A target dataset whose classes were never kept for evaluation.
+        ds = DomainDataset(graphs=(path_graph(3), path_graph(2)), domain=TARGET, num_classes=1,
+                           label_alphabet_size=1)
+        with pytest.raises(ConfigurationError, match="without eval_labels has no classes"):
             write_tudataset(ds, tmp_path, "bad")
         assert list(tmp_path.iterdir()) == []
 
     def test_node_label_outside_alphabet_writes_no_file(self, tmp_path):
         graphs = (path_graph(3), replace(path_graph(2), node_labels=(0, 1)))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=1)
+        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=1,
+                           graph_labels=(0, 0))
         with pytest.raises(ContractViolation, match="node label 1 outside alphabet of size 1"):
             write_tudataset(ds, tmp_path, "bad")
         assert list(tmp_path.iterdir()) == []
@@ -143,17 +145,18 @@ class TestParser:
         # The parser counts graphs up to the last node's graph, so the
         # files would hold one graph label too many, or no node at all,
         # and fail to parse.
-        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=1)
+        empty = Graph(node_count=0, edges=(), node_labels=())
         graphs = (path_graph(3), empty) if with_graphs else ()
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=2, label_alphabet_size=1)
+        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=2, label_alphabet_size=1,
+                           graph_labels=(0, 1)[:len(graphs)])
         with pytest.raises(ConfigurationError, match=message):
             write_tudataset(ds, tmp_path, "bad")
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_graph_before_the_last_round_trips(self, tmp_path):
-        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=1)
+        empty = Graph(node_count=0, edges=(), node_labels=())
         ds = DomainDataset(graphs=(path_graph(3), empty, path_graph(2)), domain=SOURCE,
-                           num_classes=2, label_alphabet_size=1)
+                           num_classes=2, label_alphabet_size=1, graph_labels=(0, 1, 0))
         write_tudataset(ds, tmp_path, "rt")
         assert parse_tudataset(tmp_path, "rt") == ds
 
@@ -179,7 +182,7 @@ class TestParser:
 
         monkeypatch.setattr(graphs_module, "atomic_write", failing_atomic_write)
         ds = DomainDataset(graphs=(path_graph(4), path_graph(3)), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1)
+                           num_classes=1, label_alphabet_size=1, graph_labels=(0, 0))
         with pytest.raises(OSError, match="injected"):
             write_tudataset(ds, tmp_path, "cut")
         assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [
@@ -201,10 +204,15 @@ class TestGraphType:
         with pytest.raises(ContractViolation):
             Graph(node_count=2, edges=((0, 2),), node_labels=(0, 0))
 
+    def test_holds_structure_only(self):
+        with pytest.raises(TypeError, match="graph_label"):
+            Graph(node_count=1, edges=(), node_labels=(0,), graph_label=0)
+
     def test_target_dataset_rejects_labeled_graphs(self):
-        g = path_graph(3)
-        with pytest.raises(ContractViolation, match="detach"):
-            DomainDataset(graphs=(g,), domain=TARGET, num_classes=2, label_alphabet_size=1)
+        # A target's classes stay out of graph_labels, which training reads.
+        with pytest.raises(ContractViolation, match="target dataset takes no graph_labels"):
+            DomainDataset(graphs=(path_graph(3),), domain=TARGET, num_classes=2,
+                          label_alphabet_size=1, graph_labels=(0,))
 
 
 class TestDatasetLabels:
@@ -216,14 +224,32 @@ class TestDatasetLabels:
 
     def test_source_class_outside_range_rejected(self, pair):
         source, _ = pair
-        graphs = (replace(source.graphs[0], graph_label=2),) + source.graphs[1:]
-        with pytest.raises(ContractViolation, match=r"graph 0 has label 2, outside \[0, 2\)"):
-            replace(source, graphs=graphs)
+        with pytest.raises(ContractViolation, match=r"graph_labels\[0\] is 2, outside \[0, 2\)"):
+            replace(source, graph_labels=(2,) + source.graph_labels[1:])
 
     def test_eval_labels_outside_range_rejected(self, pair):
         _, target = pair
-        with pytest.raises(ContractViolation, match=r"eval label 7 outside \[0, 2\)"):
+        with pytest.raises(ContractViolation, match=r"eval_labels\[0\] is 7, outside \[0, 2\)"):
             replace(target, eval_labels=(7,) * len(target))
+
+    def test_source_without_graph_labels_rejected(self, pair):
+        source, _ = pair
+        with pytest.raises(ContractViolation, match="source dataset needs graph_labels"):
+            replace(source, graph_labels=None)
+
+    def test_source_with_eval_labels_rejected(self, pair):
+        source, _ = pair
+        with pytest.raises(ContractViolation, match="takes no eval_labels"):
+            replace(source, eval_labels=source.graph_labels)
+
+    @pytest.mark.parametrize("field", ["graph_labels", "eval_labels"])
+    def test_label_count_mismatch_rejected(self, pair, field):
+        source, target = pair
+        dataset = source if field == "graph_labels" else target
+        labels = getattr(dataset, field)[:-1]
+        with pytest.raises(ContractViolation,
+                           match=rf"{field} has {len(labels)} entries for {len(dataset)} graphs"):
+            replace(dataset, **{field: labels})
 
     def test_node_label_outside_alphabet_rejected_at_packing(self, pair):
         source, _ = pair
@@ -258,7 +284,7 @@ def graphs_with_densities(densities):
     for d in densities:
         m = round(d * 10)
         edges = [(i, j) for i in range(5) for j in range(i + 1, 5)][:m]
-        out.append(Graph(node_count=5, edges=tuple(edges), node_labels=(0,) * 5, graph_label=0))
+        out.append(Graph(node_count=5, edges=tuple(edges), node_labels=(0,) * 5))
     return out
 
 
@@ -266,7 +292,7 @@ class TestSplit:
     def test_quartiles(self):
         densities = [0.5, 0.1, 0.8, 0.3, 0.7, 0.2, 0.6, 0.4]
         ds = DomainDataset(graphs=tuple(graphs_with_densities(densities)), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1)
+                           num_classes=1, label_alphabet_size=1, graph_labels=(0,) * 8)
         part = split_by_density(ds)
         grouped = [sorted(densities[i] for i in grp) for grp in part.groups]
         assert grouped == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
@@ -274,20 +300,21 @@ class TestSplit:
 
     def test_ties_break_by_index(self):
         ds = DomainDataset(graphs=tuple(graphs_with_densities([0.4] * 8)), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1)
+                           num_classes=1, label_alphabet_size=1, graph_labels=(0,) * 8)
         part = split_by_density(ds)
         assert part.groups == ((0, 1), (2, 3), (4, 5), (6, 7))
 
     def test_too_few_graphs(self):
         ds = DomainDataset(graphs=tuple(graphs_with_densities([0.1, 0.2, 0.3])), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1)
+                           num_classes=1, label_alphabet_size=1, graph_labels=(0,) * 3)
         with pytest.raises(ConfigurationError):
             split_by_density(ds)
 
     def test_partition_is_permutation(self):
         rng = np.random.default_rng(11)
         graphs = tuple(random_graph(rng, max_nodes=9) for _ in range(23))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=3)
+        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=3,
+                           graph_labels=(0,) * 23)
         part = split_by_density(ds)
         merged = sorted(i for grp in part.groups for i in grp)
         assert merged == list(range(23))
@@ -297,39 +324,46 @@ class TestSplit:
     def test_group_densities_respect_boundaries(self):
         rng = np.random.default_rng(13)
         graphs = tuple(random_graph(rng, max_nodes=9) for _ in range(20))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=3)
+        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=3,
+                           graph_labels=(0,) * 20)
         part = split_by_density(ds)
         for k in range(3):
             assert all(edge_density(ds.graphs[i]) <= part.boundaries[k] for i in part.groups[k])
 
 
 class TestSubsets:
-    def test_source_subset_keeps_labels(self):
+    @pytest.fixture
+    def ds(self):
         rng = np.random.default_rng(5)
-        graphs = tuple(random_graph(rng, label=i % 2) for i in range(6))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=2, label_alphabet_size=3)
-        sub = subset_as_source(ds, [0, 2, 4])
-        assert all(g.graph_label is not None for g in sub.graphs)
+        return DomainDataset(graphs=tuple(random_graph(rng) for _ in range(6)), domain=SOURCE,
+                             num_classes=2, label_alphabet_size=3, graph_labels=(0, 1) * 3)
+
+    def test_source_subset_keeps_labels(self, ds):
+        sub = subset_as_source(ds, [0, 3, 4])
+        assert sub.graph_labels == (0, 1, 0)
         assert sub.domain == SOURCE
 
     def test_source_subset_of_unlabeled_graphs_rejected(self):
         _, target = make_shifted_pair(0, 10)
-        with pytest.raises(ContractViolation, match="graph 0 has label None"):
+        with pytest.raises(ConfigurationError, match="target dataset holds no graph_labels"):
             subset_as_source(target, [4, 5])
 
-    def test_target_subset_detaches_labels(self):
-        rng = np.random.default_rng(5)
-        graphs = tuple(random_graph(rng, label=i % 2) for i in range(6))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=2, label_alphabet_size=3)
+    def test_target_subset_detaches_labels(self, ds):
         sub = subset_as_target(ds, [1, 3, 5])
-        assert all(g.graph_label is None for g in sub.graphs)
+        assert sub.graph_labels is None
         assert sub.eval_labels == (1, 1, 1)
         assert sub.domain == TARGET
+
+    @pytest.mark.parametrize("subset", [subset_as_source, subset_as_target])
+    def test_subset_shares_the_graphs(self, ds, subset):
+        idx = [5, 0, 2]
+        sub = subset(ds, idx)
+        assert all(sub.graphs[k] is ds.graphs[idx[k]] for k in range(len(idx)))
 
 
 def test_join_equals_packing_all_graphs():
     rng = np.random.default_rng(17)
-    empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
+    empty = Graph(node_count=0, edges=(), node_labels=())
     parts = [[random_graph(rng) for _ in range(5)] + [empty], [empty], [random_graph(rng)]]
     joined = PackedGraphs.join([PackedGraphs(graphs) for graphs in parts])
     whole = PackedGraphs([g for graphs in parts for g in graphs])

@@ -48,15 +48,14 @@ def separable_dataset(seed, n=16, num_classes=2):
     # linearly separable from the label histogram.
     rng = np.random.default_rng(seed)
     graphs = []
-    for i in range(n):
-        label = i % num_classes
+    labels = tuple(i % num_classes for i in range(n))
+    for label in labels:
         nodes = int(rng.integers(4, 8))
         node_labels = tuple(label for _ in range(nodes))
         edges = tuple((k, k + 1) for k in range(nodes - 1))
-        graphs.append(Graph(node_count=nodes, edges=edges, node_labels=node_labels,
-                            graph_label=label))
+        graphs.append(Graph(node_count=nodes, edges=edges, node_labels=node_labels))
     return DomainDataset(graphs=tuple(graphs), domain=SOURCE, num_classes=num_classes,
-                         label_alphabet_size=max(3, num_classes))
+                         label_alphabet_size=max(3, num_classes), graph_labels=labels)
 
 
 class TestConfig:
@@ -93,9 +92,9 @@ class TestSourceLoss:
     def test_unlabeled_graph_rejected(self, tiny_pair):
         # Source batches come from a source dataset, which holds no unlabeled graph.
         source, _ = tiny_pair
-        graphs = (replace(source.graphs[0], graph_label=None),) + source.graphs[1:]
-        with pytest.raises(ContractViolation, match="source graph 0 has label None"):
-            replace(source, graphs=graphs)
+        labels = (None,) + source.graph_labels[1:]
+        with pytest.raises(ContractViolation, match=r"graph_labels\[0\] is None"):
+            replace(source, graph_labels=labels)
 
     def test_uniform_heads_give_log_c(self, tiny_pair):
         source, target = tiny_pair
@@ -106,7 +105,7 @@ class TestSourceLoss:
         tape = ad.Tape()
         batch = Batch(state, source, range(4))
         outputs = [branch.forward(tape, batch) for branch in state.branches]
-        loss = source_loss(tape, outputs, [g.graph_label for g in source.graphs[:4]])
+        loss = source_loss(tape, outputs, source.graph_labels[:4])
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_mean_of_extreme_and_uniform(self):
@@ -310,8 +309,7 @@ class TestTraining:
         # (0, d) gradient from the discriminator's logit.
         source, target = tiny_pair
         source = replace(source, graphs=tuple(
-            Graph(node_count=0, edges=(), node_labels=(), graph_label=g.graph_label)
-            for g in source.graphs))
+            Graph(node_count=0, edges=(), node_labels=()) for _ in source.graphs))
         state = train(toy_config(epochs=1), source, target)
         assert state.store.steps == 2 * len(source)
         assert state.store.rows[0].shape == (0, source.label_alphabet_size)
@@ -356,7 +354,8 @@ class TestTraining:
 
     def test_empty_domain_rejected(self, tiny_pair):
         source, target = tiny_pair
-        empty = DomainDataset(graphs=(), domain=SOURCE, num_classes=2, label_alphabet_size=3)
+        empty = DomainDataset(graphs=(), domain=SOURCE, num_classes=2, label_alphabet_size=3,
+                              graph_labels=())
         with pytest.raises(ConfigurationError):
             build_state(toy_config(), empty, target)
 

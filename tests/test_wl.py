@@ -37,7 +37,7 @@ def kernel(refinement, g1, g2):
 def star_graph(leaves, label=0):
     edges = tuple((0, i) for i in range(1, leaves + 1))
     return Graph(node_count=leaves + 1, edges=edges,
-                 node_labels=(label,) * (leaves + 1), graph_label=0)
+                 node_labels=(label,) * (leaves + 1))
 
 
 class TestRefinement:
@@ -46,8 +46,8 @@ class TestRefinement:
         # label alone, so two isolated nodes with equal raw labels stay
         # label-identical at every depth and contribute one kernel match
         # per depth.
-        a = Graph(node_count=1, edges=(), node_labels=(5,), graph_label=0)
-        b = Graph(node_count=1, edges=(), node_labels=(5,), graph_label=0)
+        a = Graph(node_count=1, edges=(), node_labels=(5,))
+        b = Graph(node_count=1, edges=(), node_labels=(5,))
         ref = WlRefinement(depth=3).fit([a, b])
         la, lb = node_labels(ref, a), node_labels(ref, b)
         assert len(la) == 4
@@ -122,11 +122,11 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_random_graphs(self, depth):
         rng = np.random.default_rng(20 + depth)
-        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
-        isolated = Graph(node_count=3, edges=(), node_labels=(0, 2, 0), graph_label=0)
+        empty = Graph(node_count=0, edges=(), node_labels=())
+        isolated = Graph(node_count=3, edges=(), node_labels=(0, 2, 0))
         # Twelve distinct neighbor labels fill the widest key row.
         mixed_star = Graph(node_count=13, edges=star_graph(12).edges,
-                           node_labels=(0,) + tuple(range(12)), graph_label=0)
+                           node_labels=(0,) + tuple(range(12)))
         for _ in range(15):
             graphs = [random_graph(rng, max_nodes=7, num_labels=3, edge_prob=0.5)
                       for _ in range(6)]
@@ -162,23 +162,23 @@ class TestReferenceEquality:
 
 class TestEdgeCases:
     def test_fit_on_empty_graphs_keeps_only_unk(self):
-        empty = Graph(node_count=0, edges=(), node_labels=(), graph_label=0)
+        empty = Graph(node_count=0, edges=(), node_labels=())
         ref = WlRefinement(depth=2).fit([empty, empty])
         assert ref.label_table == {}
         assert ref.vocab_size == 1
         assert histograms(ref, [empty]).toarray().tolist() == [[0.0]]
-        g = Graph(node_count=1, edges=(), node_labels=(3,), graph_label=0)
+        g = Graph(node_count=1, edges=(), node_labels=(3,))
         assert ref.feature_row(g).toarray().tolist() == [[3.0]]
 
     def test_unfitted_refinement_rejected(self):
         dataset = DomainDataset(graphs=(star_graph(2),), domain=SOURCE, num_classes=1,
-                                label_alphabet_size=1)
+                                label_alphabet_size=1, graph_labels=(0,))
         with pytest.raises(ContractViolation, match="not fitted"):
             WlRefinement(depth=1).dataset_features(dataset)
 
     def test_dataset_rows_are_kept_per_refinement_until_refit(self):
         dataset = DomainDataset(graphs=(star_graph(2), star_graph(3)), domain=SOURCE,
-                                num_classes=1, label_alphabet_size=1)
+                                num_classes=1, label_alphabet_size=1, graph_labels=(0, 0))
         ref = WlRefinement(depth=1).fit([star_graph(2)])
         rows = ref.dataset_features(dataset)
         assert ref.dataset_features(dataset) is rows
@@ -194,7 +194,7 @@ class TestEdgeCases:
         # and collect the unseen counts of other graphs, so it never gets in.
         for label in (UNKNOWN_LABEL, -2):
             with pytest.raises(ContractViolation, match=f"negative label {label} at node 1"):
-                Graph(node_count=2, edges=((0, 1),), node_labels=(0, label), graph_label=0)
+                Graph(node_count=2, edges=((0, 1),), node_labels=(0, label))
         ref = WlRefinement(depth=1).fit([Graph(node_count=1, edges=(), node_labels=(0,))])
         unseen = Graph(node_count=1, edges=(), node_labels=(7,))
         # Both depths of the unseen node count on UNK, the last column.
@@ -204,11 +204,10 @@ class TestEdgeCases:
         # Fitted: an edge 0-1 and an isolated 0, so depth-2 signatures with
         # an empty neighborhood are in the table. Unseen: 0-1-5, where the
         # middle node's signature is new at depth 1.
-        fitted = [Graph(node_count=3, edges=((0, 1),), node_labels=(0, 1, 0), graph_label=0)]
+        fitted = [Graph(node_count=3, edges=((0, 1),), node_labels=(0, 1, 0))]
         ref = WlRefinement(depth=3).fit(fitted)
         assert any(neighbors == () for _, neighbors in ref.label_table)
-        unseen = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 1, 5),
-                       graph_label=0)
+        unseen = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 1, 5))
         labels = node_labels(ref, unseen)
         assert labels[1][0] == node_labels(ref, fitted[0])[1][0]
         assert labels[1][1] == UNKNOWN_LABEL
@@ -220,22 +219,22 @@ class TestEdgeCases:
 
 class TestKernel:
     def test_two_single_nodes_same_label_depth_zero(self):
-        a = Graph(node_count=1, edges=(), node_labels=(4,), graph_label=0)
-        b = Graph(node_count=1, edges=(), node_labels=(4,), graph_label=0)
+        a = Graph(node_count=1, edges=(), node_labels=(4,))
+        b = Graph(node_count=1, edges=(), node_labels=(4,))
         ref = WlRefinement(depth=0).fit([a, b])
         assert kernel(ref, a, b) == 1
 
     def test_single_edge_self_kernel(self):
         # Both nodes share a label: 4 matched pairs at depth 0, and the
         # identical signatures keep all 4 pairs matched at depth 1.
-        g = Graph(node_count=2, edges=((0, 1),), node_labels=(3, 3), graph_label=0)
+        g = Graph(node_count=2, edges=((0, 1),), node_labels=(3, 3))
         ref = WlRefinement(depth=1).fit([g])
         assert kernel(ref, g, g) == 8
         assert brute_force_kernel(ReferenceRefinement([g], 1), g, g) == 8
 
     def test_disjoint_alphabets_give_zero(self):
-        a = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 0, 0), graph_label=0)
-        b = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(5, 5, 5), graph_label=0)
+        a = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 0, 0))
+        b = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(5, 5, 5))
         ref = WlRefinement(depth=2).fit([a, b])
         assert kernel(ref, a, b) == 0
 
@@ -298,10 +297,10 @@ class TestGknHead:
         assert np.allclose(probs.data, 0.25, atol=1e-15)
 
     def test_unseen_graph_buckets_to_unk_and_normalizes(self):
-        train = Graph(node_count=2, edges=((0, 1),), node_labels=(0, 0), graph_label=0)
+        train = Graph(node_count=2, edges=((0, 1),), node_labels=(0, 0))
         ref = WlRefinement(depth=2).fit([train])
         # Every label of this graph is outside the fitted vocabulary.
-        alien = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(9, 9, 9), graph_label=0)
+        alien = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(9, 9, 9))
         labels = node_labels(ref, alien)
         assert all(v == UNKNOWN_LABEL for v in labels[1])
         row = ref.feature_row(alien)
