@@ -69,7 +69,8 @@ class PackedGraphs:
     Graph ``i`` owns the union's nodes ``node_offsets[i]:node_offsets[i + 1]``.
     ``node_labels`` concatenates the graphs' node labels, and ``adjacency``
     is the symmetric 0/1 block-diagonal adjacency of the union in CSR form
-    with sorted column indices.
+    with sorted column indices. A node id or node label that is not a whole
+    number raises ``ContractViolation`` here.
     """
 
     def __init__(self, graphs):
@@ -78,11 +79,11 @@ class PackedGraphs:
                              count=len(self.graphs))
         self.node_offsets = np.concatenate(([0], np.cumsum(counts)))
         total = int(self.node_offsets[-1])
-        self.node_labels = np.fromiter(
-            (label for g in self.graphs for label in g.node_labels), dtype=np.int64, count=total)
+        self.node_labels = _whole_numbers(
+            (label for g in self.graphs for label in g.node_labels), total, "node label")
         edge_counts = [len(g.edges) for g in self.graphs]
-        ends = np.fromiter((v for g in self.graphs for edge in g.edges for v in edge),
-                           dtype=np.int64, count=2 * sum(edge_counts)).reshape(-1, 2)
+        ends = _whole_numbers((v for g in self.graphs for edge in g.edges for v in edge),
+                              2 * sum(edge_counts), "node id").reshape(-1, 2)
         ends += np.repeat(self.node_offsets[:-1], edge_counts)[:, None]
         rows = np.concatenate((ends[:, 0], ends[:, 1]))
         cols = np.concatenate((ends[:, 1], ends[:, 0]))
@@ -104,6 +105,17 @@ class PackedGraphs:
         joined.node_labels = np.concatenate([part.node_labels for part in parts])
         joined.adjacency = sp.block_diag([part.adjacency for part in parts], format="csr")
         return joined
+
+
+def _whole_numbers(values, count: int, what: str) -> np.ndarray:
+    """``values`` as int64; one that is not a whole number raises ``ContractViolation``."""
+    exact = np.fromiter(values, dtype=np.float64, count=count)
+    with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison below
+        whole = exact.astype(np.int64)
+    wrong = whole != exact
+    if wrong.any():
+        raise ContractViolation(f"{what} {exact[wrong][0]} is not an integer")
+    return whole
 
 
 def gather_rows(offsets: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:

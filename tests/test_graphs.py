@@ -361,6 +361,16 @@ class TestSubsets:
         assert all(sub.graphs[k] is ds.graphs[idx[k]] for k in range(len(idx)))
 
 
+@pytest.mark.parametrize("graph, message", [
+    (Graph(node_count=3, edges=((0, 1.5),), node_labels=(0, 0, 0)), "node id 1.5 "),
+    (Graph(node_count=2, edges=((0, 1),), node_labels=(0.7, 1)), "node label 0.7 "),
+])
+def test_fractional_value_rejected_at_packing(graph, message):
+    # Packing into int64 arrays would truncate it to a valid-looking value.
+    with pytest.raises(ContractViolation, match=message):
+        PackedGraphs([graph])
+
+
 def test_join_equals_packing_all_graphs():
     rng = np.random.default_rng(17)
     empty = Graph(node_count=0, edges=(), node_labels=())
