@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +400,21 @@ class TestStatePair:
         # A rejected call changes nothing: the own pair still trains as a fresh state.
         train_epoch(state, source, target)
         assert state.history == train(config, source, target).history
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_target_classes_never_reach_training(variant):
+    # Flipping every target class changes the accuracy only: the same
+    # parameters and the same four losses come out of training.
+    source, target = make_shifted_pair(0, 10)
+    flipped = replace(target, eval_labels=tuple(1 - label for label in target.eval_labels))
+    config = toy_config(variant=variant)
+    runs = [train(config, source, t) for t in (target, flipped)]
+    arrays = [{k: v.tobytes() for k, v in state.named_arrays().items()} for state in runs]
+    assert arrays[0] == arrays[1]
+    for a, b in zip(runs[0].history, runs[1].history):
+        assert astuple(a)[:5] == astuple(b)[:5]
+        assert a.target_accuracy + b.target_accuracy == pytest.approx(1.0)
 
 
 class TestEvaluate:
