@@ -4,9 +4,8 @@ Datasets arrive in the common graph-benchmark text layout (one ``_A.txt``
 edge file, a ``_graph_indicator.txt`` node-to-graph map, plus graph and
 node label files). Parsing produces immutable :class:`Graph` records with
 0-indexed contiguous node ids; directed duplicate edges in the files are
-merged into single undirected edges. A graph holds structure only: its
-class sits in its dataset's ``graph_labels``, aligned by graph index as
-in the ``_graph_labels.txt`` file.
+merged into single undirected edges. A graph's class sits on its dataset,
+in ``graph_labels``, aligned by graph index as in ``_graph_labels.txt``.
 
 A dataset packs its graphs into flat arrays once, at first use
 (:class:`PackedGraphs`); batches are then gathered from those arrays by
@@ -112,9 +111,8 @@ def _whole_numbers(values, count: int, what: str) -> np.ndarray:
     exact = np.fromiter(values, dtype=np.float64, count=count)
     with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison below
         whole = exact.astype(np.int64)
-    wrong = whole != exact
-    if wrong.any():
-        raise ContractViolation(f"{what} {exact[wrong][0]} is not an integer")
+    if (whole != exact).any():
+        raise ContractViolation(f"{what} {exact[whole != exact][0]} is not an integer")
     return whole
 
 
@@ -383,15 +381,15 @@ def write_tudataset(ds: DomainDataset, root_path, dataset_name: str) -> Path:
 
     Each undirected edge is written in both directions, matching the way
     published benchmark files list edges. The classes written are a
-    source's ``graph_labels`` or a target's ``eval_labels``, which a target
-    must then have. Parsing renumbers node labels
-    and classes densely, so re-parsing gives back ``ds``, as a source
-    dataset, only when every node label in ``[0, label_alphabet_size)``
-    and every class in ``[0, num_classes)`` occurs. The layout counts
-    graphs up to the last node's graph, so an empty last graph is
-    rejected. Every graph is checked before any file is opened, and each
-    file is written atomically, so a failed or killed writer leaves no
-    partial file; ``_A.txt`` is written last.
+    source's ``graph_labels`` or a target's ``eval_labels``, which a
+    target must then have. Parsing renumbers node labels and classes
+    densely, so re-parsing gives back ``ds``, as a source dataset, only
+    when every node label in ``[0, label_alphabet_size)`` and every class
+    in ``[0, num_classes)`` occurs. The layout counts graphs up to the
+    last node's graph, so an empty last graph is rejected. Every graph is
+    checked before any file is opened, and each file is written
+    atomically, so a failed or killed writer leaves no partial file;
+    ``_A.txt`` is written last.
     """
     if not ds.graphs:
         raise ConfigurationError("no graphs to serialize")

@@ -80,7 +80,7 @@ def make_domain(rng: np.random.Generator, specs, graphs_per_class: int) -> Domai
 
 
 def make_shifted_pair(seed: int, graphs_per_class: int = 60):
-    """A labeled ``SOURCE_SPEC`` dataset and a label-detached ``TARGET_SPEC`` one."""
+    """A labeled ``SOURCE_SPEC`` dataset and a ``TARGET_SPEC`` one, classes in ``eval_labels``."""
     rng = _stream(seed, 0x51)
     source = make_domain(rng, [SOURCE_SPEC], graphs_per_class)
     target_full = make_domain(rng, [TARGET_SPEC], graphs_per_class)

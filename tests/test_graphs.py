@@ -364,7 +364,7 @@ class TestSubsets:
 @pytest.mark.parametrize("graph, message", [
     (Graph(node_count=3, edges=((0, 1.5),), node_labels=(0, 0, 0)), "node id 1.5 "),
     (Graph(node_count=2, edges=((0, 1),), node_labels=(0.7, 1)), "node label 0.7 "),
-])
+], ids=["node-id", "node-label"])
 def test_fractional_value_rejected_at_packing(graph, message):
     # Packing into int64 arrays would truncate it to a valid-looking value.
     with pytest.raises(ContractViolation, match=message):
