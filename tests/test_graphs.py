@@ -109,8 +109,9 @@ class TestParser:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        labels, graphs = zip(*((int(rng.integers(0, 3)), random_graph(rng, max_nodes=8, num_labels=4))
-                               for _ in range(12)))
+        drawn = [(int(rng.integers(0, 3)), random_graph(rng, max_nodes=8, num_labels=4))
+                 for _ in range(12)]
+        labels, graphs = zip(*drawn)
         ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=3, label_alphabet_size=4,
                            graph_labels=labels)
         write_tudataset(ds, tmp_path, "rt")
