@@ -3,7 +3,7 @@
 Tensors are 2-D float64 arrays; a :class:`Tape` records executed
 operations and replays their adjoints in exact reverse order. The
 primitive set is deliberately small (the affine map ``x @ w + b`` as one
-op, a product with a constant left factor, add, scalar scale, relu,
+op, the GIN sum ``h + A @ h``, a segment-sum readout, add, scale, relu,
 softmax, row reductions, column concatenation, softmax cross-entropy, and
 a clamped log-sigmoid), which keeps every adjoint hand-checkable.
 Gradients flow to any leaf created with ``requires_grad=True``, including
@@ -200,19 +200,26 @@ def linear(tape: Tape, x, w: Tensor, b: Tensor) -> Tensor:
     return _result(tape, inputs, value, backward_fn)
 
 
-def matmul_const(tape: Tape, m, x: Tensor) -> Tensor:
-    """``m @ x`` for a constant left factor ``m``, which may be scipy-sparse.
-
-    The sparse path exists for the adjacency and readout matrices.
-    """
-    if m.shape[1] != x.shape[0]:
-        raise ContractViolation(f"matmul shape mismatch: {m.shape} @ {x.shape}")
-
+def aggregate(tape: Tape, adjacency, h: Tensor) -> Tensor:
+    """``h + A @ h`` for a constant CSR ``A``, symmetric with sorted indices. The
+    backward's ``A @ g`` then adds the terms of ``A.T @ g`` in their order, bit for bit."""
     def backward_fn(g):
-        return (np.asarray(m.T @ g),)
+        out = adjacency @ g
+        out += g
+        return (out,)
 
-    value = m @ x.data
-    return _result(tape, (x,), np.asarray(value), backward_fn)
+    value = adjacency @ h.data
+    value += h.data
+    return _result(tape, (h,), value, backward_fn)
+
+
+def segment_sum(tape: Tape, readout, h: Tensor) -> Tensor:
+    """``R @ h`` for a constant 0/1 CSR ``R`` whose row ``k`` sums rows ``indptr[k]`` to
+    ``indptr[k + 1]``. The backward repeats ``g``'s rows: ``R.T @ g`` once stored."""
+    def backward_fn(g):
+        return (np.repeat(g, np.diff(readout.indptr), axis=0),)
+
+    return _result(tape, (h,), readout @ h.data, backward_fn)
 
 
 def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:

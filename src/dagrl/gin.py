@@ -24,7 +24,8 @@ class GraphBatch:
     All three are index gathers from the packed arrays: the one-hot node
     features, the adjacency (the graphs' row slices of the packed
     adjacency, shifted to batch-local columns) and the sum readout, whose
-    ``indptr`` is the batch's node offsets. Node labels must lie in
+    ``indptr`` is the batch's node offsets. The adjacency stays symmetric
+    with sorted indices, as ``ad.aggregate`` needs. Node labels must lie in
     ``[0, input_dim)``, as a dataset's packing checks.
     """
 
@@ -62,8 +63,7 @@ class GinLayer(ad.Mlp):
     """The GIN update: the two-layer perceptron applied to ``h + A h``."""
 
     def __call__(self, tape: ad.Tape, h: ad.Tensor, adjacency) -> ad.Tensor:
-        agg = ad.matmul_const(tape, adjacency, h)
-        return super().__call__(tape, ad.add(tape, h, agg))
+        return super().__call__(tape, ad.aggregate(tape, adjacency, h))
 
 
 class GinEncoder(ad.Module):
@@ -78,5 +78,5 @@ class GinEncoder(ad.Module):
         h = batch.feature_tensor(tape, perturbation)
         for layer in (self.layer0, self.layer1):
             h = layer(tape, h, batch.adjacency)
-        z = ad.matmul_const(tape, batch.readout, h)
+        z = ad.segment_sum(tape, batch.readout, h)
         return h, z

@@ -225,10 +225,14 @@ def split_by_density(ds: DomainDataset) -> DensityPartition:
 
 
 def _pick(ds: DomainDataset, indices) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
-    """Graphs ``indices`` of ``ds``, shared with it, and their classes."""
+    """Graphs ``indices`` of ``ds``, shared with it, and their classes; each once."""
     if ds.graph_labels is None:
         raise ConfigurationError(f"a {ds.domain} dataset holds no graph_labels to subset")
-    return tuple(ds.graphs[i] for i in indices), tuple(ds.graph_labels[i] for i in indices)
+    idx = gather_rows(np.arange(len(ds.graphs) + 1), indices)[0]  # range-checked
+    repeated = np.flatnonzero(np.bincount(idx) > 1)
+    if len(repeated):
+        raise ContractViolation(f"index {repeated[0]} repeated")
+    return tuple(ds.graphs[i] for i in idx), tuple(ds.graph_labels[i] for i in idx)
 
 
 def subset_as_source(ds: DomainDataset, indices) -> DomainDataset:

@@ -172,6 +172,7 @@ class TrainState:
     target: DomainDataset
     epoch: int = 0
     history: list[EpochStats] = field(default_factory=list)
+    eval_batches: dict = field(default_factory=dict, init=False, repr=False)
 
     # The optimizers' lists, built once in build_state: the step loop
     # reads these instead of walking the modules.
@@ -457,7 +458,8 @@ def train(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> 
 def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     """Accuracy of the fused branch prediction; perturbations excluded.
 
-    ``dataset`` must have the state's classes and node-label alphabet.
+    ``dataset`` must have the state's classes and node-label alphabet. Its
+    batches are built once, kept on ``state`` by id with the dataset held.
     """
     _check_compatible(state.source, dataset)
     if not dataset.graphs:
@@ -465,11 +467,13 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     labels = dataset.eval_labels if dataset.domain == TARGET else dataset.graph_labels
     if labels is None:
         raise ConfigurationError("dataset has no labels to evaluate against")
+    if id(dataset) not in state.eval_batches:
+        graphs = range(len(dataset.graphs))
+        state.eval_batches[id(dataset)] = dataset, [Batch(state, dataset, graphs[s:s + EVAL_CHUNK])
+                                                    for s in range(0, len(graphs), EVAL_CHUNK)]
     predictions = []
     with ad.frozen(state.branch_params()):
-        graphs = range(len(dataset.graphs))
-        for start in range(0, len(graphs), EVAL_CHUNK):
-            batch = Batch(state, dataset, graphs[start:start + EVAL_CHUNK])
+        for batch in state.eval_batches[id(dataset)][1]:
             probs = []
             for branch in state.branches:
                 _, p, _ = branch.forward(ad.Tape(), batch)

@@ -2,6 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation, DatasetFormatError
@@ -11,6 +12,19 @@ from helpers import finite_difference, max_relative_error
 def matmul(tape, a, b):
     """``a @ b`` as ``ad.linear`` with a constant zero bias."""
     return ad.linear(tape, a, b, ad.constant(np.zeros((1, b.shape[1]))))
+
+
+def symmetric_csr(m):
+    """``m + m.T`` as CSR with sorted indices: an adjacency ``ad.aggregate`` takes."""
+    out = sp.csr_matrix(m + m.T)
+    out.sort_indices()
+    return out
+
+
+def segment_readout(offsets):
+    """The 0/1 CSR readout whose row ``k`` covers rows ``offsets[k]:offsets[k + 1]``."""
+    n = offsets[-1]
+    return sp.csr_matrix((np.ones(n), np.arange(n), offsets), shape=(len(offsets) - 1, n))
 
 
 def sum_all(tape, t):
@@ -197,8 +211,8 @@ class TestFrozen:
 
 
 PRIMITIVE_CASES = [
-    "matmul", "linear", "linear_sparse", "matmul_const", "matmul_const_sparse", "add",
-    "scale", "relu", "softmax", "sum_rows", "mean_rows", "concat1",
+    "matmul", "linear", "linear_sparse", "matmul_const", "matmul_const_sparse", "aggregate",
+    "segment_sum", "add", "scale", "relu", "softmax", "sum_rows", "mean_rows", "concat1",
     "cross_entropy", "log_sigmoid",
 ]
 
@@ -209,7 +223,6 @@ def test_primitive_gradients(name, seed):
     # crc32, not hash(): str hashes are salted per process, so a failing
     # case would draw different inputs on every run.
     rng = np.random.default_rng(seed * 131 + zlib.crc32(name.encode()) % 1000)
-    import scipy.sparse as sp
 
     def sample(shape):
         # Shift away from 0 so relu masks stay stable under the probe step.
@@ -235,13 +248,24 @@ def test_primitive_gradients(name, seed):
         w, b = leaf((4, 2)), leaf((1, 2))
         build = lambda tape: ad.linear(tape, m, w, b)
     elif name == "matmul_const":
+        # A constant left factor goes through linear's weight gradient.
         m = sample((3, 4))
         x = leaf((4, 2))
-        build = lambda tape: ad.matmul_const(tape, m, x)
+        build = lambda tape: matmul(tape, m, x)
     elif name == "matmul_const_sparse":
         m = sp.random(3, 4, density=0.5, random_state=7, format="csr")
         x = leaf((4, 2))
-        build = lambda tape: ad.matmul_const(tape, m, x)
+        build = lambda tape: matmul(tape, m, x)
+    elif name == "aggregate":
+        m = sp.random(5, 5, density=0.4, random_state=8, format="csr")
+        adjacency = symmetric_csr(m)
+        x = leaf((5, 2))
+        build = lambda tape: ad.aggregate(tape, adjacency, x)
+    elif name == "segment_sum":
+        # Three segments of 2, 0 and 3 rows.
+        readout = segment_readout([0, 2, 2, 5])
+        x = leaf((5, 2))
+        build = lambda tape: ad.segment_sum(tape, readout, x)
     elif name == "add":
         a, b = leaf((3, 4)), leaf((3, 4))
         build = lambda tape: ad.add(tape, a, b)
@@ -283,7 +307,7 @@ def test_primitive_gradients(name, seed):
             weights = (rng.uniform(0.5, 1.5, size=(1, out.shape[0])),
                        rng.uniform(0.5, 1.5, size=(out.shape[1], 1)))
         rows, cols = weights
-        return matmul(tape, ad.matmul_const(tape, rows, out), ad.constant(cols))
+        return matmul(tape, matmul(tape, rows, out), ad.constant(cols))
 
     def run():
         tape = ad.Tape()
@@ -306,8 +330,6 @@ def chunked_transpose_product(a, g):
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_linear_is_bitwise_numpy(sparse):
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(8)
     n = 2 * ad.WEIGHT_GRAD_CHUNK + 37
     if sparse:
@@ -402,25 +424,25 @@ def test_add_rejects_a_row_operand():
 
 def every_primitive(tape, leaves):
     """Every tensor of a graph that uses each primitive, the leaves first."""
-    import scipy.sparse as sp
-
     x, w, b, w2, b2, offset, w3, b3 = leaves
     histograms = sp.random(5, 3, density=0.6, random_state=3, format="csr")
-    adjacency = sp.random(5, 5, density=0.4, random_state=4, format="csr")
+    adjacency = symmetric_csr(sp.random(5, 5, density=0.4, random_state=4, format="csr"))
     h = ad.linear(tape, x, w, b)
     e = ad.linear(tape, histograms, w2, b2)
     s = ad.add(tape, ad.add(tape, h, e), offset)
     twice = ad.add(tape, s, s)
-    agg = ad.matmul_const(tape, adjacency, twice)
+    agg = ad.aggregate(tape, adjacency, twice)
     r = ad.relu(tape, ad.scale(tape, agg, 0.5))
     p = ad.softmax(tape, r)
     c = ad.concat(tape, r, p)
     logits = ad.linear(tape, c, w3, b3)
     ce = ad.softmax_cross_entropy(tape, logits, [0, 1, 1, 0, 1])
     domain = sum_all(tape, ad.mean_rows(tape, ad.log_sigmoid(tape, logits)))
-    spread = sum_all(tape, r)
+    pooled = ad.segment_sum(tape, segment_readout([0, 3, 5]), r)
+    spread = sum_all(tape, pooled)
     loss = ad.add(tape, ad.add(tape, ce, domain), spread)
-    return list(leaves) + [h, e, s, twice, agg, r, p, c, logits, ce, domain, spread, loss]
+    return list(leaves) + [h, e, s, twice, agg, r, p, c, logits, ce, domain, pooled, spread,
+                           loss]
 
 
 def test_backward_hands_each_input_its_own_gradient():

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
 from dagrl.gin import GinEncoder, GraphBatch
-from dagrl.graphs import SOURCE, DomainDataset, Graph, PackedGraphs
+from dagrl.graphs import SOURCE, DomainDataset, Graph, PackedGraphs, subset_as_source
 from dagrl.wl import WlRefinement
 from helpers import (
     encode_graph,
@@ -248,3 +248,82 @@ class TestPackedBatch:
         assert ref.dataset_features(dataset) is ref.dataset_features(dataset)
         for k, i in enumerate(indices):
             assert_same_csr(rows[k], ref.feature_row(dataset.graphs[i]))
+
+
+def assert_symmetric_with_sorted_indices(a):
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    same_row = rows[1:] == rows[:-1]
+    # Strictly rising columns within each row: sorted, with no duplicates.
+    assert np.all(np.diff(a.indices)[same_row] > 0)
+    # Converting the transpose back to CSR sorts its indices.
+    assert_same_csr(a, sp.csr_matrix(a.T))
+
+
+class TestBackwardPremises:
+    """``ad.aggregate`` and ``ad.segment_sum`` backwards rest on the batch's structure."""
+
+    @pytest.fixture(params=["shuffled", "repeated", "subset", "join"])
+    def batch(self, request):
+        rng = np.random.default_rng(40)
+        graphs = [random_graph(rng, max_nodes=7, num_labels=4, edge_prob=0.5)
+                  for _ in range(10)]
+        graphs += [Graph(node_count=0, edges=(), node_labels=()),
+                   Graph(node_count=5, edges=((3, 1), (0, 4), (2, 0), (4, 3), (1, 2)),
+                         node_labels=(0, 1, 2, 3, 0))]
+        dataset = DomainDataset(graphs=tuple(graphs), domain=SOURCE, num_classes=1,
+                                label_alphabet_size=4, graph_labels=(0,) * len(graphs))
+        subset = subset_as_source(dataset, [11, 4, 10, 7, 0, 2])
+        packed = {"shuffled": dataset.packed, "repeated": dataset.packed,
+                  "subset": subset.packed,
+                  "join": PackedGraphs.join((subset.packed, dataset.packed))}[request.param]
+        indices = rng.permutation(len(packed.graphs))
+        if request.param == "repeated":
+            indices = np.concatenate([indices, indices[:4]])
+        return GraphBatch(packed, indices, 4)
+
+    def test_adjacency_is_symmetric_with_sorted_indices(self, batch):
+        assert_symmetric_with_sorted_indices(batch.adjacency)
+
+    @staticmethod
+    def signed_zero_gradient(rows, width, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((rows, width))
+        g[rng.random(g.shape) < 0.2] = 0.0
+        g[rng.random(g.shape) < 0.2] = -0.0
+        return g
+
+    @pytest.mark.parametrize("width", [3, 32])
+    def test_products_equal_the_transposed_ones(self, batch, width):
+        a, r = batch.adjacency, batch.readout
+        g = self.signed_zero_gradient(a.shape[0], width, seed=width)
+        assert (a @ g).tobytes() == (a.T @ g).tobytes()
+        pooled = self.signed_zero_gradient(r.shape[0], width, seed=width + 1)
+        # The tape stores a fresh contribution plus 0.0, which turns
+        # np.repeat's -0.0 into the product's +0.0.
+        repeated = np.repeat(pooled, np.diff(r.indptr), axis=0) + 0.0
+        assert repeated.tobytes() == (r.T @ pooled).tobytes()
+
+    @staticmethod
+    def stored_gradient(build, rows, g):
+        """The gradient the tape stores on a leaf when ``g`` flows into ``build``'s output."""
+        x = ad.parameter(np.zeros((rows, g.shape[1])))
+        tape = ad.Tape()
+        out = build(tape, x)
+        loss = ad.Tensor(np.zeros((1, 1)), requires_grad=True)
+        tape.record(loss, (out,), lambda _: (g.copy(),))
+        tape.backward(loss)
+        return x.grad
+
+    def test_records_store_the_two_record_gradients(self, batch):
+        a, r = batch.adjacency, batch.readout
+        n = a.shape[0]
+        # A stored gradient never holds -0.0, so a backward never sees one.
+        g = self.signed_zero_gradient(n, 8, seed=3) + 0.0
+        # The replaced records: add handed g to both inputs, then the
+        # adjacency product added A.T @ g.
+        old = g + a.T @ g
+        new = self.stored_gradient(lambda tape, x: ad.aggregate(tape, a, x), n, g)
+        assert new.tobytes() == old.tobytes()
+        pooled = self.signed_zero_gradient(r.shape[0], 8, seed=4) + 0.0
+        new = self.stored_gradient(lambda tape, x: ad.segment_sum(tape, r, x), n, pooled)
+        assert new.tobytes() == (r.T @ pooled).tobytes()

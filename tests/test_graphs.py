@@ -1,3 +1,4 @@
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -360,6 +361,18 @@ class TestSubsets:
         idx = [5, 0, 2]
         sub = subset(ds, idx)
         assert all(sub.graphs[k] is ds.graphs[idx[k]] for k in range(len(idx)))
+
+    @pytest.mark.parametrize("subset", [subset_as_source, subset_as_target])
+    @pytest.mark.parametrize("index", [-1, -6, 6])
+    def test_index_outside_the_graphs_rejected(self, ds, subset, index):
+        # A negative index would wrap to a graph at the end.
+        with pytest.raises(ContractViolation, match=re.escape(f"index {index} outside [0, 6)")):
+            subset(ds, [0, index])
+
+    @pytest.mark.parametrize("subset", [subset_as_source, subset_as_target])
+    def test_repeated_index_rejected(self, ds, subset):
+        with pytest.raises(ContractViolation, match="index 3 repeated"):
+            subset(ds, [3, 1, 5, 3])
 
 
 @pytest.mark.parametrize("graph, message", [

@@ -515,10 +515,32 @@ class TestAssemblyReuse:
         return source, target
 
     def test_full_builds_two_batches_per_step(self, tiny_pair, counts):
+        # Two per step in each epoch; evaluate's chunks once per state.
         source, target = self.run_two_epochs(tiny_pair, "full")
         steps = -(-len(source.graphs) // 8)
         eval_chunks = -(-len(target.graphs) // trainer.EVAL_CHUNK)
-        assert counts["batch"] == 2 * (2 * steps + eval_chunks)
+        assert counts["batch"] == 2 * 2 * steps + eval_chunks
+
+    def test_each_state_builds_its_own_eval_batches(self, tiny_pair, counts):
+        source, target = tiny_pair
+        eval_chunks = -(-len(target.graphs) // trainer.EVAL_CHUNK)
+        states = [build_state(toy_config(), source, target) for _ in range(2)]
+        for state in states + states:
+            evaluate(state, target)
+        assert counts["batch"] == 2 * eval_chunks
+        first, second = (state.eval_batches[id(target)][1] for state in states)
+        assert not set(map(id, first)) & set(map(id, second))
+
+    def test_cached_evaluate_equals_a_fresh_one(self, tiny_pair):
+        source, target = tiny_pair
+        state = build_state(toy_config(), source, target)
+        for _ in range(2):
+            train_epoch(state, source, target)
+        cached = evaluate(state, target)
+        assert len(state.eval_batches) == 1
+        # A copy of the target is another dataset, so its batches are new.
+        assert cached == evaluate(state, replace(target))
+        assert len(state.eval_batches) == 2
 
     def test_gkn_only_builds_no_gin_batch(self, tiny_pair, counts):
         self.run_two_epochs(tiny_pair, "gkn_only_dual")
