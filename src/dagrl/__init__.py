@@ -22,7 +22,7 @@ from .graphs import (
     DensityPartition,
     DomainDataset,
     Graph,
-    edge_density,
+    pack,
     parse_tudataset,
     split_by_density,
     subset_as_source,
@@ -60,10 +60,10 @@ __all__ = [
     "discriminator_update",
     "domain_accuracy",
     "domain_loss",
-    "edge_density",
     "emit_report",
     "evaluate",
     "load_checkpoint",
+    "pack",
     "parse_tudataset",
     "perturbation_step",
     "run_plan",

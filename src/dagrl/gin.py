@@ -5,8 +5,9 @@ its own embedding to the sum of its neighbors' embeddings (the GIN update
 with its self-weight eps fixed at 0) and pushes the result through a
 two-layer MLP. Graph-level representations come from a sum readout; the
 branch's ``ad.Mlp`` head maps them to class logits. A batch of graphs is
-processed as one disjoint union; readout uses a constant graph-membership
-matrix, so batching is mathematically identical to per-graph processing.
+processed as one disjoint union, gathered by index from its dataset's
+packed graphs; readout uses a constant graph-membership matrix, so
+batching is mathematically identical to per-graph processing.
 """
 
 from __future__ import annotations
@@ -15,37 +16,28 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .graphs import PackedGraphs, gather_rows
+from .graphs import PackedGraphs
 
 
 class GraphBatch:
-    """Constant matrices for the disjoint union of ``packed.graphs[indices]``.
+    """Constant matrices for the disjoint union of graphs ``indices`` of ``packed``.
 
-    All three are index gathers from the packed arrays: the one-hot node
-    features, the adjacency (the graphs' row slices of the packed
-    adjacency, shifted to batch-local columns) and the sum readout, whose
-    ``indptr`` is the batch's node offsets. The adjacency stays symmetric
-    with sorted indices, as ``ad.aggregate`` needs. Node labels must lie in
-    ``[0, input_dim)``, as a dataset's packing checks.
+    All three are read off ``packed.take(indices)``: the one-hot node
+    features from its node labels, its adjacency, symmetric with sorted
+    indices as ``ad.aggregate`` needs, and the sum readout, whose
+    ``indptr`` is its node offsets. Node labels must lie in
+    ``[0, input_dim)``, as a dataset checks when built.
     """
 
     def __init__(self, packed: PackedGraphs, indices, input_dim: int):
-        nodes, offsets = gather_rows(packed.node_offsets, indices)
-        self.graphs = [packed.graphs[i] for i in indices]
-        total = len(nodes)
-        # Batch node k is packed node nodes[k]; columns move back by the shift.
-        shift = nodes - np.arange(total)
-
+        self.graphs = indices  # read only by perfbench/spans.py; ROADMAP item 4 deletes it
+        union = packed.take(indices)
+        total = len(union.node_labels)
         self.features = np.zeros((total, input_dim))
-        self.features[np.arange(total), packed.node_labels[nodes]] = 1.0
-
-        adj = packed.adjacency
-        positions, indptr = gather_rows(adj.indptr, nodes)
-        cols = adj.indices[positions] - np.repeat(shift, np.diff(indptr))
-        self.adjacency = sp.csr_matrix((np.ones(len(positions)), cols, indptr),
-                                       shape=(total, total))
-        self.readout = sp.csr_matrix((np.ones(total), np.arange(total), offsets),
-                                     shape=(len(self.graphs), total))
+        self.features[np.arange(total), union.node_labels] = 1.0
+        self.adjacency = union.adjacency
+        self.readout = sp.csr_matrix((np.ones(total), np.arange(total), union.node_offsets),
+                                     shape=(len(union), total))
 
     def feature_tensor(self, tape: ad.Tape, perturbation: ad.Tensor | None = None) -> ad.Tensor:
         """One-hot inputs plus an optional additive perturbation of the whole batch.

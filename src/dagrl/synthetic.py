@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .graphs import SOURCE, DomainDataset, Graph, subset_as_target
+from .graphs import DomainDataset, Graph, pack, subset_as_target
 
 MOTIF_LABEL = 2
 ALPHABET_SIZE = 3
@@ -74,7 +74,7 @@ def make_domain(rng: np.random.Generator, specs, graphs_per_class: int) -> Domai
              for _ in range(graphs_per_class)]
     graphs = [make_graph(rng, label, spec) for spec, label in draws]
     order = rng.permutation(len(graphs))
-    return DomainDataset(graphs=tuple(graphs[i] for i in order), domain=SOURCE,
+    return DomainDataset(graphs=pack(graphs[i] for i in order),
                          num_classes=NUM_CLASSES, label_alphabet_size=ALPHABET_SIZE,
                          graph_labels=tuple(draws[i][1] for i in order))
 
@@ -84,7 +84,7 @@ def make_shifted_pair(seed: int, graphs_per_class: int = 60):
     rng = _stream(seed, 0x51)
     source = make_domain(rng, [SOURCE_SPEC], graphs_per_class)
     target_full = make_domain(rng, [TARGET_SPEC], graphs_per_class)
-    target = subset_as_target(target_full, range(len(target_full.graphs)))
+    target = subset_as_target(target_full, range(len(target_full)))
     return source, target
 
 

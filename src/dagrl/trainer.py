@@ -46,7 +46,7 @@ from .adversarial import (
 from .errors import ConfigurationError, ContractViolation
 from .fileio import atomic_write
 from .gin import GinEncoder, GraphBatch
-from .graphs import SOURCE, TARGET, DomainDataset, PackedGraphs
+from .graphs import DomainDataset, PackedGraphs
 from .wl import GknHead, WlRefinement
 
 # Each variant's two branches as (kind, perturbed) pairs: p1 drops the
@@ -195,7 +195,7 @@ class TrainState:
 
 
 class Batch:
-    """The graphs ``dataset.graphs[indices]`` in the forms the branches read.
+    """Graphs ``indices`` of ``dataset`` in the forms the branches read.
 
     ``union`` (the GIN disjoint union) and ``histograms`` (the GKN
     refinement-histogram rows) are each built at first use, then shared by
@@ -210,7 +210,7 @@ class Batch:
 
     @cached_property
     def union(self) -> GraphBatch:
-        return GraphBatch(self.dataset.packed, self.indices, self._input_dim)
+        return GraphBatch(self.dataset.graphs, self.indices, self._input_dim)
 
     @cached_property
     def histograms(self) -> sp.csr_matrix:
@@ -229,11 +229,11 @@ def _check_compatible(a: DomainDataset, b: DomainDataset) -> None:
 
 
 def _check_domains(source: DomainDataset, target: DomainDataset) -> None:
-    if len(source.graphs) == 0 or len(target.graphs) == 0:
+    if len(source) == 0 or len(target) == 0:
         raise ConfigurationError("source and target datasets must be nonempty")
-    if source.domain != SOURCE:
-        raise ConfigurationError(f"expected a source-domain dataset, got {source.domain!r}")
-    if target.domain != TARGET:
+    if source.graph_labels is None:
+        raise ConfigurationError("expected a source dataset with graph_labels")
+    if target.graph_labels is not None:
         raise ConfigurationError(
             "expected a target-domain dataset with detached labels; build it via subset_as_target"
         )
@@ -256,7 +256,7 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     refinement = None
     if "gkn" in kinds:
         refinement = WlRefinement(depth=config.wl_depth).fit(
-            PackedGraphs.join((source.packed, target.packed)))
+            PackedGraphs.join((source.graphs, target.graphs)))
     branches = [GinBranch(rng, d, c, hidden) if kind == "gin"
                 else GknBranch(rng, refinement, c, hidden)
                 for kind, rng in zip(kinds, rngs[:2])]
@@ -267,8 +267,8 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     # A perturbation slot per kind, as (row offsets, width): one row per
     # source node for GIN's one-hot inputs, one per source graph for the
     # GKN embedding.
-    layouts = {"gin": (source.packed.node_offsets, d),
-               "gkn": (np.arange(len(source.graphs) + 1), hidden)}
+    layouts = {"gin": (source.graphs.node_offsets, d),
+               "gkn": (np.arange(len(source) + 1), hidden)}
     store = PerturbationStore.zeros(config.epsilon, [
         layouts[kind] if on else None for kind, on in zip(kinds, perturbed)])
 
@@ -462,13 +462,13 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     batches are built once, kept on ``state`` by id with the dataset held.
     """
     _check_compatible(state.source, dataset)
-    if not dataset.graphs:
+    if len(dataset) == 0:
         raise ConfigurationError("cannot evaluate on a dataset with no graphs")
-    labels = dataset.eval_labels if dataset.domain == TARGET else dataset.graph_labels
+    labels = dataset.eval_labels if dataset.graph_labels is None else dataset.graph_labels
     if labels is None:
         raise ConfigurationError("dataset has no labels to evaluate against")
     if id(dataset) not in state.eval_batches:
-        graphs = range(len(dataset.graphs))
+        graphs = range(len(dataset))
         state.eval_batches[id(dataset)] = dataset, [Batch(state, dataset, graphs[s:s + EVAL_CHUNK])
                                                     for s in range(0, len(graphs), EVAL_CHUNK)]
     predictions = []

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ConfigurationError, ContractViolation
-from .graphs import DomainDataset, Graph, PackedGraphs
+from .graphs import DomainDataset, Graph, PackedGraphs, pack
 
 UNKNOWN_LABEL = -1
 _PAD = UNKNOWN_LABEL - 1  # below every label: raw labels are nonnegative
@@ -54,13 +54,9 @@ class WlRefinement:
     def unknown_column(self) -> int:
         return len(self._vocab)
 
-    def fit(self, graphs) -> "WlRefinement":
-        """Build the table from one synchronized pass over all of ``graphs``.
-
-        ``graphs`` is a sequence of graphs or their :class:`PackedGraphs` union.
-        """
-        packed = graphs if isinstance(graphs, PackedGraphs) else PackedGraphs(graphs)
-        if not packed.graphs:
+    def fit(self, packed: PackedGraphs) -> "WlRefinement":
+        """Build the table from one synchronized pass over all graphs of ``packed``."""
+        if not len(packed):
             raise ConfigurationError("cannot fit a refinement on zero graphs")
         self.label_table = {}
         raw = packed.node_labels
@@ -113,26 +109,26 @@ class WlRefinement:
         known = cols < len(self._vocab)
         known[known] = self._vocab[cols[known]] == labels[known]
         cols[~known] = self.unknown_column
-        graph_of = np.repeat(np.arange(len(packed.graphs)), np.diff(packed.node_offsets))
+        graph_of = np.repeat(np.arange(len(packed)), np.diff(packed.node_offsets))
         rows = np.tile(graph_of, self.depth + 1)
         return sp.csr_matrix((np.ones(len(cols)), (rows, cols)),
-                             shape=(len(packed.graphs), self.vocab_size))
+                             shape=(len(packed), self.vocab_size))
 
     def feature_row(self, g: Graph) -> sp.csr_matrix:
         """The graph's histogram over the frozen vocabulary, one sparse CSR row."""
-        return self._histograms(PackedGraphs([g]))
+        return self._histograms(pack([g]))
 
     def dataset_features(self, dataset: DomainDataset) -> sp.csr_matrix:
         """The feature matrix of ``dataset.graphs``, computed at first use.
 
-        Batches gather their rows from it. It is refined from
-        ``dataset.packed`` and kept on this refinement, so every branch
+        Batches gather their rows from it. It is refined from the
+        dataset's packed graphs and kept on this refinement, so every branch
         and phase that shares the refinement shares the rows, and they
         are dropped with it.
         """
         entry = self._dataset_rows.get(id(dataset))
         if entry is None:
-            entry = self._dataset_rows[id(dataset)] = (dataset, self._histograms(dataset.packed))
+            entry = self._dataset_rows[id(dataset)] = (dataset, self._histograms(dataset.graphs))
         return entry[1]
 
 

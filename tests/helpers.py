@@ -18,7 +18,7 @@ from dagrl.adversarial import (
     perturbation_step,
 )
 from dagrl.gin import GraphBatch
-from dagrl.graphs import Graph, PackedGraphs
+from dagrl.graphs import Graph, pack
 from dagrl.trainer import Batch, source_loss
 
 
@@ -53,9 +53,53 @@ def permute_graph(g: Graph, perm) -> Graph:
     return Graph(node_count=g.node_count, edges=edges, node_labels=labels)
 
 
+def unpack(packed) -> list[Graph]:
+    """The records of ``packed``'s graphs, edges in sorted order: ``pack`` inverted."""
+    graphs = []
+    offsets = packed.node_offsets.tolist()
+    for start, end in zip(offsets[:-1], offsets[1:]):
+        block = sp.triu(packed.adjacency[start:end, start:end]).tocoo()
+        graphs.append(Graph(node_count=end - start,
+                            edges=tuple(zip(block.row.tolist(), block.col.tolist())),
+                            node_labels=tuple(packed.node_labels[start:end].tolist())))
+    return graphs
+
+
+def assert_same_packed(a, b):
+    """``a`` and ``b`` hold the same graphs: equal offsets, node labels and adjacency arrays."""
+    for name in ("node_offsets", "node_labels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.adjacency.shape == b.adjacency.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.adjacency, name), getattr(b.adjacency, name)), name
+
+
+def edge_density(g: Graph) -> float:
+    """Fraction of possible undirected edges present; 0.0 when |V| <= 1."""
+    n = g.node_count
+    return 0.0 if n <= 1 else 2.0 * len(g.edges) / (n * (n - 1))
+
+
+def reference_split(graphs):
+    """Oracle for ``split_by_density``, record by record: its groups and boundaries.
+
+    Sorts by ``(edge_density, index)`` and deals four contiguous groups,
+    the first ``len(graphs) % 4`` of them one graph larger.
+    """
+    densities = [edge_density(g) for g in graphs]
+    order = sorted(range(len(graphs)), key=lambda i: (densities[i], i))
+    base, rem = divmod(len(graphs), 4)
+    groups, start = [], 0
+    for k in range(4):
+        size = base + (1 if k < rem else 0)
+        groups.append(tuple(order[start:start + size]))
+        start += size
+    return tuple(groups), tuple(max(densities[i] for i in group) for group in groups[:3])
+
+
 def one_graph_batch(encoder, g: Graph) -> GraphBatch:
     """The disjoint union of ``g`` alone, over ``encoder``'s input alphabet."""
-    return GraphBatch(PackedGraphs([g]), [0], encoder.layer0.lin1.weight.shape[0])
+    return GraphBatch(pack([g]), [0], encoder.layer0.lin1.weight.shape[0])
 
 
 def encode_graph(encoder, tape, g: Graph, delta=None):
@@ -126,7 +170,7 @@ class ReferenceRefinement:
 
 def histograms(refinement, graphs) -> sp.csr_matrix:
     """The refinement's histogram rows of ``graphs``, counted as training counts them."""
-    return refinement._histograms(PackedGraphs(graphs))
+    return refinement._histograms(pack(graphs))
 
 
 def kernel_gram(refinement, graphs, normalized: bool = False) -> np.ndarray:
@@ -236,8 +280,8 @@ def discriminator_domain_accuracy(state, b: int) -> float:
     and the discriminator are frozen and the perturbations are constants.
     """
     branch, disc = state.branches[b], state.discriminators[b]
-    src = Batch(state, state.source, range(len(state.source.graphs)))
-    tgt = Batch(state, state.target, range(len(state.target.graphs)))
+    src = Batch(state, state.source, range(len(state.source)))
+    tgt = Batch(state, state.target, range(len(state.target)))
     with ad.frozen(branch.params() + disc.params()):
         tape = ad.Tape()
         z_s, p_s, _ = branch.forward(tape, src, _stored(state, b, src))

@@ -165,3 +165,37 @@ def test_traced_step_runs_three_forwards_per_branch(spans, variant, span, per_st
         tracer.uninstall()
     steps = -(-len(source.graphs) // 5)
     assert [name for _, name, *_ in tracer.spans].count(span) == per_step * steps
+
+
+def tiny_shifted_pair(seed):
+    from dagrl.synthetic import make_shifted_pair
+
+    return make_shifted_pair(seed, graphs_per_class=8)
+
+
+def tiny_density_pair(seed):
+    from dagrl.graphs import split_by_density, subset_as_source, subset_as_target
+    from dagrl.synthetic import make_benchmark
+
+    dataset = make_benchmark(seed, graphs_per_block=16)
+    groups = split_by_density(dataset).groups
+    return subset_as_source(dataset, groups[0]), subset_as_target(dataset, groups[1])
+
+
+@pytest.mark.parametrize("name,inputs", [("ShiftFullbatch", tiny_shifted_pair),
+                                         ("DensityGknMinibatch", tiny_density_pair)])
+def test_training_workload_unit_passes_its_checks(workloads, tmp_path, name, inputs):
+    # One ``--trace 0`` unit of the workload, on tiny inputs for one epoch:
+    # its set-up, its training and every output check it runs.
+    class Tiny(getattr(workloads, name)):
+        config_kwargs = dict(getattr(workloads, name).config_kwargs, epochs=1)
+
+        def make_inputs(self, seed):
+            return inputs(seed)
+
+    workload = Tiny()
+    workload.prepare(1, tmp_path)
+    assert workload.setup() > 0
+    unit = workload.run_unit()
+    assert unit.failed == 0, unit.failures
+    assert unit.trained_graphs == len(workload.source)

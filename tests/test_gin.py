@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
 from dagrl.gin import GinEncoder, GraphBatch
-from dagrl.graphs import SOURCE, DomainDataset, Graph, PackedGraphs, subset_as_source
+from dagrl.graphs import DomainDataset, Graph, PackedGraphs, pack, subset_as_source
 from dagrl.wl import WlRefinement
 from helpers import (
     encode_graph,
@@ -159,7 +159,7 @@ def test_batch_matches_per_graph_encode():
     rng = np.random.default_rng(21)
     graphs = [random_graph(rng, max_nodes=5) for _ in range(4)]
     tape = ad.Tape()
-    _, z_batch = enc.encode_batch(tape, GraphBatch(PackedGraphs(graphs), range(4), 3))
+    _, z_batch = enc.encode_batch(tape, GraphBatch(pack(graphs), range(4), 3))
     singles = []
     for g in graphs:
         t = ad.Tape()
@@ -195,38 +195,40 @@ def assert_same_csr(a, b):
 
 class TestPackedBatch:
     @pytest.fixture
-    def packed(self):
+    def records(self):
         rng = np.random.default_rng(30)
         graphs = [random_graph(rng, max_nodes=7, num_labels=4, edge_prob=0.5)
                   for _ in range(12)]
         graphs[3] = Graph(node_count=0, edges=(), node_labels=())
         graphs[8] = Graph(node_count=4, edges=(), node_labels=(3, 0, 2, 1))
-        return PackedGraphs(graphs)
+        return graphs
 
-    def test_matches_per_graph_reference(self, packed):
-        indices = np.random.default_rng(31).permutation(len(packed.graphs))
+    @pytest.fixture
+    def packed(self, records):
+        return pack(records)
+
+    def test_matches_per_graph_reference(self, records, packed):
+        indices = np.random.default_rng(31).permutation(len(packed))
         batch = GraphBatch(packed, indices, 4)
-        picked = [packed.graphs[i] for i in indices]
-        features, adjacency, readout = reference_batch(picked, 4)
-        assert batch.graphs == picked
+        features, adjacency, readout = reference_batch([records[i] for i in indices], 4)
+        assert batch.graphs is indices
         assert np.array_equal(batch.features, features)
         assert_same_csr(batch.adjacency, adjacency)
         assert_same_csr(batch.readout, readout)
 
-    def test_subset_with_empty_graph_matches_reference(self, packed):
+    def test_subset_with_empty_graph_matches_reference(self, records, packed):
         indices = [8, 3, 0, 3]
         batch = GraphBatch(packed, indices, 4)
-        features, adjacency, readout = reference_batch([packed.graphs[i] for i in indices], 4)
+        features, adjacency, readout = reference_batch([records[i] for i in indices], 4)
         assert np.array_equal(batch.features, features)
         assert_same_csr(batch.adjacency, adjacency)
         assert_same_csr(batch.readout, readout)
 
     def test_label_outside_alphabet_names_the_label(self, packed):
-        # The alphabet is checked once, when a dataset packs its graphs.
-        dataset = DomainDataset(graphs=packed.graphs, domain=SOURCE, num_classes=1,
-                                label_alphabet_size=3, graph_labels=(0,) * 12)
+        # The alphabet is checked once, when a dataset is built.
         with pytest.raises(ContractViolation, match="node label 3 "):
-            dataset.packed
+            DomainDataset(graphs=packed, num_classes=1, label_alphabet_size=3,
+                          graph_labels=(0,) * 12)
 
     @pytest.mark.parametrize("index", [-2, -1, 12])
     def test_index_outside_the_graphs_rejected(self, packed, index):
@@ -239,15 +241,15 @@ class TestPackedBatch:
         with pytest.raises(ContractViolation, match="shape mismatch"):
             batch.feature_tensor(ad.Tape(), ad.parameter(wrong))
 
-    def test_gathered_kernel_rows_equal_feature_rows(self, packed):
-        dataset = DomainDataset(graphs=packed.graphs, domain=SOURCE, num_classes=1,
-                                label_alphabet_size=4, graph_labels=(0,) * 12)
+    def test_gathered_kernel_rows_equal_feature_rows(self, records, packed):
+        dataset = DomainDataset(graphs=packed, num_classes=1, label_alphabet_size=4,
+                                graph_labels=(0,) * 12)
         ref = WlRefinement(depth=2).fit(dataset.graphs)
         indices = [5, 3, 11, 0, 8]
         rows = ref.dataset_features(dataset)[indices]
         assert ref.dataset_features(dataset) is ref.dataset_features(dataset)
         for k, i in enumerate(indices):
-            assert_same_csr(rows[k], ref.feature_row(dataset.graphs[i]))
+            assert_same_csr(rows[k], ref.feature_row(records[i]))
 
 
 def assert_symmetric_with_sorted_indices(a):
@@ -270,13 +272,13 @@ class TestBackwardPremises:
         graphs += [Graph(node_count=0, edges=(), node_labels=()),
                    Graph(node_count=5, edges=((3, 1), (0, 4), (2, 0), (4, 3), (1, 2)),
                          node_labels=(0, 1, 2, 3, 0))]
-        dataset = DomainDataset(graphs=tuple(graphs), domain=SOURCE, num_classes=1,
-                                label_alphabet_size=4, graph_labels=(0,) * len(graphs))
+        dataset = DomainDataset(graphs=pack(graphs), num_classes=1, label_alphabet_size=4,
+                                graph_labels=(0,) * len(graphs))
         subset = subset_as_source(dataset, [11, 4, 10, 7, 0, 2])
-        packed = {"shuffled": dataset.packed, "repeated": dataset.packed,
-                  "subset": subset.packed,
-                  "join": PackedGraphs.join((subset.packed, dataset.packed))}[request.param]
-        indices = rng.permutation(len(packed.graphs))
+        packed = {"shuffled": dataset.graphs, "repeated": dataset.graphs,
+                  "subset": subset.graphs,
+                  "join": PackedGraphs.join((subset.graphs, dataset.graphs))}[request.param]
+        indices = rng.permutation(len(packed))
         if request.param == "repeated":
             indices = np.concatenate([indices, indices[:4]])
         return GraphBatch(packed, indices, 4)

@@ -8,12 +8,10 @@ import pytest
 from dagrl import graphs as graphs_module
 from dagrl.errors import ConfigurationError, ContractViolation, DatasetFormatError, IngestionError
 from dagrl.graphs import (
-    SOURCE,
-    TARGET,
     DomainDataset,
     Graph,
     PackedGraphs,
-    edge_density,
+    pack,
     parse_tudataset,
     split_by_density,
     subset_as_source,
@@ -21,7 +19,18 @@ from dagrl.graphs import (
     write_tudataset,
 )
 from dagrl.synthetic import make_shifted_pair
-from helpers import complete_graph, dataset_root, have_dataset, path_graph, permute_graph, random_graph
+from helpers import (
+    assert_same_packed,
+    complete_graph,
+    dataset_root,
+    edge_density,
+    have_dataset,
+    path_graph,
+    permute_graph,
+    random_graph,
+    reference_split,
+    unpack,
+)
 
 
 def write_fixture(root, name, indicator, edges, graph_labels, node_labels, edge_sep=", "):
@@ -34,6 +43,12 @@ def write_fixture(root, name, indicator, edges, graph_labels, node_labels, edge_
     return root
 
 
+def assert_same_dataset(a, b):
+    assert_same_packed(a.graphs, b.graphs)
+    for name in ("num_classes", "label_alphabet_size", "graph_labels", "eval_labels"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
 class TestParser:
     def test_two_graphs_with_merged_directed_edges(self, tmp_path):
         # Hand-built fixture: graph 1 has nodes {1, 2} and the edge listed
@@ -42,17 +57,16 @@ class TestParser:
                       graph_labels=[0, 1], node_labels=[0, 0, 1])
         ds = parse_tudataset(tmp_path, "toy")
         assert len(ds.graphs) == 2
-        assert ds.graphs[0].node_count == 2
-        assert ds.graphs[0].edges == ((0, 1),)
-        assert ds.graphs[1].node_count == 1
-        assert ds.graphs[1].edges == ()
+        first, second = unpack(ds.graphs)
+        assert first.node_count == 2
+        assert first.edges == ((0, 1),)
+        assert second.node_count == 1
+        assert second.edges == ()
 
     def test_single_node_no_edges(self, tmp_path):
         write_fixture(tmp_path, "one", indicator=[1], edges=[], graph_labels=[0], node_labels=[0])
         ds = parse_tudataset(tmp_path, "one")
-        assert len(ds.graphs) == 1
-        assert ds.graphs[0].node_count == 1
-        assert ds.graphs[0].edges == ()
+        assert unpack(ds.graphs) == [Graph(node_count=1, edges=(), node_labels=(0,))]
 
     def test_label_remapping_preserves_sorted_order(self, tmp_path):
         write_fixture(tmp_path, "toy", indicator=[1, 2], edges=[],
@@ -61,8 +75,7 @@ class TestParser:
         assert ds.num_classes == 2
         assert ds.graph_labels == (1, 0)  # raw 1 sorts after raw -1
         assert ds.label_alphabet_size == 2
-        assert ds.graphs[0].node_labels == (1,)  # raw 7 sorts after raw 3
-        assert ds.graphs[1].node_labels == (0,)
+        assert ds.graphs.node_labels.tolist() == [1, 0]  # raw 7 sorts after raw 3
 
     def test_comma_without_space_and_crlf(self, tmp_path):
         base = tmp_path / "toy"
@@ -72,7 +85,7 @@ class TestParser:
         (base / "toy_graph_labels.txt").write_bytes(b"0\r\n")
         (base / "toy_node_labels.txt").write_bytes(b"0\r\n0\r\n")
         ds = parse_tudataset(tmp_path, "toy")
-        assert ds.graphs[0].edges == ((0, 1),)
+        assert unpack(ds.graphs)[0].edges == ((0, 1),)
 
     def test_missing_file_names_it(self, tmp_path):
         write_fixture(tmp_path, "toy", indicator=[1], edges=[], graph_labels=[0], node_labels=[0])
@@ -103,6 +116,47 @@ class TestParser:
         with pytest.raises(DatasetFormatError, match=rf"toy_{suffix}\.txt: .*\(line {line}\)"):
             parse_tudataset(tmp_path, "toy")
 
+    def test_interleaved_indicator_renumbers_nodes_per_graph(self, tmp_path):
+        # Nodes 1 and 3 form graph 1, in file order, so edge (1, 3) is its (0, 1).
+        write_fixture(tmp_path, "toy", indicator=[1, 2, 1], edges=[(1, 3), (3, 1)],
+                      graph_labels=[0, 1], node_labels=[5, 6, 7])
+        assert unpack(parse_tudataset(tmp_path, "toy").graphs) == [
+            Graph(node_count=2, edges=((0, 1),), node_labels=(0, 2)),
+            Graph(node_count=1, edges=(), node_labels=(1,))]
+
+    def test_directed_copies_merge_into_one_edge(self, tmp_path):
+        write_fixture(tmp_path, "toy", indicator=[1, 1, 1], edges=[(2, 1), (1, 2), (3, 2)],
+                      graph_labels=[0], node_labels=[0, 0, 0])
+        assert unpack(parse_tudataset(tmp_path, "toy").graphs)[0].edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("third", [(1, 9), ("x", "y")], ids=["out-of-range", "malformed"])
+    def test_first_bad_edge_line_is_reported(self, tmp_path, third):
+        write_fixture(tmp_path, "toy", indicator=[1, 1, 2], edges=[(1, 2), (2, 3), third],
+                      graph_labels=[0, 1], node_labels=[0, 0, 0])
+        message = "toy_A.txt: edge (2, 3) crosses graphs 1 and 2 (line 2)"
+        with pytest.raises(DatasetFormatError, match=re.escape(message)) as caught:
+            parse_tudataset(tmp_path, "toy")
+        assert caught.value.line == 2
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        write_fixture(tmp_path, "toy", indicator=[1, 1], edges=[], graph_labels=[0],
+                      node_labels=[0, 0])
+        base = tmp_path / "toy"
+        (base / "toy_graph_indicator.txt").write_text("\n1\n  \n1\n\n")
+        (base / "toy_A.txt").write_text("1, 2\n\n \n2, 1\n1, 9\n")
+        with pytest.raises(DatasetFormatError, match=re.escape("1..2 (line 5)")):
+            parse_tudataset(tmp_path, "toy")
+        (base / "toy_A.txt").write_text("1, 2\n\n \n2, 1\n")
+        assert unpack(parse_tudataset(tmp_path, "toy").graphs)[0].edges == ((0, 1),)
+
+    def test_indicator_out_of_range_names_file_and_line(self, tmp_path):
+        write_fixture(tmp_path, "toy", indicator=[1, 0, 1], edges=[], graph_labels=[0],
+                      node_labels=[0, 0, 0])
+        message = "toy_graph_indicator.txt: graph indicator 0 out of range (line 2)"
+        with pytest.raises(DatasetFormatError, match=re.escape(message)) as caught:
+            parse_tudataset(tmp_path, "toy")
+        assert caught.value.line == 2
+
     @pytest.mark.skipif(not have_dataset("Mutagenicity"), reason="Mutagenicity files not present")
     def test_mutagenicity_graph_count(self):
         ds = parse_tudataset(dataset_root(), "Mutagenicity")
@@ -113,31 +167,21 @@ class TestParser:
         drawn = [(int(rng.integers(0, 3)), random_graph(rng, max_nodes=8, num_labels=4))
                  for _ in range(12)]
         labels, graphs = zip(*drawn)
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=3, label_alphabet_size=4,
+        ds = DomainDataset(graphs=pack(graphs), num_classes=3, label_alphabet_size=4,
                            graph_labels=labels)
         write_tudataset(ds, tmp_path, "rt")
         again = parse_tudataset(tmp_path, "rt")
-        assert again.graphs == ds.graphs
-        assert again.graph_labels == ds.graph_labels
-        assert again.num_classes == ds.num_classes
-        assert again.label_alphabet_size == ds.label_alphabet_size
+        assert_same_dataset(again, ds)
+        assert unpack(again.graphs) == list(graphs)
         # Serializing the parsed dataset and re-parsing is also stable.
         write_tudataset(again, tmp_path, "rt2")
-        assert parse_tudataset(tmp_path, "rt2") == again
+        assert_same_dataset(parse_tudataset(tmp_path, "rt2"), again)
 
     def test_unlabeled_graph_writes_no_file(self, tmp_path):
         # A target dataset whose classes were never kept for evaluation.
-        ds = DomainDataset(graphs=(path_graph(3), path_graph(2)), domain=TARGET, num_classes=1,
+        ds = DomainDataset(graphs=pack([path_graph(3), path_graph(2)]), num_classes=1,
                            label_alphabet_size=1)
         with pytest.raises(ConfigurationError, match="without eval_labels has no classes"):
-            write_tudataset(ds, tmp_path, "bad")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_node_label_outside_alphabet_writes_no_file(self, tmp_path):
-        graphs = (path_graph(3), replace(path_graph(2), node_labels=(0, 1)))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=1,
-                           graph_labels=(0, 0))
-        with pytest.raises(ContractViolation, match="node label 1 outside alphabet of size 1"):
             write_tudataset(ds, tmp_path, "bad")
         assert list(tmp_path.iterdir()) == []
 
@@ -149,7 +193,7 @@ class TestParser:
         # and fail to parse.
         empty = Graph(node_count=0, edges=(), node_labels=())
         graphs = (path_graph(3), empty) if with_graphs else ()
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=2, label_alphabet_size=1,
+        ds = DomainDataset(graphs=pack(graphs), num_classes=2, label_alphabet_size=1,
                            graph_labels=(0, 1)[:len(graphs)])
         with pytest.raises(ConfigurationError, match=message):
             write_tudataset(ds, tmp_path, "bad")
@@ -157,10 +201,10 @@ class TestParser:
 
     def test_empty_graph_before_the_last_round_trips(self, tmp_path):
         empty = Graph(node_count=0, edges=(), node_labels=())
-        ds = DomainDataset(graphs=(path_graph(3), empty, path_graph(2)), domain=SOURCE,
-                           num_classes=2, label_alphabet_size=1, graph_labels=(0, 1, 0))
+        ds = DomainDataset(graphs=pack([path_graph(3), empty, path_graph(2)]), num_classes=2,
+                           label_alphabet_size=1, graph_labels=(0, 1, 0))
         write_tudataset(ds, tmp_path, "rt")
-        assert parse_tudataset(tmp_path, "rt") == ds
+        assert_same_dataset(parse_tudataset(tmp_path, "rt"), ds)
 
     def test_failure_while_writing_edges_leaves_no_edge_file(self, tmp_path, monkeypatch):
         # The edge file fails after two lines; a truncated edge list would
@@ -183,8 +227,8 @@ class TestParser:
                 yield FailingFile(fh) if path.name.endswith("_A.txt") else fh
 
         monkeypatch.setattr(graphs_module, "atomic_write", failing_atomic_write)
-        ds = DomainDataset(graphs=(path_graph(4), path_graph(3)), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1, graph_labels=(0, 0))
+        ds = DomainDataset(graphs=pack([path_graph(4), path_graph(3)]), num_classes=1,
+                           label_alphabet_size=1, graph_labels=(0, 0))
         with pytest.raises(OSError, match="injected"):
             write_tudataset(ds, tmp_path, "cut")
         assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [
@@ -210,15 +254,9 @@ class TestGraphType:
         with pytest.raises(TypeError, match="graph_label"):
             Graph(node_count=1, edges=(), node_labels=(0,), graph_label=0)
 
-    def test_target_dataset_rejects_labeled_graphs(self):
-        # A target's classes stay out of graph_labels, which training reads.
-        with pytest.raises(ContractViolation, match="target dataset takes no graph_labels"):
-            DomainDataset(graphs=(path_graph(3),), domain=TARGET, num_classes=2,
-                          label_alphabet_size=1, graph_labels=(0,))
-
 
 class TestDatasetLabels:
-    """Class labels are checked when a dataset is built, node labels when it is packed."""
+    """Class labels and node labels are checked when a dataset is built."""
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -234,14 +272,10 @@ class TestDatasetLabels:
         with pytest.raises(ContractViolation, match=r"eval_labels\[0\] is 7, outside \[0, 2\)"):
             replace(target, eval_labels=(7,) * len(target))
 
-    def test_source_without_graph_labels_rejected(self, pair):
-        source, _ = pair
-        with pytest.raises(ContractViolation, match="source dataset needs graph_labels"):
-            replace(source, graph_labels=None)
-
     def test_source_with_eval_labels_rejected(self, pair):
         source, _ = pair
-        with pytest.raises(ContractViolation, match="takes no eval_labels"):
+        with pytest.raises(ContractViolation,
+                           match="a dataset with graph_labels takes no eval_labels"):
             replace(source, eval_labels=source.graph_labels)
 
     @pytest.mark.parametrize("field", ["graph_labels", "eval_labels"])
@@ -253,13 +287,12 @@ class TestDatasetLabels:
                            match=rf"{field} has {len(labels)} entries for {len(dataset)} graphs"):
             replace(dataset, **{field: labels})
 
-    def test_node_label_outside_alphabet_rejected_at_packing(self, pair):
+    def test_node_label_outside_alphabet_rejected_when_built(self, pair):
         source, _ = pair
-        first = source.graphs[0]
-        graphs = (replace(first, node_labels=(9,) + first.node_labels[1:]),) + source.graphs[1:]
-        dataset = replace(source, graphs=graphs)
+        labels = source.graphs.node_labels.copy()
+        labels[0] = 9
         with pytest.raises(ContractViolation, match="node label 9 outside alphabet of size 3"):
-            dataset.packed
+            replace(source, graphs=replace(source.graphs, node_labels=labels))
 
 
 class TestEdgeDensity:
@@ -290,34 +323,34 @@ def graphs_with_densities(densities):
     return out
 
 
+def dataset_of(graphs) -> DomainDataset:
+    """One class, an alphabet wide enough for ``random_graph``'s labels."""
+    return DomainDataset(graphs=pack(graphs), num_classes=1, label_alphabet_size=3,
+                         graph_labels=(0,) * len(graphs))
+
+
 class TestSplit:
     def test_quartiles(self):
         densities = [0.5, 0.1, 0.8, 0.3, 0.7, 0.2, 0.6, 0.4]
-        ds = DomainDataset(graphs=tuple(graphs_with_densities(densities)), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1, graph_labels=(0,) * 8)
+        ds = dataset_of(graphs_with_densities(densities))
         part = split_by_density(ds)
         grouped = [sorted(densities[i] for i in grp) for grp in part.groups]
         assert grouped == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
         assert part.boundaries == (0.2, 0.4, 0.6)
 
     def test_ties_break_by_index(self):
-        ds = DomainDataset(graphs=tuple(graphs_with_densities([0.4] * 8)), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1, graph_labels=(0,) * 8)
+        ds = dataset_of(graphs_with_densities([0.4] * 8))
         part = split_by_density(ds)
         assert part.groups == ((0, 1), (2, 3), (4, 5), (6, 7))
 
     def test_too_few_graphs(self):
-        ds = DomainDataset(graphs=tuple(graphs_with_densities([0.1, 0.2, 0.3])), domain=SOURCE,
-                           num_classes=1, label_alphabet_size=1, graph_labels=(0,) * 3)
+        ds = dataset_of(graphs_with_densities([0.1, 0.2, 0.3]))
         with pytest.raises(ConfigurationError):
             split_by_density(ds)
 
     def test_partition_is_permutation(self):
         rng = np.random.default_rng(11)
-        graphs = tuple(random_graph(rng, max_nodes=9) for _ in range(23))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=3,
-                           graph_labels=(0,) * 23)
-        part = split_by_density(ds)
+        part = split_by_density(dataset_of([random_graph(rng, max_nodes=9) for _ in range(23)]))
         merged = sorted(i for grp in part.groups for i in grp)
         assert merged == list(range(23))
         sizes = sorted(len(grp) for grp in part.groups)
@@ -325,25 +358,41 @@ class TestSplit:
 
     def test_group_densities_respect_boundaries(self):
         rng = np.random.default_rng(13)
-        graphs = tuple(random_graph(rng, max_nodes=9) for _ in range(20))
-        ds = DomainDataset(graphs=graphs, domain=SOURCE, num_classes=1, label_alphabet_size=3,
-                           graph_labels=(0,) * 20)
-        part = split_by_density(ds)
+        graphs = [random_graph(rng, max_nodes=9) for _ in range(20)]
+        part = split_by_density(dataset_of(graphs))
         for k in range(3):
-            assert all(edge_density(ds.graphs[i]) <= part.boundaries[k] for i in part.groups[k])
+            assert all(edge_density(graphs[i]) <= part.boundaries[k] for i in part.groups[k])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_record_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        graphs = [random_graph(rng, max_nodes=9, edge_prob=rng.random())
+                  for _ in range(int(rng.integers(4, 30)))]
+        empty, single = Graph(node_count=0, edges=(), node_labels=()), path_graph(1)
+        for g in (empty, single, empty, complete_graph(3)):
+            graphs.insert(int(rng.integers(0, len(graphs) + 1)), g)
+        part = split_by_density(dataset_of(graphs))
+        assert (part.groups, part.boundaries) == reference_split(graphs)
 
 
 class TestSubsets:
     @pytest.fixture
-    def ds(self):
+    def records(self):
         rng = np.random.default_rng(5)
-        return DomainDataset(graphs=tuple(random_graph(rng) for _ in range(6)), domain=SOURCE,
-                             num_classes=2, label_alphabet_size=3, graph_labels=(0, 1) * 3)
+        records = [random_graph(rng) for _ in range(6)]
+        records[2] = Graph(node_count=0, edges=(), node_labels=())
+        records[4] = Graph(node_count=3, edges=(), node_labels=(2, 0, 2))
+        return records
+
+    @pytest.fixture
+    def ds(self, records):
+        return DomainDataset(graphs=pack(records), num_classes=2, label_alphabet_size=3,
+                             graph_labels=(0, 1) * 3)
 
     def test_source_subset_keeps_labels(self, ds):
         sub = subset_as_source(ds, [0, 3, 4])
         assert sub.graph_labels == (0, 1, 0)
-        assert sub.domain == SOURCE
+        assert sub.eval_labels is None
 
     def test_source_subset_of_unlabeled_graphs_rejected(self):
         _, target = make_shifted_pair(0, 10)
@@ -354,13 +403,15 @@ class TestSubsets:
         sub = subset_as_target(ds, [1, 3, 5])
         assert sub.graph_labels is None
         assert sub.eval_labels == (1, 1, 1)
-        assert sub.domain == TARGET
 
     @pytest.mark.parametrize("subset", [subset_as_source, subset_as_target])
-    def test_subset_shares_the_graphs(self, ds, subset):
-        idx = [5, 0, 2]
-        sub = subset(ds, idx)
-        assert all(sub.graphs[k] is ds.graphs[idx[k]] for k in range(len(idx)))
+    def test_subset_equals_packing_the_records(self, records, ds, subset):
+        rng = np.random.default_rng(9)
+        for idx in (rng.permutation(6), [4, 2], rng.permutation(6)[:3], []):
+            sub = subset(ds, idx)
+            assert_same_packed(sub.graphs, pack([records[i] for i in idx]))
+            labels = sub.graph_labels if subset is subset_as_source else sub.eval_labels
+            assert labels == tuple(ds.graph_labels[i] for i in idx)
 
     @pytest.mark.parametrize("subset", [subset_as_source, subset_as_target])
     @pytest.mark.parametrize("index", [-1, -6, 6])
@@ -382,18 +433,12 @@ class TestSubsets:
 def test_fractional_value_rejected_at_packing(graph, message):
     # Packing into int64 arrays would truncate it to a valid-looking value.
     with pytest.raises(ContractViolation, match=message):
-        PackedGraphs([graph])
+        pack([graph])
 
 
 def test_join_equals_packing_all_graphs():
     rng = np.random.default_rng(17)
     empty = Graph(node_count=0, edges=(), node_labels=())
     parts = [[random_graph(rng) for _ in range(5)] + [empty], [empty], [random_graph(rng)]]
-    joined = PackedGraphs.join([PackedGraphs(graphs) for graphs in parts])
-    whole = PackedGraphs([g for graphs in parts for g in graphs])
-    assert joined.graphs == whole.graphs
-    for name in ("node_offsets", "node_labels"):
-        assert np.array_equal(getattr(joined, name), getattr(whole, name))
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(joined.adjacency, name), getattr(whole.adjacency, name))
-    assert joined.adjacency.shape == whole.adjacency.shape
+    joined = PackedGraphs.join([pack(graphs) for graphs in parts])
+    assert_same_packed(joined, pack([g for graphs in parts for g in graphs]))

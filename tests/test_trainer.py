@@ -10,7 +10,7 @@ import pytest
 from dagrl import autodiff as ad
 from dagrl.adversarial import DomainDiscriminator
 from dagrl.errors import ConfigurationError, ContractViolation
-from dagrl.graphs import SOURCE, DomainDataset, Graph, subset_as_target
+from dagrl.graphs import DomainDataset, Graph, pack, subset_as_target
 from dagrl.gin import GinEncoder, GinLayer
 from dagrl.synthetic import make_shifted_pair
 from dagrl import trainer
@@ -54,7 +54,7 @@ def separable_dataset(seed, n=16, num_classes=2):
         node_labels = tuple(label for _ in range(nodes))
         edges = tuple((k, k + 1) for k in range(nodes - 1))
         graphs.append(Graph(node_count=nodes, edges=edges, node_labels=node_labels))
-    return DomainDataset(graphs=tuple(graphs), domain=SOURCE, num_classes=num_classes,
+    return DomainDataset(graphs=pack(graphs), num_classes=num_classes,
                          label_alphabet_size=max(3, num_classes), graph_labels=labels)
 
 
@@ -156,8 +156,8 @@ class TestVariants:
         for slot, branch in zip(("delta", "zeta"), state.branches):
             keys = [k for k in arrays if k.startswith(f"{slot}/")]
             assert keys == [f"{slot}/{i}" for i in range(len(source.graphs))]
-            for i, g in enumerate(source.graphs):
-                expected = ((g.node_count, source.label_alphabet_size)
+            for i, nodes in enumerate(np.diff(source.graphs.node_offsets)):
+                expected = ((nodes, source.label_alphabet_size)
                             if isinstance(branch, GinBranch) else (1, 8))
                 assert arrays[f"{slot}/{i}"].shape == expected
 
@@ -308,8 +308,8 @@ class TestTraining:
         # Each GIN perturbation leaf then has no rows, and still gets its
         # (0, d) gradient from the discriminator's logit.
         source, target = tiny_pair
-        source = replace(source, graphs=tuple(
-            Graph(node_count=0, edges=(), node_labels=()) for _ in source.graphs))
+        source = replace(source, graphs=pack(
+            [Graph(node_count=0, edges=(), node_labels=())] * len(source)))
         state = train(toy_config(epochs=1), source, target)
         assert state.store.steps == 2 * len(source)
         assert state.store.rows[0].shape == (0, source.label_alphabet_size)
@@ -354,7 +354,7 @@ class TestTraining:
 
     def test_empty_domain_rejected(self, tiny_pair):
         source, target = tiny_pair
-        empty = DomainDataset(graphs=(), domain=SOURCE, num_classes=2, label_alphabet_size=3,
+        empty = DomainDataset(graphs=pack([]), num_classes=2, label_alphabet_size=3,
                               graph_labels=())
         with pytest.raises(ConfigurationError):
             build_state(toy_config(), empty, target)
@@ -363,6 +363,11 @@ class TestTraining:
         source, _ = tiny_pair
         with pytest.raises(ConfigurationError):
             build_state(toy_config(), source, source)
+
+    def test_source_without_graph_labels_rejected(self, tiny_pair):
+        _, target = tiny_pair
+        with pytest.raises(ConfigurationError, match="expected a source dataset with graph_labels"):
+            build_state(toy_config(), target, target)
 
     def test_mismatched_label_spaces_rejected(self, tiny_pair):
         from dataclasses import replace
@@ -449,8 +454,7 @@ class TestEvaluate:
         acc = evaluate(state, target)
         order = np.random.default_rng(5).permutation(len(target.graphs))
         shuffled = DomainDataset(
-            graphs=tuple(target.graphs[i] for i in order),
-            domain=target.domain,
+            graphs=target.graphs.take(order),
             num_classes=target.num_classes,
             label_alphabet_size=target.label_alphabet_size,
             eval_labels=tuple(target.eval_labels[i] for i in order),
@@ -460,7 +464,7 @@ class TestEvaluate:
     def test_dataset_with_no_graphs_rejected(self, tiny_pair):
         source, target = tiny_pair
         state = build_state(toy_config(), source, target)
-        empty = replace(target, graphs=(), eval_labels=())
+        empty = replace(target, graphs=pack([]), eval_labels=())
         with pytest.raises(ConfigurationError, match="no graphs"):
             evaluate(state, empty)
 
@@ -475,8 +479,9 @@ class TestEvaluate:
     def test_dataset_with_other_alphabet_rejected(self, tiny_pair, variant):
         source, target = tiny_pair
         state = build_state(toy_config(variant=variant), source, target)
-        first = target.graphs[0]
-        graphs = (replace(first, node_labels=(4,) + first.node_labels[1:]),) + target.graphs[1:]
+        labels = target.graphs.node_labels.copy()
+        labels[0] = 4
+        graphs = replace(target.graphs, node_labels=labels)
         with pytest.raises(ConfigurationError, match="3 vs 5 labels"):
             evaluate(state, replace(target, graphs=graphs, label_alphabet_size=5))
 
@@ -576,7 +581,7 @@ class TestTrainStep:
         # 24 source graphs in batches of 7 leave a short last batch; the
         # 17 target graphs cycle.
         source, target = tiny_pair
-        return source, replace(target, graphs=target.graphs[:17],
+        return source, replace(target, graphs=target.graphs.take(range(17)),
                                eval_labels=target.eval_labels[:17])
 
     @staticmethod

@@ -4,10 +4,10 @@ import pytest
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
 from dagrl.graphs import (
-    SOURCE,
     DomainDataset,
     Graph,
     PackedGraphs,
+    pack,
     split_by_density,
     subset_as_source,
     subset_as_target,
@@ -21,12 +21,13 @@ from helpers import (
     kernel_gram,
     permute_graph,
     random_graph,
+    unpack,
 )
 
 
 def node_labels(refinement, g):
     """Per-depth label arrays of ``g`` under the fitted table."""
-    return refinement._refine(PackedGraphs([g]))
+    return refinement._refine(pack([g]))
 
 
 def kernel(refinement, g1, g2):
@@ -48,7 +49,7 @@ class TestRefinement:
         # per depth.
         a = Graph(node_count=1, edges=(), node_labels=(5,))
         b = Graph(node_count=1, edges=(), node_labels=(5,))
-        ref = WlRefinement(depth=3).fit([a, b])
+        ref = WlRefinement(depth=3).fit(pack([a, b]))
         la, lb = node_labels(ref, a), node_labels(ref, b)
         assert len(la) == 4
         assert la[0][0] == 5
@@ -60,7 +61,7 @@ class TestRefinement:
         # Manual signatures: leaves see (0, (0,)), the center sees
         # (0, (0, 0, 0)), so iteration 1 must separate them.
         g = star_graph(3)
-        ref = WlRefinement(depth=1).fit([g])
+        ref = WlRefinement(depth=1).fit(pack([g]))
         labels = node_labels(ref, g)
         assert len(set(labels[0].tolist())) == 1
         center, leaf = labels[1][0], labels[1][1]
@@ -72,22 +73,22 @@ class TestRefinement:
         for _ in range(10):
             g = random_graph(rng, max_nodes=7)
             g2 = permute_graph(g, rng.permutation(g.node_count))
-            ref = WlRefinement(depth=2).fit([g, g2])
+            ref = WlRefinement(depth=2).fit(pack([g, g2]))
             for l1, l2 in zip(node_labels(ref, g), node_labels(ref, g2)):
                 assert sorted(l1.tolist()) == sorted(l2.tolist())
 
     def test_table_independent_of_graph_order(self):
         rng = np.random.default_rng(3)
         graphs = [random_graph(rng, max_nodes=6) for _ in range(8)]
-        ref_a = WlRefinement(depth=2).fit(graphs)
-        ref_b = WlRefinement(depth=2).fit(list(reversed(graphs)))
+        ref_a = WlRefinement(depth=2).fit(pack(graphs))
+        ref_b = WlRefinement(depth=2).fit(pack(list(reversed(graphs))))
         assert ref_a.label_table == ref_b.label_table
 
     def test_feature_counts_partition(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = random_graph(rng, max_nodes=8)
-            ref = WlRefinement(depth=2).fit([g])
+            ref = WlRefinement(depth=2).fit(pack([g]))
             row = ref.feature_row(g)
             assert row.sum() == g.node_count * 3
             assert np.all(row.data > 0)
@@ -105,7 +106,7 @@ class TestReferenceEquality:
     """The packed refinement reproduces the per-graph tuple refinement bit for bit."""
 
     def assert_matches_reference(self, fitted, unseen, depth):
-        ref = WlRefinement(depth=depth).fit(fitted)
+        ref = WlRefinement(depth=depth).fit(pack(fitted))
         oracle = ReferenceRefinement(fitted, depth)
         assert ref.label_table == oracle.label_table
         # The oracle numbers its columns in sorted label order.
@@ -139,14 +140,16 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
     def test_benchmark_groups(self, pair):
         dataset = make_benchmark(1, graphs_per_block=12)
+        records = unpack(dataset.graphs)
         groups = split_by_density(dataset).groups
         source = subset_as_source(dataset, groups[pair[0]])
         target = subset_as_target(dataset, groups[pair[1]])
-        fitted = list(source.graphs) + list(target.graphs)
-        unseen = [dataset.graphs[i] for i in groups[3 - pair[1]]]
+        fitted = [records[i] for group in (groups[pair[0]], groups[pair[1]]) for i in group]
+        unseen = [records[i] for i in groups[3 - pair[1]]]
         ref, oracle = self.assert_matches_reference(fitted, unseen, depth=2)
-        for part in (source, target):
-            assert_bitwise_csr(ref.dataset_features(part), oracle.feature_matrix(part.graphs))
+        for part, group in ((source, groups[pair[0]]), (target, groups[pair[1]])):
+            assert_bitwise_csr(ref.dataset_features(part),
+                               oracle.feature_matrix([records[i] for i in group]))
 
 
     def test_fit_on_joined_unions_equals_fit_on_graphs(self):
@@ -154,8 +157,8 @@ class TestReferenceEquality:
         groups = split_by_density(dataset).groups
         source = subset_as_source(dataset, groups[0])
         target = subset_as_target(dataset, groups[2])
-        joined = WlRefinement(depth=2).fit(PackedGraphs.join((source.packed, target.packed)))
-        listed = WlRefinement(depth=2).fit(list(source.graphs) + list(target.graphs))
+        joined = WlRefinement(depth=2).fit(PackedGraphs.join((source.graphs, target.graphs)))
+        listed = WlRefinement(depth=2).fit(pack(unpack(source.graphs) + unpack(target.graphs)))
         assert joined.label_table == listed.label_table
         assert joined._vocab.tolist() == listed._vocab.tolist()
 
@@ -163,7 +166,7 @@ class TestReferenceEquality:
 class TestEdgeCases:
     def test_fit_on_empty_graphs_keeps_only_unk(self):
         empty = Graph(node_count=0, edges=(), node_labels=())
-        ref = WlRefinement(depth=2).fit([empty, empty])
+        ref = WlRefinement(depth=2).fit(pack([empty, empty]))
         assert ref.label_table == {}
         assert ref.vocab_size == 1
         assert histograms(ref, [empty]).toarray().tolist() == [[0.0]]
@@ -171,23 +174,23 @@ class TestEdgeCases:
         assert ref.feature_row(g).toarray().tolist() == [[3.0]]
 
     def test_unfitted_refinement_rejected(self):
-        dataset = DomainDataset(graphs=(star_graph(2),), domain=SOURCE, num_classes=1,
+        dataset = DomainDataset(graphs=pack([star_graph(2)]), num_classes=1,
                                 label_alphabet_size=1, graph_labels=(0,))
         with pytest.raises(ContractViolation, match="not fitted"):
             WlRefinement(depth=1).dataset_features(dataset)
 
     def test_dataset_rows_are_kept_per_refinement_until_refit(self):
-        dataset = DomainDataset(graphs=(star_graph(2), star_graph(3)), domain=SOURCE,
-                                num_classes=1, label_alphabet_size=1, graph_labels=(0, 0))
-        ref = WlRefinement(depth=1).fit([star_graph(2)])
+        graphs = [star_graph(2), star_graph(3)]
+        dataset = DomainDataset(graphs=pack(graphs), num_classes=1, label_alphabet_size=1,
+                                graph_labels=(0, 0))
+        ref = WlRefinement(depth=1).fit(pack(graphs[:1]))
         rows = ref.dataset_features(dataset)
         assert ref.dataset_features(dataset) is rows
-        assert WlRefinement(depth=1).fit([star_graph(2)]).dataset_features(dataset) is not rows
+        assert WlRefinement(depth=1).fit(pack(graphs[:1])).dataset_features(dataset) is not rows
         ref.fit(dataset.graphs)
         refit = ref.dataset_features(dataset)
         assert refit.shape[1] == ref.vocab_size > rows.shape[1]
-        assert_bitwise_csr(refit, ReferenceRefinement(dataset.graphs, 1).feature_matrix(
-            dataset.graphs))
+        assert_bitwise_csr(refit, ReferenceRefinement(graphs, 1).feature_matrix(graphs))
 
     def test_negative_raw_labels_rejected(self):
         # A raw label equal to UNKNOWN_LABEL would become a vocabulary column
@@ -195,7 +198,7 @@ class TestEdgeCases:
         for label in (UNKNOWN_LABEL, -2):
             with pytest.raises(ContractViolation, match=f"negative label {label} at node 1"):
                 Graph(node_count=2, edges=((0, 1),), node_labels=(0, label))
-        ref = WlRefinement(depth=1).fit([Graph(node_count=1, edges=(), node_labels=(0,))])
+        ref = WlRefinement(depth=1).fit(pack([Graph(node_count=1, edges=(), node_labels=(0,))]))
         unseen = Graph(node_count=1, edges=(), node_labels=(7,))
         # Both depths of the unseen node count on UNK, the last column.
         assert ref.feature_row(unseen).toarray().tolist() == [[0.0, 0.0, 2.0]]
@@ -205,7 +208,7 @@ class TestEdgeCases:
         # an empty neighborhood are in the table. Unseen: 0-1-5, where the
         # middle node's signature is new at depth 1.
         fitted = [Graph(node_count=3, edges=((0, 1),), node_labels=(0, 1, 0))]
-        ref = WlRefinement(depth=3).fit(fitted)
+        ref = WlRefinement(depth=3).fit(pack(fitted))
         assert any(neighbors == () for _, neighbors in ref.label_table)
         unseen = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 1, 5))
         labels = node_labels(ref, unseen)
@@ -221,21 +224,21 @@ class TestKernel:
     def test_two_single_nodes_same_label_depth_zero(self):
         a = Graph(node_count=1, edges=(), node_labels=(4,))
         b = Graph(node_count=1, edges=(), node_labels=(4,))
-        ref = WlRefinement(depth=0).fit([a, b])
+        ref = WlRefinement(depth=0).fit(pack([a, b]))
         assert kernel(ref, a, b) == 1
 
     def test_single_edge_self_kernel(self):
         # Both nodes share a label: 4 matched pairs at depth 0, and the
         # identical signatures keep all 4 pairs matched at depth 1.
         g = Graph(node_count=2, edges=((0, 1),), node_labels=(3, 3))
-        ref = WlRefinement(depth=1).fit([g])
+        ref = WlRefinement(depth=1).fit(pack([g]))
         assert kernel(ref, g, g) == 8
         assert brute_force_kernel(ReferenceRefinement([g], 1), g, g) == 8
 
     def test_disjoint_alphabets_give_zero(self):
         a = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 0, 0))
         b = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(5, 5, 5))
-        ref = WlRefinement(depth=2).fit([a, b])
+        ref = WlRefinement(depth=2).fit(pack([a, b]))
         assert kernel(ref, a, b) == 0
 
     def test_feature_map_matches_brute_force(self):
@@ -243,21 +246,21 @@ class TestKernel:
         for _ in range(40):
             g1 = random_graph(rng, max_nodes=6, num_labels=3)
             g2 = random_graph(rng, max_nodes=6, num_labels=3)
-            ref = WlRefinement(depth=2).fit([g1, g2])
+            ref = WlRefinement(depth=2).fit(pack([g1, g2]))
             oracle = ReferenceRefinement([g1, g2], 2)
             assert kernel(ref, g1, g2) == brute_force_kernel(oracle, g1, g2)
 
     def test_kernel_symmetric(self):
         rng = np.random.default_rng(6)
         g1, g2 = random_graph(rng), random_graph(rng)
-        ref = WlRefinement(depth=2).fit([g1, g2])
+        ref = WlRefinement(depth=2).fit(pack([g1, g2]))
         assert kernel(ref, g1, g2) == kernel(ref, g2, g1)
 
     def test_self_kernel_lower_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_graph(rng, max_nodes=6)
-            ref = WlRefinement(depth=2).fit([g])
+            ref = WlRefinement(depth=2).fit(pack([g]))
             value = kernel(ref, g, g)
             floor = g.node_count * 3
             assert value >= floor
@@ -268,7 +271,7 @@ class TestKernel:
     def test_gram_psd(self):
         rng = np.random.default_rng(8)
         graphs = [random_graph(rng, max_nodes=6) for _ in range(16)]
-        ref = WlRefinement(depth=2).fit(graphs)
+        ref = WlRefinement(depth=2).fit(pack(graphs))
         gram = kernel_gram(ref, graphs, normalized=True)
         sym = (gram + gram.T) / 2.0
         assert np.linalg.eigvalsh(sym).min() >= -1e-8
@@ -278,7 +281,7 @@ class TestGknHead:
     def test_zero_zeta_matches_unperturbed(self):
         rng = np.random.default_rng(10)
         g = random_graph(rng, max_nodes=5)
-        ref = WlRefinement(depth=2).fit([g])
+        ref = WlRefinement(depth=2).fit(pack([g]))
         head = GknHead(np.random.default_rng(11), ref.vocab_size, num_classes=3, hidden_dim=8)
         tape = ad.Tape()
         _, p_plain, _ = head.forward(tape, ref.feature_row(g))
@@ -288,7 +291,7 @@ class TestGknHead:
     def test_zero_initialized_head_uniform(self):
         rng = np.random.default_rng(12)
         g = random_graph(rng, max_nodes=5)
-        ref = WlRefinement(depth=2).fit([g])
+        ref = WlRefinement(depth=2).fit(pack([g]))
         head = GknHead(np.random.default_rng(13), ref.vocab_size, num_classes=4, hidden_dim=8)
         for p in head.params():
             p.data[:] = 0.0
@@ -298,7 +301,7 @@ class TestGknHead:
 
     def test_unseen_graph_buckets_to_unk_and_normalizes(self):
         train = Graph(node_count=2, edges=((0, 1),), node_labels=(0, 0))
-        ref = WlRefinement(depth=2).fit([train])
+        ref = WlRefinement(depth=2).fit(pack([train]))
         # Every label of this graph is outside the fitted vocabulary.
         alien = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(9, 9, 9))
         labels = node_labels(ref, alien)
