@@ -20,6 +20,7 @@ output file is ever left half-written.
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -54,6 +55,11 @@ class ExperimentPlan:
             raise ConfigurationError("a plan needs at least one (source, target) pair")
         if not self.seeds:
             raise ConfigurationError("a plan needs at least one seed")
+        # A bool is an Integral but no group index or seed.
+        indices = [("group index", v) for pair in self.pairs for v in pair]
+        for name, v in indices + [("seed", seed) for seed in self.seeds]:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {v!r}")
         for s, t in self.pairs:
             if s == t:
                 raise ConfigurationError(f"source and target group must differ, got ({s}, {t})")

@@ -262,21 +262,16 @@ def _dataset_files(root_path, dataset_name: str) -> dict[str, Path]:
     }
 
 
-def _open_text(path: Path):
-    # Undecodable bytes become lone surrogates, which int() rejects, so they
-    # fail as a malformed line with its number.
-    return path.open("r", encoding="utf-8", errors="surrogateescape", newline=None)
-
-
-def _read_ints(path: Path, pairs: bool = False, check=None):
+def _read_ints(path: Path, pairs: bool = False):
     """Each nonblank line's integer, or with ``pairs`` its ``u, v`` row, and the line numbers.
 
-    The values are int64, or exact Python ints if one needs more bits. A
-    malformed line raises ``DatasetFormatError`` once ``check(values,
-    lines)`` has seen the lines before it, so an earlier bad value wins.
+    Reading stops at a malformed line, whose ``DatasetFormatError`` comes
+    back third (``None`` if there is none) for :func:`_raise_first`. The
+    values are int64, or exact Python ints if one needs more bits.
+    Undecodable bytes become lone surrogates, which ``int()`` rejects.
     """
     values, lines, malformed = [], [], None
-    with _open_text(path) as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -297,25 +292,23 @@ def _read_ints(path: Path, pairs: bool = False, check=None):
         array = np.array(values, dtype=np.int64)
     except OverflowError:
         array = np.array(values, dtype=object)
-    array = array.reshape(-1, 2) if pairs else array
-    if malformed is not None:
-        if check is not None:
-            check(array, lines)
-        raise malformed
-    return array, lines
+    return (array.reshape(-1, 2) if pairs else array), lines, malformed
 
 
-def _raise_first(path: Path, lines: list[int], checks) -> None:
-    """Raise ``DatasetFormatError`` for the first line that fails one of ``checks``.
+def _raise_first(path: Path, lines: list[int], checks, malformed) -> None:
+    """Raise ``DatasetFormatError`` for the first line failing ``checks``, else raise ``malformed``.
 
-    ``checks`` lists ``(mask, message)`` pairs in the order a line is
-    checked; ``message(i)`` describes row ``i``.
+    ``checks`` lists ``(mask, message)`` pairs over the lines read before
+    ``malformed``, in the order a line is checked; ``message(i)``
+    describes row ``i``. So the first bad line of the file wins.
     """
     failed = np.logical_or.reduce([mask for mask, _ in checks])
     if failed.any():
         i = int(np.argmax(failed))
         message = next(message for mask, message in checks if mask[i])
         raise DatasetFormatError(f"{path.name}: {message(i)}", lines[i])
+    if malformed is not None:
+        raise malformed
 
 
 def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
@@ -326,9 +319,10 @@ def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
     Each graph's nodes keep their file order and are renumbered from 0;
     the two directed copies of each undirected edge are merged. Graph
     labels are remapped onto ``[0, C)`` and node labels onto ``[0, d)``,
-    both preserving the sorted order of the raw values. A malformed or
-    inconsistent line raises ``DatasetFormatError`` naming its file and
-    line.
+    both preserving the sorted order of the raw values. The files are
+    checked in order: indicator, node labels, graph labels, edges. The
+    first malformed or inconsistent line raises ``DatasetFormatError``
+    naming its file and line.
     """
     files = _dataset_files(root_path, dataset_name)
     for path in files.values():
@@ -336,41 +330,40 @@ def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
             raise IngestionError(f"missing dataset file: {path}")
 
     indicator_file, edge_file = files["graph_indicator"], files["A"]
-    indicator, indicator_lines = _read_ints(indicator_file)
+    indicator, lines, malformed = _read_ints(indicator_file)
+    # Only the lower bound can fail: the largest value is the graph count.
+    _raise_first(indicator_file, lines, [
+        (indicator < 1, lambda i: f"graph indicator {indicator[i]} out of range")], malformed)
     if not len(indicator):
         raise DatasetFormatError(f"{indicator_file.name}: no nodes listed")
-    raw_node_labels, _ = _read_ints(files["node_labels"])
+    raw_node_labels, lines, malformed = _read_ints(files["node_labels"])
+    _raise_first(files["node_labels"], lines, [], malformed)
     if len(raw_node_labels) != len(indicator):
         raise DatasetFormatError(
             f"{files['node_labels'].name}: {len(raw_node_labels)} node labels for "
             f"{len(indicator)} indicator entries"
         )
-    raw_graph_labels, _ = _read_ints(files["graph_labels"])
+    raw_graph_labels, lines, malformed = _read_ints(files["graph_labels"])
+    _raise_first(files["graph_labels"], lines, [], malformed)
     num_graphs = int(indicator.max())
     if len(raw_graph_labels) != num_graphs:
         raise DatasetFormatError(
             f"{files['graph_labels'].name}: {len(raw_graph_labels)} labels for {num_graphs} graphs"
         )
-    # Every value is at most num_graphs, the largest.
-    _raise_first(indicator_file, indicator_lines, [
-        (indicator < 1, lambda i: f"graph indicator {indicator[i]} out of range")])
     graph_of = indicator.astype(np.int64) - 1
     n = len(indicator)
 
-    def check_edges(ends, lines):
-        u, v = ends[:, 0], ends[:, 1]
-        outside = (ends < 1).any(axis=1) | (ends > n).any(axis=1)
-        # Outside ids look up node 1 instead; the range check reports them first.
-        graphs = graph_of[np.where(outside[:, None], 1, ends).astype(np.int64) - 1]
-        _raise_first(edge_file, lines, [
-            (outside, lambda i: f"edge ({u[i]}, {v[i]}) references a node outside 1..{n}"),
-            (graphs[:, 0] != graphs[:, 1], lambda i: f"edge ({u[i]}, {v[i]}) crosses graphs "
-                                                    f"{graphs[i, 0] + 1} and {graphs[i, 1] + 1}"),
-            (u == v, lambda i: f"self-loop at node {u[i]}"),
-        ])
-
-    ends, edge_lines = _read_ints(edge_file, pairs=True, check=check_edges)
-    check_edges(ends, edge_lines)
+    ends, lines, malformed = _read_ints(edge_file, pairs=True)
+    u, v = ends[:, 0], ends[:, 1]
+    outside = (ends < 1).any(axis=1) | (ends > n).any(axis=1)
+    # Outside ids look up node 1 instead; the range check reports them first.
+    graphs = graph_of[np.where(outside[:, None], 1, ends).astype(np.int64) - 1]
+    _raise_first(edge_file, lines, [
+        (outside, lambda i: f"edge ({u[i]}, {v[i]}) references a node outside 1..{n}"),
+        (graphs[:, 0] != graphs[:, 1], lambda i: f"edge ({u[i]}, {v[i]}) crosses graphs "
+                                                f"{graphs[i, 0] + 1} and {graphs[i, 1] + 1}"),
+        (u == v, lambda i: f"self-loop at node {u[i]}"),
+    ], malformed)
 
     # Graph by graph, each in file order: packed node k is file node order[k].
     order = np.argsort(graph_of, kind="stable")

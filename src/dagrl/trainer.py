@@ -67,8 +67,9 @@ VARIANTS = {
 # ``export_loss_history`` heads them.
 LOSS_COLUMNS = ("L_S", "L_DA_C", "L_DA_K", "L")
 
-# Graphs per forward in evaluate; fixed, so predictions do not depend on
-# the training batch size.
+# Graphs per forward in evaluate, to bound its memory on a large dataset.
+# A graph's prediction reads only its own rows, but BLAS may round them by
+# an ulp differently at another chunk size, so the size stays fixed.
 EVAL_CHUNK = 1024
 
 
@@ -172,6 +173,8 @@ class TrainState:
     target: DomainDataset
     epoch: int = 0
     history: list[EpochStats] = field(default_factory=list)
+    # Per dataset, kept by _held: its histogram rows and its evaluate batches.
+    histogram_rows: dict = field(default_factory=dict, init=False, repr=False)
     eval_batches: dict = field(default_factory=dict, init=False, repr=False)
 
     # The optimizers' lists, built once in build_state: the step loop
@@ -194,12 +197,23 @@ class TrainState:
         return out
 
 
+def _held(cache: dict, dataset: DomainDataset, build):
+    """``build()``, run once per ``dataset`` and kept in ``cache`` by id; the
+    entry holds the dataset, so the id stays unique while the entry lives."""
+    entry = cache.get(id(dataset))
+    if entry is None:
+        entry = cache[id(dataset)] = dataset, build()
+    return entry[1]
+
+
 class Batch:
     """Graphs ``indices`` of ``dataset`` in the forms the branches read.
 
     ``union`` (the GIN disjoint union) and ``histograms`` (the GKN
     refinement-histogram rows) are each built at first use, then shared by
-    every branch and phase that reads this batch.
+    every branch and phase that reads this batch. A batch never holds the
+    state, only what it reads of it, so the batches a state keeps form no
+    reference cycle and a finished state is freed without the cyclic GC.
     """
 
     def __init__(self, state: TrainState, dataset: DomainDataset, indices):
@@ -207,6 +221,7 @@ class Batch:
         self.indices = list(indices)
         self._input_dim = state.source.label_alphabet_size
         self._refinement = state.refinement
+        self._rows = state.histogram_rows
 
     @cached_property
     def union(self) -> GraphBatch:
@@ -214,7 +229,8 @@ class Batch:
 
     @cached_property
     def histograms(self) -> sp.csr_matrix:
-        return self._refinement.dataset_features(self.dataset)[self.indices]
+        return _held(self._rows, self.dataset,
+                     lambda: self._refinement.histograms(self.dataset.graphs))[self.indices]
 
 
 def _check_compatible(a: DomainDataset, b: DomainDataset) -> None:
@@ -459,7 +475,7 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     """Accuracy of the fused branch prediction; perturbations excluded.
 
     ``dataset`` must have the state's classes and node-label alphabet. Its
-    batches are built once, kept on ``state`` by id with the dataset held.
+    batches are built once and kept on ``state``.
     """
     _check_compatible(state.source, dataset)
     if len(dataset) == 0:
@@ -467,13 +483,12 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     labels = dataset.eval_labels if dataset.graph_labels is None else dataset.graph_labels
     if labels is None:
         raise ConfigurationError("dataset has no labels to evaluate against")
-    if id(dataset) not in state.eval_batches:
-        graphs = range(len(dataset))
-        state.eval_batches[id(dataset)] = dataset, [Batch(state, dataset, graphs[s:s + EVAL_CHUNK])
-                                                    for s in range(0, len(graphs), EVAL_CHUNK)]
+    graphs = range(len(dataset))
+    batches = _held(state.eval_batches, dataset, lambda: [
+        Batch(state, dataset, graphs[s:s + EVAL_CHUNK]) for s in graphs[::EVAL_CHUNK]])
     predictions = []
     with ad.frozen(state.branch_params()):
-        for batch in state.eval_batches[id(dataset)][1]:
+        for batch in batches:
             probs = []
             for branch in state.branches:
                 _, p, _ = branch.forward(ad.Tape(), batch)

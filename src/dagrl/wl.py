@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ConfigurationError, ContractViolation
-from .graphs import DomainDataset, Graph, PackedGraphs, pack
+from .graphs import Graph, PackedGraphs, pack
 
 UNKNOWN_LABEL = -1
 _PAD = UNKNOWN_LABEL - 1  # below every label: raw labels are nonnegative
@@ -42,8 +42,6 @@ class WlRefinement:
         self.label_table: dict[tuple, int] = {}
         self._next_label: int | None = None
         self._vocab = np.zeros(0, dtype=np.int64)
-        # id(dataset) -> (dataset, rows); holding the dataset keeps its id unique.
-        self._dataset_rows: dict[int, tuple[DomainDataset, sp.csr_matrix]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -62,7 +60,6 @@ class WlRefinement:
         raw = packed.node_labels
         self._next_label = int(raw.max()) + 1 if len(raw) else 0
         self._vocab = np.unique(np.concatenate(self._refine(packed, grow=True)))
-        self._dataset_rows = {}
         return self
 
     def _refine(self, packed: PackedGraphs, grow: bool = False) -> list[np.ndarray]:
@@ -102,8 +99,8 @@ class WlRefinement:
             out.append(labels)
         return out
 
-    def _histograms(self, packed: PackedGraphs) -> sp.csr_matrix:
-        """Per graph, label counts over depths 0..l; unseen labels count on UNK."""
+    def histograms(self, packed: PackedGraphs) -> sp.csr_matrix:
+        """Per graph of ``packed``, label counts over depths 0..l; unseen labels count on UNK."""
         labels = np.concatenate(self._refine(packed))
         cols = np.searchsorted(self._vocab, labels)
         known = cols < len(self._vocab)
@@ -116,20 +113,7 @@ class WlRefinement:
 
     def feature_row(self, g: Graph) -> sp.csr_matrix:
         """The graph's histogram over the frozen vocabulary, one sparse CSR row."""
-        return self._histograms(pack([g]))
-
-    def dataset_features(self, dataset: DomainDataset) -> sp.csr_matrix:
-        """The feature matrix of ``dataset.graphs``, computed at first use.
-
-        Batches gather their rows from it. It is refined from the
-        dataset's packed graphs and kept on this refinement, so every branch
-        and phase that shares the refinement shares the rows, and they
-        are dropped with it.
-        """
-        entry = self._dataset_rows.get(id(dataset))
-        if entry is None:
-            entry = self._dataset_rows[id(dataset)] = (dataset, self._histograms(dataset.graphs))
-        return entry[1]
+        return self.histograms(pack([g]))
 
 
 class GknHead(ad.Mlp):

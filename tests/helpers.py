@@ -18,7 +18,8 @@ from dagrl.adversarial import (
     perturbation_step,
 )
 from dagrl.gin import GraphBatch
-from dagrl.graphs import Graph, pack
+from dagrl.errors import DatasetFormatError
+from dagrl.graphs import DomainDataset, Graph, pack
 from dagrl.trainer import Batch, source_loss
 
 
@@ -97,6 +98,83 @@ def reference_split(graphs):
     return tuple(groups), tuple(max(densities[i] for i in group) for group in groups[:3])
 
 
+def reference_parse(root, name: str) -> DomainDataset:
+    """Line-by-line oracle for ``parse_tudataset`` on files that all exist.
+
+    Reads the indicator, node-label, graph-label and edge files in that
+    order. In each file the first line that is malformed or fails a value
+    check raises ``DatasetFormatError`` with its number; the count checks
+    run between files. The graphs are built as records, then packed.
+    """
+    base = Path(root) / name
+
+    def fail(file, message, lineno=None):
+        raise DatasetFormatError(f"{file}: {message}", lineno)
+
+    def lines(suffix):
+        path = base / f"{name}_{suffix}.txt"
+        with path.open("r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield path.name, lineno, line.strip()
+
+    def integers(suffix, problem=lambda value: None):
+        values = []
+        for file, lineno, text in lines(suffix):
+            try:
+                values.append(int(text))
+            except ValueError:
+                fail(file, f"expected an integer, got {text!r}", lineno)
+            if problem(values[-1]):
+                fail(file, problem(values[-1]), lineno)
+        return values
+
+    indicator = integers("graph_indicator",
+                         lambda g: f"graph indicator {g} out of range" if g < 1 else None)
+    if not indicator:
+        fail(f"{name}_graph_indicator.txt", "no nodes listed")
+    n = len(indicator)
+    node_labels = integers("node_labels")
+    if len(node_labels) != n:
+        fail(f"{name}_node_labels.txt", f"{len(node_labels)} node labels for {n} indicator entries")
+    graph_labels = integers("graph_labels")
+    if len(graph_labels) != max(indicator):
+        fail(f"{name}_graph_labels.txt", f"{len(graph_labels)} labels for {max(indicator)} graphs")
+
+    sizes = [0] * len(graph_labels)
+    local = {}  # file node id -> (graph, node id within the graph)
+    for node, g in enumerate(indicator, start=1):
+        local[node] = g - 1, sizes[g - 1]
+        sizes[g - 1] += 1
+    edges = [set() for _ in sizes]
+    for file, lineno, text in lines("A"):
+        parts = text.split(",")
+        if len(parts) != 2:
+            fail(file, f"expected 'u, v', got {text!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            fail(file, f"non-integer endpoint in {text!r}", lineno)
+        if not (1 <= u <= n and 1 <= v <= n):
+            fail(file, f"edge ({u}, {v}) references a node outside 1..{n}", lineno)
+        (gu, a), (gv, b) = local[u], local[v]
+        if gu != gv:
+            fail(file, f"edge ({u}, {v}) crosses graphs {gu + 1} and {gv + 1}", lineno)
+        if u == v:
+            fail(file, f"self-loop at node {u}", lineno)
+        edges[gu].add((min(a, b), max(a, b)))
+
+    alphabet, classes = sorted(set(node_labels)), sorted(set(graph_labels))
+    labels = [[] for _ in sizes]
+    for g, label in zip(indicator, node_labels):
+        labels[g - 1].append(alphabet.index(label))
+    records = [Graph(node_count=size, edges=tuple(sorted(pairs)), node_labels=tuple(ls))
+               for size, pairs, ls in zip(sizes, edges, labels)]
+    return DomainDataset(graphs=pack(records), num_classes=len(classes),
+                         label_alphabet_size=len(alphabet),
+                         graph_labels=tuple(classes.index(c) for c in graph_labels))
+
+
 def one_graph_batch(encoder, g: Graph) -> GraphBatch:
     """The disjoint union of ``g`` alone, over ``encoder``'s input alphabet."""
     return GraphBatch(pack([g]), [0], encoder.layer0.lin1.weight.shape[0])
@@ -170,7 +248,7 @@ class ReferenceRefinement:
 
 def histograms(refinement, graphs) -> sp.csr_matrix:
     """The refinement's histogram rows of ``graphs``, counted as training counts them."""
-    return refinement._histograms(pack(graphs))
+    return refinement.histograms(pack(graphs))
 
 
 def kernel_gram(refinement, graphs, normalized: bool = False) -> np.ndarray:

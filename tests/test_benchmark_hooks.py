@@ -199,3 +199,19 @@ def test_training_workload_unit_passes_its_checks(workloads, tmp_path, name, inp
     unit = workload.run_unit()
     assert unit.failed == 0, unit.failures
     assert unit.trained_graphs == len(workload.source)
+
+
+def test_plan_cli_unit_passes_its_checks(workloads, tmp_path, monkeypatch):
+    # One ``--trace 0`` unit of ``plan-cli`` on a small synthesized dataset:
+    # the text round trip, all twelve cells and every output check it runs.
+    class Tiny(workloads.PlanCli):
+        GRAPHS_PER_BLOCK = 8
+
+    # ``prepare`` sets the variable; monkeypatch restores it after the test.
+    monkeypatch.setenv("DAGRL_THREADS", str(Tiny.THREADS))
+    workload = Tiny()
+    workload.prepare(1, tmp_path)
+    assert workload.setup() > 0
+    unit = workload.run_unit()
+    assert unit.failed == 0, unit.failures
+    assert unit.attempted == 12

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
@@ -56,6 +57,21 @@ class TestPlanValidation:
     def test_out_of_range_group_rejected(self, bench_root, tmp_path):
         with pytest.raises(ConfigurationError):
             make_plan(bench_root, tmp_path, pairs=((0, 4),))
+
+    @pytest.mark.parametrize("pairs,seeds,message", [
+        (((True, 0),), (0,), "group index must be an integer, got True"),
+        (((0.5, 1),), (0,), "group index must be an integer, got 0.5"),
+        (((0, 1),), (1.5,), "seed must be an integer, got 1.5"),
+        (((0, 1),), (True,), "seed must be an integer, got True"),
+    ], ids=["bool-group", "fractional-group", "fractional-seed", "bool-seed"])
+    def test_non_integer_group_or_seed_rejected(self, tmp_path, pairs, seeds, message):
+        # Each would pass the range checks: True is group 1, and 0.5 lies in 0..3.
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            make_plan(tmp_path, tmp_path, pairs=pairs, seeds=seeds)
+
+    def test_numpy_integer_group_and_seed_accepted(self, tmp_path):
+        plan = make_plan(tmp_path, tmp_path, pairs=((np.int64(0), 1),), seeds=(np.int64(2),))
+        assert plan.pairs == ((0, 1),) and plan.seeds == (2,)
 
 
 class TestRunPlan:

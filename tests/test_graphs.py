@@ -28,6 +28,7 @@ from helpers import (
     path_graph,
     permute_graph,
     random_graph,
+    reference_parse,
     reference_split,
     unpack,
 )
@@ -157,6 +158,22 @@ class TestParser:
             parse_tudataset(tmp_path, "toy")
         assert caught.value.line == 2
 
+    def test_indicator_range_error_before_a_malformed_line(self, tmp_path):
+        write_fixture(tmp_path, "toy", indicator=[1, 0, "x"], edges=[], graph_labels=[0],
+                      node_labels=[0, 0, 0])
+        message = "toy_graph_indicator.txt: graph indicator 0 out of range (line 2)"
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            parse_tudataset(tmp_path, "toy")
+
+    @pytest.mark.parametrize("suffix", ["node_labels", "graph_labels"])
+    def test_files_are_checked_in_order(self, tmp_path, suffix):
+        # A bad indicator line wins over a malformed label file read after it.
+        write_fixture(tmp_path, "toy", indicator=[1, 0], edges=[], graph_labels=[0],
+                      node_labels=[0, 0])
+        (tmp_path / "toy" / f"toy_{suffix}.txt").write_text("x\n")
+        with pytest.raises(DatasetFormatError, match="graph indicator 0 out of range"):
+            parse_tudataset(tmp_path, "toy")
+
     @pytest.mark.skipif(not have_dataset("Mutagenicity"), reason="Mutagenicity files not present")
     def test_mutagenicity_graph_count(self):
         ds = parse_tudataset(dataset_root(), "Mutagenicity")
@@ -235,6 +252,79 @@ class TestParser:
             "cut_graph_indicator.txt", "cut_graph_labels.txt", "cut_node_labels.txt"]
         with pytest.raises(IngestionError, match="cut_A.txt"):
             parse_tudataset(tmp_path, "cut")
+
+
+# Lines a fuzzed file may gain: blank, malformed, huge or non-ASCII
+# integers ("\u0663" and "\uff13" are 3), and an undecodable byte.
+ODD_LINES = ["", "  ", "x", "1.5", "1,", "1, 2, 3", "a, b", "2, y", "\u0663", "\uff13, 1",
+             str(10 ** 25), f"1, {10 ** 25}", f"-{10 ** 25}", "0", "-1", "1\udcff"]
+
+
+def fuzzed_files(rng) -> dict[str, list[str]]:
+    """The lines of a small valid dataset, then up to three seeded faults."""
+    sizes = rng.integers(0, 4, size=int(rng.integers(1, 4)))
+    sizes[-1] += 1  # the layout cannot hold an empty last graph
+    indicator = [g + 1 for g, size in enumerate(sizes) for _ in range(size)]
+    if rng.random() < 0.3:
+        rng.shuffle(indicator)
+    n = len(indicator)
+    members = [[i + 1 for i, g in enumerate(indicator) if g == k + 1] for k in range(len(sizes))]
+    edges = [pair for nodes in members for a in nodes for b in nodes if a != b
+             for pair in [(a, b)] if rng.random() < 0.4]
+    files = {"graph_indicator": [str(g) for g in indicator],
+             "node_labels": [str(v) for v in rng.integers(0, 3, size=n)],
+             "graph_labels": [str(v) for v in rng.integers(-1, 2, size=len(sizes))],
+             "A": [f"{u}, {v}" for u, v in edges]}
+    for _ in range(int(rng.integers(0, 4))):
+        lines = files[rng.choice(list(files), p=[0.15, 0.15, 0.15, 0.55])]
+        at = int(rng.integers(0, len(lines) + 1))
+        fault = rng.integers(0, 10)
+        if fault < 3:
+            lines.insert(at, str(rng.choice(ODD_LINES)))
+        elif fault < 5 and lines:
+            del lines[min(at, len(lines) - 1)]
+        elif fault == 5 and rng.random() < 0.2:
+            lines.clear()
+        elif lines is files["A"]:
+            u, v = rng.integers(0, n + 2, size=2)
+            lines.insert(at, f"{u}, {v}")
+        else:
+            lines.insert(at, str(rng.integers(-1, 5)))
+    return files
+
+
+def test_parser_matches_the_line_by_line_reference(tmp_path):
+    seen = set()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        base = tmp_path / str(seed) / "fz"
+        base.mkdir(parents=True)
+        for suffix, lines in fuzzed_files(rng).items():
+            ending = "\r\n" if rng.random() < 0.2 else "\n"
+            text = "".join(line + ending for line in lines)
+            (base / f"fz_{suffix}.txt").write_bytes(text.encode("utf-8", "surrogateescape"))
+        outcomes = []
+        for parse in (parse_tudataset, reference_parse):
+            try:
+                outcomes.append(parse(tmp_path / str(seed), "fz"))
+            except DatasetFormatError as error:
+                outcomes.append(error)
+        got, want = outcomes
+        if isinstance(want, DomainDataset):
+            assert isinstance(got, DomainDataset), f"seed {seed}: {got}"
+            assert_same_dataset(got, want)
+            seen.add("parsed")
+        else:
+            assert isinstance(got, DatasetFormatError), f"seed {seed}: parsed, want {want}"
+            assert (str(got), got.line) == (str(want), want.line), f"seed {seed}"
+            seen.add(re.sub(r"-?\d+|'.*?'", "#", str(want).split(": ", 1)[1]))
+    # Every kind of outcome occurs.
+    assert seen >= {
+        "parsed", "no nodes listed", "graph indicator # out of range (line #)",
+        "expected an integer, got # (line #)", "# node labels for # indicator entries",
+        "# labels for # graphs", "expected #, got # (line #)",
+        "non-integer endpoint in # (line #)", "edge (#, #) references a node outside #..# (line #)",
+        "edge (#, #) crosses graphs # and # (line #)", "self-loop at node # (line #)"}, seen
 
 
 class TestGraphType:

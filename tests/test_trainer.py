@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -508,7 +510,7 @@ class TestAssemblyReuse:
 
         count(trainer, "GraphBatch", "batch")
         count(WlRefinement, "fit", "fit")
-        count(WlRefinement, "_histograms", "histograms")
+        count(WlRefinement, "histograms", "histograms")
         count(WlRefinement, "feature_row", "feature_row")
         return calls
 
@@ -535,6 +537,10 @@ class TestAssemblyReuse:
         assert counts["batch"] == 2 * eval_chunks
         first, second = (state.eval_batches[id(target)][1] for state in states)
         assert not set(map(id, first)) & set(map(id, second))
+        # The histogram rows too: refined once per state and dataset.
+        assert counts["histograms"] == 2
+        first, second = (state.histogram_rows[id(target)][1] for state in states)
+        assert first is not second
 
     def test_cached_evaluate_equals_a_fresh_one(self, tiny_pair):
         source, target = tiny_pair
@@ -562,6 +568,24 @@ class TestAssemblyReuse:
         assert counts["fit"] == (1 if kernel else 0)
         assert counts["histograms"] == (2 if kernel else 0)
         assert counts["feature_row"] == 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_finished_state_is_freed_without_the_cyclic_gc(tiny_pair, variant):
+    # The state keeps batches for evaluate; a batch that held the state would
+    # make a cycle, and every finished state would wait for the cyclic GC.
+    source, target = tiny_pair
+    gc.disable()
+    try:
+        state = build_state(toy_config(variant=variant, epochs=1), source, target)
+        train_epoch(state, source, target)
+        for dataset in (target, replace(target)):
+            evaluate(state, dataset)
+        freed = weakref.ref(state)
+        del state
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # The configs the step must reproduce bit for bit: every variant, and

@@ -4,7 +4,6 @@ import pytest
 from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
 from dagrl.graphs import (
-    DomainDataset,
     Graph,
     PackedGraphs,
     pack,
@@ -148,7 +147,7 @@ class TestReferenceEquality:
         unseen = [records[i] for i in groups[3 - pair[1]]]
         ref, oracle = self.assert_matches_reference(fitted, unseen, depth=2)
         for part, group in ((source, groups[pair[0]]), (target, groups[pair[1]])):
-            assert_bitwise_csr(ref.dataset_features(part),
+            assert_bitwise_csr(ref.histograms(part.graphs),
                                oracle.feature_matrix([records[i] for i in group]))
 
 
@@ -174,21 +173,15 @@ class TestEdgeCases:
         assert ref.feature_row(g).toarray().tolist() == [[3.0]]
 
     def test_unfitted_refinement_rejected(self):
-        dataset = DomainDataset(graphs=pack([star_graph(2)]), num_classes=1,
-                                label_alphabet_size=1, graph_labels=(0,))
         with pytest.raises(ContractViolation, match="not fitted"):
-            WlRefinement(depth=1).dataset_features(dataset)
+            WlRefinement(depth=1).histograms(pack([star_graph(2)]))
 
-    def test_dataset_rows_are_kept_per_refinement_until_refit(self):
+    def test_refit_counts_on_the_new_vocabulary(self):
         graphs = [star_graph(2), star_graph(3)]
-        dataset = DomainDataset(graphs=pack(graphs), num_classes=1, label_alphabet_size=1,
-                                graph_labels=(0, 0))
         ref = WlRefinement(depth=1).fit(pack(graphs[:1]))
-        rows = ref.dataset_features(dataset)
-        assert ref.dataset_features(dataset) is rows
-        assert WlRefinement(depth=1).fit(pack(graphs[:1])).dataset_features(dataset) is not rows
-        ref.fit(dataset.graphs)
-        refit = ref.dataset_features(dataset)
+        rows = ref.histograms(pack(graphs))
+        ref.fit(pack(graphs))
+        refit = ref.histograms(pack(graphs))
         assert refit.shape[1] == ref.vocab_size > rows.shape[1]
         assert_bitwise_csr(refit, ReferenceRefinement(graphs, 1).feature_matrix(graphs))
 
