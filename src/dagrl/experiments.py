@@ -55,6 +55,9 @@ class ExperimentPlan:
             raise ConfigurationError("a plan needs at least one (source, target) pair")
         if not self.seeds:
             raise ConfigurationError("a plan needs at least one seed")
+        for pair in self.pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ConfigurationError(f"each pair must be (source, target), got {pair!r}")
         # A bool is an Integral but no group index or seed.
         indices = [("group index", v) for pair in self.pairs for v in pair]
         for name, v in indices + [("seed", seed) for seed in self.seeds]:

@@ -267,27 +267,35 @@ def _read_ints(path: Path, pairs: bool = False):
 
     Reading stops at a malformed line, whose ``DatasetFormatError`` comes
     back third (``None`` if there is none) for :func:`_raise_first`. The
-    values are int64, or exact Python ints if one needs more bits.
-    Undecodable bytes become lone surrogates, which ``int()`` rejects.
+    values are int64, or exact Python ints if one needs more bits. An
+    integer is written in ASCII: ``int()`` would also read other digits
+    and underscores (``"\u0663"`` as 3, ``"1_0"`` as 10), so a line holding
+    either is malformed. Undecodable bytes become lone surrogates, which
+    that check rejects too.
     """
     values, lines, malformed = [], [], None
     with path.open("r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                if pairs:
-                    u, v = text.split(",")
-                    values += int(u), int(v)
-                else:
-                    values.append(int(text))
-            except ValueError:
-                problem = ("expected an integer, got" if not pairs else "non-integer endpoint in"
-                           if text.count(",") == 1 else "expected 'u, v', got")
-                malformed = DatasetFormatError(f"{path.name}: {problem} {text!r}", lineno)
-                break
-            lines.append(lineno)
+        content = fh.read()
+    # One check per file; only a file that fails it is checked line by line.
+    plain = content.isascii() and "_" not in content
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            if not plain and (not text.isascii() or "_" in text):
+                raise ValueError(text)
+            if pairs:
+                u, v = text.split(",")
+                values += int(u), int(v)
+            else:
+                values.append(int(text))
+        except ValueError:
+            problem = ("expected an integer, got" if not pairs else "non-integer endpoint in"
+                       if text.count(",") == 1 else "expected 'u, v', got")
+            malformed = DatasetFormatError(f"{path.name}: {problem} {text!r}", lineno)
+            break
+        lines.append(lineno)
     try:
         array = np.array(values, dtype=np.int64)
     except OverflowError:

@@ -173,7 +173,8 @@ class TrainState:
     target: DomainDataset
     epoch: int = 0
     history: list[EpochStats] = field(default_factory=list)
-    # Per dataset, kept by _held: its histogram rows and its evaluate batches.
+    # Per dataset, kept by _held: its histogram rows (the fitted pair's set by
+    # build_state from the fit's own labels) and its evaluate batches.
     histogram_rows: dict = field(default_factory=dict, init=False, repr=False)
     eval_batches: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -271,8 +272,8 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
 
     refinement = None
     if "gkn" in kinds:
-        refinement = WlRefinement(depth=config.wl_depth).fit(
-            PackedGraphs.join((source.graphs, target.graphs)))
+        refinement = WlRefinement(depth=config.wl_depth)
+        rows = refinement.fit(PackedGraphs.join((source.graphs, target.graphs)))
     branches = [GinBranch(rng, d, c, hidden) if kind == "gin"
                 else GknBranch(rng, refinement, c, hidden)
                 for kind, rng in zip(kinds, rngs[:2])]
@@ -288,7 +289,7 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     store = PerturbationStore.zeros(config.epsilon, [
         layouts[kind] if on else None for kind, on in zip(kinds, perturbed)])
 
-    return TrainState(
+    state = TrainState(
         config=config,
         branches=branches,
         discriminators=discriminators,
@@ -301,6 +302,11 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
         source=source,
         target=target,
     )
+    if refinement is not None:
+        # The union's first len(source) rows are the source's, the rest the target's.
+        _held(state.histogram_rows, source, lambda: rows[:len(source)])
+        _held(state.histogram_rows, target, lambda: rows[len(source):])
+    return state
 
 
 def source_loss(tape: ad.Tape, outputs, labels):

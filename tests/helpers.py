@@ -21,6 +21,7 @@ from dagrl.gin import GraphBatch
 from dagrl.errors import DatasetFormatError
 from dagrl.graphs import DomainDataset, Graph, pack
 from dagrl.trainer import Batch, source_loss
+from dagrl.wl import WlRefinement
 
 
 def path_graph(n: int, labels=None) -> Graph:
@@ -118,11 +119,17 @@ def reference_parse(root, name: str) -> DomainDataset:
                 if line.strip():
                     yield path.name, lineno, line.strip()
 
+    def ascii_int(text):
+        # int() also reads non-ASCII digits and underscores; the layout does not.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return int(text)
+
     def integers(suffix, problem=lambda value: None):
         values = []
         for file, lineno, text in lines(suffix):
             try:
-                values.append(int(text))
+                values.append(ascii_int(text))
             except ValueError:
                 fail(file, f"expected an integer, got {text!r}", lineno)
             if problem(values[-1]):
@@ -152,7 +159,7 @@ def reference_parse(root, name: str) -> DomainDataset:
         if len(parts) != 2:
             fail(file, f"expected 'u, v', got {text!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             fail(file, f"non-integer endpoint in {text!r}", lineno)
         if not (1 <= u <= n and 1 <= v <= n):
@@ -244,6 +251,21 @@ class ReferenceRefinement:
 
     def feature_matrix(self, graphs) -> sp.csr_matrix:
         return sp.vstack([self.feature_row(g) for g in graphs], format="csr")
+
+
+def fit_wl(depth: int, packed) -> WlRefinement:
+    """A refinement of ``depth`` fitted on ``packed`` (``fit`` returns the rows, not itself)."""
+    refinement = WlRefinement(depth=depth)
+    refinement.fit(packed)
+    return refinement
+
+
+def assert_bitwise_csr(a, b):
+    """``a`` and ``b`` hold the same shape and the same CSR arrays, byte for byte."""
+    assert a.shape == b.shape
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
 
 
 def histograms(refinement, graphs) -> sp.csr_matrix:

@@ -22,13 +22,14 @@ from dagrl.trainer import (
     evaluate,
     train,
 )
-from dagrl.wl import GknHead, WlRefinement
+from dagrl.wl import GknHead
 from helpers import (
     ReferenceRefinement,
     brute_force_kernel,
     dataset_root,
     discriminator_domain_accuracy,
     finite_difference,
+    fit_wl,
     have_dataset,
     kernel_gram,
     max_relative_error,
@@ -63,7 +64,7 @@ def test_criterion_1_gradient_correctness():
         encoder = GinEncoder(rng, input_dim=3, hidden_dim=6)
         head = ad.Mlp(rng, 6, 6, 2)
         disc = DomainDiscriminator(rng, repr_dim=6, num_classes=2, hidden_dim=6)
-        refinement = WlRefinement(depth=2).fit(pack([g]))
+        refinement = fit_wl(2, pack([g]))
         gkn = GknHead(rng, refinement.vocab_size, num_classes=2, hidden_dim=6)
         delta = ad.parameter(0.3 * rng.standard_normal((g.node_count, 3)))
         zeta = ad.parameter(0.3 * rng.standard_normal((1, 6)))
@@ -127,7 +128,7 @@ def test_criterion_2_kernel_oracle_equivalence():
     for _ in range(200):
         g1 = random_graph(rng, max_nodes=6, num_labels=3, edge_prob=0.45)
         g2 = random_graph(rng, max_nodes=6, num_labels=3, edge_prob=0.45)
-        ref = WlRefinement(depth=2).fit(pack([g1, g2]))
+        ref = fit_wl(2, pack([g1, g2]))
         via_map = int(kernel_gram(ref, [g1, g2])[0, 1])
         # The double sum reads the independent oracle's labels.
         brute = brute_force_kernel(ReferenceRefinement([g1, g2], 2), g1, g2)
@@ -146,7 +147,7 @@ def test_criterion_3_gram_psd():
     for _ in range(10):
         graphs = [random_graph(rng, max_nodes=8, num_labels=3, edge_prob=0.35)
                   for _ in range(32)]
-        ref = WlRefinement(depth=2).fit(pack(graphs))
+        ref = fit_wl(2, pack(graphs))
         gram = kernel_gram(ref, graphs, normalized=True)
         sym = (gram + gram.T) / 2.0
         min_eig = min(min_eig, float(np.linalg.eigvalsh(sym).min()))

@@ -14,9 +14,9 @@ from dagrl.cli import main
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Span names the per-layer metrics read; each must be reached by a plan.
-# ``wl.feature_row`` is not among them: training counts each dataset's
-# histograms in one pass, so only tests reach that one-graph path, which
-# stays while ``spans.py`` wraps it.
+# ``wl.feature_row`` is not among them: training takes each dataset's
+# histogram rows from the fit, so only tests reach that one-graph path,
+# which stays while ``spans.py`` wraps it.
 LAYER_SPANS = {
     "gin.batch_build", "gin.encode", "wl.fit", "wl.head_forward",
     "autodiff.backward", "autodiff.adam", "autodiff.checkpoint_write",

@@ -69,6 +69,16 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             make_plan(tmp_path, tmp_path, pairs=pairs, seeds=seeds)
 
+    @pytest.mark.parametrize("pairs,message", [
+        (((0, 1, 2),), "got (0, 1, 2)"),
+        (((0,),), "got (0,)"),
+        ((0,), "got 0"),
+    ], ids=["three-groups", "one-group", "flat"])
+    def test_malformed_pair_rejected(self, tmp_path, pairs, message):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"each pair must be (source, target), {message}")):
+            make_plan(tmp_path, tmp_path, pairs=pairs)
+
     def test_numpy_integer_group_and_seed_accepted(self, tmp_path):
         plan = make_plan(tmp_path, tmp_path, pairs=((np.int64(0), 1),), seeds=(np.int64(2),))
         assert plan.pairs == ((0, 1),) and plan.seeds == (2,)

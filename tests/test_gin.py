@@ -8,10 +8,10 @@ from dagrl import autodiff as ad
 from dagrl.errors import ContractViolation
 from dagrl.gin import GinEncoder, GraphBatch
 from dagrl.graphs import DomainDataset, Graph, PackedGraphs, pack, subset_as_source
-from dagrl.wl import WlRefinement
 from helpers import (
     encode_graph,
     finite_difference,
+    fit_wl,
     max_relative_error,
     path_graph,
     permute_graph,
@@ -242,7 +242,7 @@ class TestPackedBatch:
             batch.feature_tensor(ad.Tape(), ad.parameter(wrong))
 
     def test_gathered_kernel_rows_equal_feature_rows(self, records, packed):
-        ref = WlRefinement(depth=2).fit(packed)
+        ref = fit_wl(2, packed)
         indices = [5, 3, 11, 0, 8]
         rows = ref.histograms(packed)[indices]
         for k, i in enumerate(indices):

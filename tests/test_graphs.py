@@ -117,6 +117,25 @@ class TestParser:
         with pytest.raises(DatasetFormatError, match=rf"toy_{suffix}\.txt: .*\(line {line}\)"):
             parse_tudataset(tmp_path, "toy")
 
+    @pytest.mark.parametrize("suffix,text,message", [
+        ("node_labels", "\u0663", "expected an integer, got '\u0663'"),
+        ("node_labels", "1_0", "expected an integer, got '1_0'"),
+        ("graph_indicator", "\uff12", "expected an integer, got '\uff12'"),
+        ("A", "2, 1_0", "non-integer endpoint in '2, 1_0'"),
+    ], ids=["arabic-indic-digit", "underscore", "fullwidth-digit", "underscored-endpoint"])
+    def test_integers_outside_ascii_are_malformed(self, tmp_path, suffix, text, message):
+        # int() reads each of these as a number; the text layout does not.
+        write_fixture(tmp_path, "toy", indicator=[1, 1, 2], edges=[(1, 2), (2, 1)],
+                      graph_labels=[0, 1], node_labels=[0, 0, 0])
+        path = tmp_path / "toy" / f"toy_{suffix}.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(f"toy_{suffix}.txt: {message}")) \
+                as caught:
+            parse_tudataset(tmp_path, "toy")
+        assert caught.value.line == 2
+
     def test_interleaved_indicator_renumbers_nodes_per_graph(self, tmp_path):
         # Nodes 1 and 3 form graph 1, in file order, so edge (1, 3) is its (0, 1).
         write_fixture(tmp_path, "toy", indicator=[1, 2, 1], edges=[(1, 3), (3, 1)],
@@ -254,9 +273,11 @@ class TestParser:
             parse_tudataset(tmp_path, "cut")
 
 
-# Lines a fuzzed file may gain: blank, malformed, huge or non-ASCII
-# integers ("\u0663" and "\uff13" are 3), and an undecodable byte.
+# Lines a fuzzed file may gain: blank, malformed, huge, non-ASCII
+# ("\u0663" and "\uff13" are 3 to int()) or underscored integers, non-ASCII
+# space around an integer, and an undecodable byte.
 ODD_LINES = ["", "  ", "x", "1.5", "1,", "1, 2, 3", "a, b", "2, y", "\u0663", "\uff13, 1",
+             "1_0", "2, 1_0", "1,\u20032", "\u00a02\u3000",
              str(10 ** 25), f"1, {10 ** 25}", f"-{10 ** 25}", "0", "-1", "1\udcff"]
 
 

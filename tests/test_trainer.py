@@ -29,8 +29,8 @@ from dagrl.trainer import (
     train,
     train_epoch,
 )
-from dagrl.wl import GknHead, WlRefinement
-from helpers import reference_train_step
+from dagrl.wl import GknHead
+from helpers import assert_bitwise_csr, fit_wl, reference_train_step
 
 
 def toy_config(**overrides):
@@ -489,7 +489,8 @@ class TestEvaluate:
 
 
 class TestAssemblyReuse:
-    """Each step gathers its batches once; kernel rows are refined once per dataset."""
+    """Each step gathers its batches once; kernel rows come from the fit for
+    the fitted pair and are refined once for any other dataset."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -537,10 +538,18 @@ class TestAssemblyReuse:
         assert counts["batch"] == 2 * eval_chunks
         first, second = (state.eval_batches[id(target)][1] for state in states)
         assert not set(map(id, first)) & set(map(id, second))
-        # The histogram rows too: refined once per state and dataset.
-        assert counts["histograms"] == 2
+        # The histogram rows too: taken from each state's own fit, never refined again.
+        assert counts["fit"] == 2 and counts["histograms"] == 0
         first, second = (state.histogram_rows[id(target)][1] for state in states)
         assert first is not second
+
+    def test_a_copied_dataset_is_refined_once(self, tiny_pair, counts):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant="gkn_only_dual"), source, target)
+        copy = replace(target)
+        for _ in range(2):
+            assert evaluate(state, copy) == evaluate(state, target)
+        assert counts["histograms"] == 1
 
     def test_cached_evaluate_equals_a_fresh_one(self, tiny_pair):
         source, target = tiny_pair
@@ -556,18 +565,28 @@ class TestAssemblyReuse:
     def test_gkn_only_builds_no_gin_batch(self, tiny_pair, counts):
         self.run_two_epochs(tiny_pair, "gkn_only_dual")
         assert counts["batch"] == 0
-        assert counts["histograms"] == 2
+        assert counts["histograms"] == 0
 
     @pytest.mark.parametrize("variant", ["full", "gin_only_dual", "gkn_only_dual",
                                          "source_only"])
     def test_feature_row_at_most_once_per_graph(self, tiny_pair, counts, variant):
-        # One fit per build_state and one refinement pass per dataset; the
+        # One fit per build_state, whose labels give both datasets' rows; the
         # per-graph feature_row is left to the oracles.
         self.run_two_epochs(tiny_pair, variant)
         kernel = variant != "gin_only_dual"
         assert counts["fit"] == (1 if kernel else 0)
-        assert counts["histograms"] == (2 if kernel else 0)
+        assert counts["histograms"] == 0
         assert counts["feature_row"] == 0
+
+
+@pytest.mark.parametrize("variant", [v for v, branches in VARIANTS.items()
+                                     if ("gkn", True) in branches or ("gkn", False) in branches])
+def test_rows_from_the_fit_equal_a_fresh_refinement(tiny_pair, variant):
+    source, target = tiny_pair
+    state = build_state(toy_config(variant=variant), source, target)
+    for dataset in (source, target):
+        assert_bitwise_csr(state.histogram_rows[id(dataset)][1],
+                           state.refinement.histograms(dataset.graphs))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -706,7 +725,7 @@ class TestParameterNames:
     def test_params_are_named_params_values_for_every_module_class(self, tiny_pair):
         source, _ = tiny_pair
         rng = np.random.default_rng(0)
-        refinement = WlRefinement(depth=1).fit(source.graphs)
+        refinement = fit_wl(1, source.graphs)
         modules = [
             ad.Linear(rng, 3, 2), GinLayer(rng, 3, 4, 4), GinEncoder(rng, 3, hidden_dim=4),
             ad.Mlp(rng, 4, 4, 2), GknHead(rng, 5, 2, hidden_dim=4),

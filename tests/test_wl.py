@@ -15,7 +15,9 @@ from dagrl.synthetic import make_benchmark
 from dagrl.wl import UNKNOWN_LABEL, GknHead, WlRefinement
 from helpers import (
     ReferenceRefinement,
+    assert_bitwise_csr,
     brute_force_kernel,
+    fit_wl,
     histograms,
     kernel_gram,
     permute_graph,
@@ -48,7 +50,7 @@ class TestRefinement:
         # per depth.
         a = Graph(node_count=1, edges=(), node_labels=(5,))
         b = Graph(node_count=1, edges=(), node_labels=(5,))
-        ref = WlRefinement(depth=3).fit(pack([a, b]))
+        ref = fit_wl(3, pack([a, b]))
         la, lb = node_labels(ref, a), node_labels(ref, b)
         assert len(la) == 4
         assert la[0][0] == 5
@@ -60,7 +62,7 @@ class TestRefinement:
         # Manual signatures: leaves see (0, (0,)), the center sees
         # (0, (0, 0, 0)), so iteration 1 must separate them.
         g = star_graph(3)
-        ref = WlRefinement(depth=1).fit(pack([g]))
+        ref = fit_wl(1, pack([g]))
         labels = node_labels(ref, g)
         assert len(set(labels[0].tolist())) == 1
         center, leaf = labels[1][0], labels[1][1]
@@ -72,40 +74,34 @@ class TestRefinement:
         for _ in range(10):
             g = random_graph(rng, max_nodes=7)
             g2 = permute_graph(g, rng.permutation(g.node_count))
-            ref = WlRefinement(depth=2).fit(pack([g, g2]))
+            ref = fit_wl(2, pack([g, g2]))
             for l1, l2 in zip(node_labels(ref, g), node_labels(ref, g2)):
                 assert sorted(l1.tolist()) == sorted(l2.tolist())
 
     def test_table_independent_of_graph_order(self):
         rng = np.random.default_rng(3)
         graphs = [random_graph(rng, max_nodes=6) for _ in range(8)]
-        ref_a = WlRefinement(depth=2).fit(pack(graphs))
-        ref_b = WlRefinement(depth=2).fit(pack(list(reversed(graphs))))
+        ref_a = fit_wl(2, pack(graphs))
+        ref_b = fit_wl(2, pack(list(reversed(graphs))))
         assert ref_a.label_table == ref_b.label_table
 
     def test_feature_counts_partition(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = random_graph(rng, max_nodes=8)
-            ref = WlRefinement(depth=2).fit(pack([g]))
+            ref = fit_wl(2, pack([g]))
             row = ref.feature_row(g)
             assert row.sum() == g.node_count * 3
             assert np.all(row.data > 0)
             assert row[0, ref.unknown_column] == 0
 
 
-def assert_bitwise_csr(a, b):
-    assert a.shape == b.shape
-    for part in ("indptr", "indices", "data"):
-        x, y = getattr(a, part), getattr(b, part)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
-
-
 class TestReferenceEquality:
     """The packed refinement reproduces the per-graph tuple refinement bit for bit."""
 
     def assert_matches_reference(self, fitted, unseen, depth):
-        ref = WlRefinement(depth=depth).fit(pack(fitted))
+        ref = WlRefinement(depth=depth)
+        rows = ref.fit(pack(fitted))
         oracle = ReferenceRefinement(fitted, depth)
         assert ref.label_table == oracle.label_table
         # The oracle numbers its columns in sorted label order.
@@ -115,6 +111,8 @@ class TestReferenceEquality:
             assert [labels.tolist() for labels in node_labels(ref, g)] == expected
         for g in unseen:
             assert [labels.tolist() for labels in node_labels(ref, g)] == oracle.node_labels(g)
+        # The rows fit returns are the ones histograms counts afresh.
+        assert_bitwise_csr(rows, oracle.feature_matrix(fitted))
         for graphs in (fitted, unseen):
             assert_bitwise_csr(histograms(ref, graphs), oracle.feature_matrix(graphs))
         return ref, oracle
@@ -136,6 +134,29 @@ class TestReferenceEquality:
             order = rng.permutation(len(graphs))
             self.assert_matches_reference([graphs[i] for i in order], unseen, depth)
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_wide_rows_over_large_labels(self, depth):
+        # Degrees up to 13 and labels near 2**22 leave two labels per packed
+        # word, so a key row spans up to seven words; the small alphabet
+        # makes rows tie on their first words and differ in later ones.
+        rng = np.random.default_rng(40 + depth)
+        alphabet = [0, 1, 2 ** 20, 2 ** 20 + 1, 3 * 2 ** 20]
+
+        def wide_graph(size):
+            edges = tuple((u, v) for u in range(size) for v in range(u + 1, size)
+                          if rng.random() < 0.7)
+            labels = tuple(int(x) for x in rng.choice(alphabet, size=size))
+            return Graph(node_count=size, edges=edges, node_labels=labels)
+
+        empty = Graph(node_count=0, edges=(), node_labels=())
+        isolated = Graph(node_count=4, edges=(), node_labels=(0, 2 ** 20, 0, 3 * 2 ** 20))
+        for _ in range(6):
+            graphs = [wide_graph(int(rng.integers(0, 15))) for _ in range(6)]
+            graphs += [empty, isolated, star_graph(9, label=2 ** 20)]
+            unseen = [wide_graph(int(rng.integers(0, 15))) for _ in range(3)]
+            unseen += [empty, star_graph(10, label=5)]
+            self.assert_matches_reference(graphs, unseen, depth)
+
     @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
     def test_benchmark_groups(self, pair):
         dataset = make_benchmark(1, graphs_per_block=12)
@@ -156,8 +177,8 @@ class TestReferenceEquality:
         groups = split_by_density(dataset).groups
         source = subset_as_source(dataset, groups[0])
         target = subset_as_target(dataset, groups[2])
-        joined = WlRefinement(depth=2).fit(PackedGraphs.join((source.graphs, target.graphs)))
-        listed = WlRefinement(depth=2).fit(pack(unpack(source.graphs) + unpack(target.graphs)))
+        joined = fit_wl(2, PackedGraphs.join((source.graphs, target.graphs)))
+        listed = fit_wl(2, pack(unpack(source.graphs) + unpack(target.graphs)))
         assert joined.label_table == listed.label_table
         assert joined._vocab.tolist() == listed._vocab.tolist()
 
@@ -165,12 +186,19 @@ class TestReferenceEquality:
 class TestEdgeCases:
     def test_fit_on_empty_graphs_keeps_only_unk(self):
         empty = Graph(node_count=0, edges=(), node_labels=())
-        ref = WlRefinement(depth=2).fit(pack([empty, empty]))
+        ref = fit_wl(2, pack([empty, empty]))
         assert ref.label_table == {}
         assert ref.vocab_size == 1
         assert histograms(ref, [empty]).toarray().tolist() == [[0.0]]
         g = Graph(node_count=1, edges=(), node_labels=(3,))
         assert ref.feature_row(g).toarray().tolist() == [[3.0]]
+
+    def test_labels_too_wide_for_the_packed_keys_rejected(self):
+        # Two nodes with a label of 2**62: node * radix + value needs 64 bits.
+        wide = Graph(node_count=2, edges=((0, 1),), node_labels=(0, 2 ** 62))
+        with pytest.raises(ContractViolation, match="overflow the packed keys"):
+            WlRefinement(depth=1).fit(pack([wide]))
+        assert fit_wl(0, pack([wide])).vocab_size == 3
 
     def test_unfitted_refinement_rejected(self):
         with pytest.raises(ContractViolation, match="not fitted"):
@@ -178,7 +206,7 @@ class TestEdgeCases:
 
     def test_refit_counts_on_the_new_vocabulary(self):
         graphs = [star_graph(2), star_graph(3)]
-        ref = WlRefinement(depth=1).fit(pack(graphs[:1]))
+        ref = fit_wl(1, pack(graphs[:1]))
         rows = ref.histograms(pack(graphs))
         ref.fit(pack(graphs))
         refit = ref.histograms(pack(graphs))
@@ -191,7 +219,7 @@ class TestEdgeCases:
         for label in (UNKNOWN_LABEL, -2):
             with pytest.raises(ContractViolation, match=f"negative label {label} at node 1"):
                 Graph(node_count=2, edges=((0, 1),), node_labels=(0, label))
-        ref = WlRefinement(depth=1).fit(pack([Graph(node_count=1, edges=(), node_labels=(0,))]))
+        ref = fit_wl(1, pack([Graph(node_count=1, edges=(), node_labels=(0,))]))
         unseen = Graph(node_count=1, edges=(), node_labels=(7,))
         # Both depths of the unseen node count on UNK, the last column.
         assert ref.feature_row(unseen).toarray().tolist() == [[0.0, 0.0, 2.0]]
@@ -201,7 +229,7 @@ class TestEdgeCases:
         # an empty neighborhood are in the table. Unseen: 0-1-5, where the
         # middle node's signature is new at depth 1.
         fitted = [Graph(node_count=3, edges=((0, 1),), node_labels=(0, 1, 0))]
-        ref = WlRefinement(depth=3).fit(pack(fitted))
+        ref = fit_wl(3, pack(fitted))
         assert any(neighbors == () for _, neighbors in ref.label_table)
         unseen = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 1, 5))
         labels = node_labels(ref, unseen)
@@ -217,21 +245,21 @@ class TestKernel:
     def test_two_single_nodes_same_label_depth_zero(self):
         a = Graph(node_count=1, edges=(), node_labels=(4,))
         b = Graph(node_count=1, edges=(), node_labels=(4,))
-        ref = WlRefinement(depth=0).fit(pack([a, b]))
+        ref = fit_wl(0, pack([a, b]))
         assert kernel(ref, a, b) == 1
 
     def test_single_edge_self_kernel(self):
         # Both nodes share a label: 4 matched pairs at depth 0, and the
         # identical signatures keep all 4 pairs matched at depth 1.
         g = Graph(node_count=2, edges=((0, 1),), node_labels=(3, 3))
-        ref = WlRefinement(depth=1).fit(pack([g]))
+        ref = fit_wl(1, pack([g]))
         assert kernel(ref, g, g) == 8
         assert brute_force_kernel(ReferenceRefinement([g], 1), g, g) == 8
 
     def test_disjoint_alphabets_give_zero(self):
         a = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(0, 0, 0))
         b = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(5, 5, 5))
-        ref = WlRefinement(depth=2).fit(pack([a, b]))
+        ref = fit_wl(2, pack([a, b]))
         assert kernel(ref, a, b) == 0
 
     def test_feature_map_matches_brute_force(self):
@@ -239,21 +267,21 @@ class TestKernel:
         for _ in range(40):
             g1 = random_graph(rng, max_nodes=6, num_labels=3)
             g2 = random_graph(rng, max_nodes=6, num_labels=3)
-            ref = WlRefinement(depth=2).fit(pack([g1, g2]))
+            ref = fit_wl(2, pack([g1, g2]))
             oracle = ReferenceRefinement([g1, g2], 2)
             assert kernel(ref, g1, g2) == brute_force_kernel(oracle, g1, g2)
 
     def test_kernel_symmetric(self):
         rng = np.random.default_rng(6)
         g1, g2 = random_graph(rng), random_graph(rng)
-        ref = WlRefinement(depth=2).fit(pack([g1, g2]))
+        ref = fit_wl(2, pack([g1, g2]))
         assert kernel(ref, g1, g2) == kernel(ref, g2, g1)
 
     def test_self_kernel_lower_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_graph(rng, max_nodes=6)
-            ref = WlRefinement(depth=2).fit(pack([g]))
+            ref = fit_wl(2, pack([g]))
             value = kernel(ref, g, g)
             floor = g.node_count * 3
             assert value >= floor
@@ -264,7 +292,7 @@ class TestKernel:
     def test_gram_psd(self):
         rng = np.random.default_rng(8)
         graphs = [random_graph(rng, max_nodes=6) for _ in range(16)]
-        ref = WlRefinement(depth=2).fit(pack(graphs))
+        ref = fit_wl(2, pack(graphs))
         gram = kernel_gram(ref, graphs, normalized=True)
         sym = (gram + gram.T) / 2.0
         assert np.linalg.eigvalsh(sym).min() >= -1e-8
@@ -274,7 +302,7 @@ class TestGknHead:
     def test_zero_zeta_matches_unperturbed(self):
         rng = np.random.default_rng(10)
         g = random_graph(rng, max_nodes=5)
-        ref = WlRefinement(depth=2).fit(pack([g]))
+        ref = fit_wl(2, pack([g]))
         head = GknHead(np.random.default_rng(11), ref.vocab_size, num_classes=3, hidden_dim=8)
         tape = ad.Tape()
         _, p_plain, _ = head.forward(tape, ref.feature_row(g))
@@ -284,7 +312,7 @@ class TestGknHead:
     def test_zero_initialized_head_uniform(self):
         rng = np.random.default_rng(12)
         g = random_graph(rng, max_nodes=5)
-        ref = WlRefinement(depth=2).fit(pack([g]))
+        ref = fit_wl(2, pack([g]))
         head = GknHead(np.random.default_rng(13), ref.vocab_size, num_classes=4, hidden_dim=8)
         for p in head.params():
             p.data[:] = 0.0
@@ -294,7 +322,7 @@ class TestGknHead:
 
     def test_unseen_graph_buckets_to_unk_and_normalizes(self):
         train = Graph(node_count=2, edges=((0, 1),), node_labels=(0, 0))
-        ref = WlRefinement(depth=2).fit(pack([train]))
+        ref = fit_wl(2, pack([train]))
         # Every label of this graph is outside the fitted vocabulary.
         alien = Graph(node_count=3, edges=((0, 1), (1, 2)), node_labels=(9, 9, 9))
         labels = node_labels(ref, alien)
