@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .errors import ContractViolation, DatasetFormatError
-from .fileio import atomic_write
+from .fileio import atomic_write, plain_number
 
 # Probabilities are clamped to [SIGMOID_EPS, 1 - SIGMOID_EPS] before logs.
 SIGMOID_EPS = 1e-7
@@ -506,7 +506,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if len(parts) != 3:
             raise DatasetFormatError(f"bad checkpoint entry {meta[:80]!r}", line=lineno)
         try:
-            key, rows, cols = parts[0].decode(), int(parts[1]), int(parts[2])
+            key, rows, cols = parts[0].decode(), *(plain_number(p.decode()) for p in parts[1:])
         except ValueError:
             raise DatasetFormatError(f"bad checkpoint key or shape in {meta!r}",
                                      line=lineno) from None

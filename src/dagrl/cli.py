@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import DagrlError, IngestionError
 from .experiments import ALL_PAIRS, ExperimentPlan, PlanExecutionError, emit_report, run_plan
-from .fileio import atomic_write, output_dir
+from .fileio import atomic_write, output_dir, plain_number
 from .graphs import write_tudataset
 from .synthetic import make_benchmark
 from .trainer import VARIANTS, TrainConfig
@@ -43,7 +43,7 @@ def parse_config_file(path) -> dict:
         seen[key] = lineno
         kind = str(types[key])
         try:
-            values[key] = casts[kind](raw)
+            values[key] = plain_number(raw, casts[kind])
         except ValueError as exc:
             raise DagrlError(f"{path}: line {lineno}: {key} needs a {kind} value, "
                              f"got {raw!r} ({exc})") from None
@@ -56,7 +56,7 @@ def parse_pairs(raw: str):
     pairs = []
     for chunk in raw.split(";"):
         try:
-            s, t = (int(part) for part in chunk.split(","))
+            s, t = (plain_number(part) for part in chunk.split(","))
         except ValueError:
             raise DagrlError(f"bad pair {chunk!r}; expected 's,t' group indices") from None
         pairs.append((s, t))
@@ -65,7 +65,7 @@ def parse_pairs(raw: str):
 
 def parse_seeds(raw: str):
     try:
-        return tuple(int(s) for s in raw.split(","))
+        return tuple(plain_number(s) for s in raw.split(","))
     except ValueError:
         raise DagrlError(f"bad seed list {raw!r}; expected comma-separated integers")
 

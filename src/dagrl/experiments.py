@@ -58,6 +58,8 @@ class ExperimentPlan:
         for pair in self.pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ConfigurationError(f"each pair must be (source, target), got {pair!r}")
+        # Pairs given as lists compare and hash as the tuples they stand for.
+        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
         # A bool is an Integral but no group index or seed.
         indices = [("group index", v) for pair in self.pairs for v in pair]
         for name, v in indices + [("seed", seed) for seed in self.seeds]:

@@ -1,4 +1,4 @@
-"""Crash-safe output files."""
+"""Crash-safe output files, and the one way a number is read from text input."""
 
 from __future__ import annotations
 
@@ -44,3 +44,17 @@ def output_dir(path) -> Path:
         raise ConfigurationError(f"cannot use {path} as an output directory: "
                                  f"{exc.strerror}") from None
     return path
+
+
+def plain_number(text: str, cast=int):
+    """``cast(text)`` for a number written in ASCII without underscores.
+
+    ``int()`` and ``float()`` also read other digits and underscores
+    (``"\u0663"`` as 3, ``"1_0"`` as 10); text holding either raises
+    ``ValueError``, as text that ``cast`` refuses does. Every text input
+    reads its numbers through this rule: dataset files, config files,
+    ``--pairs``, ``--seeds`` and checkpoint entry lines.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return cast(text)

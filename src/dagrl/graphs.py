@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ContractViolation, DatasetFormatError, IngestionError
-from .fileio import atomic_write, output_dir
+from .fileio import atomic_write, output_dir, plain_number
 
 
 @dataclass(frozen=True)
@@ -268,28 +268,25 @@ def _read_ints(path: Path, pairs: bool = False):
     Reading stops at a malformed line, whose ``DatasetFormatError`` comes
     back third (``None`` if there is none) for :func:`_raise_first`. The
     values are int64, or exact Python ints if one needs more bits. An
-    integer is written in ASCII: ``int()`` would also read other digits
-    and underscores (``"\u0663"`` as 3, ``"1_0"`` as 10), so a line holding
-    either is malformed. Undecodable bytes become lone surrogates, which
-    that check rejects too.
+    integer is read by :func:`plain_number`, so a line holding a
+    non-ASCII digit or an underscore is malformed. Undecodable bytes
+    become lone surrogates, which that rule rejects too.
     """
     values, lines, malformed = [], [], None
     with path.open("r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
         content = fh.read()
-    # One check per file; only a file that fails it is checked line by line.
-    plain = content.isascii() and "_" not in content
+    # One check per file; only a file that fails it is checked number by number.
+    read = int if content.isascii() and "_" not in content else plain_number
     for lineno, line in enumerate(content.split("\n"), start=1):
         text = line.strip()
         if not text:
             continue
         try:
-            if not plain and (not text.isascii() or "_" in text):
-                raise ValueError(text)
             if pairs:
                 u, v = text.split(",")
-                values += int(u), int(v)
+                values += read(u), read(v)
             else:
-                values.append(int(text))
+                values.append(read(text))
         except ValueError:
             problem = ("expected an integer, got" if not pairs else "non-integer endpoint in"
                        if text.count(",") == 1 else "expected 'u, v', got")

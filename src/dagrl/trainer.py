@@ -158,7 +158,9 @@ class TrainState:
     """``discriminators`` and ``disc_opts`` are empty for ``source_only``;
     ``store`` holds a slot only for each branch its variant perturbs. The
     state trains only on ``source`` and ``target``, the datasets it was
-    built from: the refinement was fitted and the store sized on them."""
+    built from: the refinement was fitted and the store sized on them.
+    ``histogram_rows`` (the fit's rows of those two) and ``eval_batches``
+    are keyed by the dataset itself. The epoch number is ``len(history)``."""
 
     config: TrainConfig
     branches: list
@@ -171,11 +173,8 @@ class TrainState:
     rng_target: np.random.Generator
     source: DomainDataset
     target: DomainDataset
-    epoch: int = 0
+    histogram_rows: dict = field(repr=False)
     history: list[EpochStats] = field(default_factory=list)
-    # Per dataset, kept by _held: its histogram rows (the fitted pair's set by
-    # build_state from the fit's own labels) and its evaluate batches.
-    histogram_rows: dict = field(default_factory=dict, init=False, repr=False)
     eval_batches: dict = field(default_factory=dict, init=False, repr=False)
 
     # The optimizers' lists, built once in build_state: the step loop
@@ -198,40 +197,29 @@ class TrainState:
         return out
 
 
-def _held(cache: dict, dataset: DomainDataset, build):
-    """``build()``, run once per ``dataset`` and kept in ``cache`` by id; the
-    entry holds the dataset, so the id stays unique while the entry lives."""
-    entry = cache.get(id(dataset))
-    if entry is None:
-        entry = cache[id(dataset)] = dataset, build()
-    return entry[1]
-
-
 class Batch:
-    """Graphs ``indices`` of ``dataset`` in the forms the branches read.
+    """Graphs ``indices`` of ``graphs`` in the forms the branches read.
 
-    ``union`` (the GIN disjoint union) and ``histograms`` (the GKN
-    refinement-histogram rows) are each built at first use, then shared by
-    every branch and phase that reads this batch. A batch never holds the
-    state, only what it reads of it, so the batches a state keeps form no
-    reference cycle and a finished state is freed without the cyclic GC.
+    ``union`` (the GIN disjoint union over ``input_dim`` node labels) and
+    ``histograms`` (their rows of the dataset's kernel ``rows``, ``None``
+    without a kernel branch) are each built at first use, then shared by
+    every branch and phase that reads this batch. A batch never gets the
+    state, so the batches a state keeps form no reference cycle with it.
     """
 
-    def __init__(self, state: TrainState, dataset: DomainDataset, indices):
-        self.dataset = dataset
+    def __init__(self, graphs: PackedGraphs, indices, input_dim: int, rows):
+        self.graphs = graphs
         self.indices = list(indices)
-        self._input_dim = state.source.label_alphabet_size
-        self._refinement = state.refinement
-        self._rows = state.histogram_rows
+        self.input_dim = input_dim
+        self.rows = rows
 
     @cached_property
     def union(self) -> GraphBatch:
-        return GraphBatch(self.dataset.graphs, self.indices, self._input_dim)
+        return GraphBatch(self.graphs, self.indices, self.input_dim)
 
     @cached_property
     def histograms(self) -> sp.csr_matrix:
-        return _held(self._rows, self.dataset,
-                     lambda: self._refinement.histograms(self.dataset.graphs))[self.indices]
+        return self.rows[self.indices]
 
 
 def _check_compatible(a: DomainDataset, b: DomainDataset) -> None:
@@ -270,10 +258,12 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     kinds, perturbed = zip(*VARIANTS[config.variant])
     d, c, hidden = source.label_alphabet_size, source.num_classes, config.hidden_dim
 
-    refinement = None
+    refinement, histogram_rows = None, {}
     if "gkn" in kinds:
         refinement = WlRefinement(depth=config.wl_depth)
         rows = refinement.fit(PackedGraphs.join((source.graphs, target.graphs)))
+        # The union's first len(source) rows are the source's, the rest the target's.
+        histogram_rows = {source: rows[:len(source)], target: rows[len(source):]}
     branches = [GinBranch(rng, d, c, hidden) if kind == "gin"
                 else GknBranch(rng, refinement, c, hidden)
                 for kind, rng in zip(kinds, rngs[:2])]
@@ -289,7 +279,7 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
     store = PerturbationStore.zeros(config.epsilon, [
         layouts[kind] if on else None for kind, on in zip(kinds, perturbed)])
 
-    state = TrainState(
+    return TrainState(
         config=config,
         branches=branches,
         discriminators=discriminators,
@@ -301,12 +291,8 @@ def build_state(config: TrainConfig, source: DomainDataset, target: DomainDatase
         rng_target=rngs[5],
         source=source,
         target=target,
+        histogram_rows=histogram_rows,
     )
-    if refinement is not None:
-        # The union's first len(source) rows are the source's, the rest the target's.
-        _held(state.histogram_rows, source, lambda: rows[:len(source)])
-        _held(state.histogram_rows, target, lambda: rows[len(source):])
-    return state
 
 
 def source_loss(tape: ad.Tape, outputs, labels):
@@ -404,21 +390,23 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
     tgt_order = np.resize(state.rng_target.permutation(len(target.graphs)),
                           len(src_order)).tolist()
     labels = np.array(source.graph_labels)[src_order]
+    src_hist, tgt_hist = map(state.histogram_rows.get, (source, target))
 
     batch_stats = []
     with _one_blas_thread():
         for start in range(0, len(src_order), size):
             rows = slice(start, start + size)
-            batch_stats.append(_train_step(state, Batch(state, source, src_order[rows]),
-                                           labels[rows], Batch(state, target, tgt_order[rows])))
+            src = Batch(source.graphs, src_order[rows], source.label_alphabet_size, src_hist)
+            tgt = Batch(target.graphs, tgt_order[rows], target.label_alphabet_size, tgt_hist)
+            batch_stats.append(_train_step(state, src, labels[rows], tgt))
 
+        epoch = len(state.history)
         means = [float(np.mean(column)) for column in zip(*batch_stats)]
         for name, value in zip(LOSS_COLUMNS, means):
             if not np.isfinite(value):
-                raise ContractViolation(f"non-finite {name} in epoch {state.epoch}: {means}")
+                raise ContractViolation(f"non-finite {name} in epoch {epoch}: {means}")
         accuracy = evaluate(state, target) if target.eval_labels is not None else None
-    state.history.append(EpochStats(state.epoch, *means, accuracy))
-    state.epoch += 1
+    state.history.append(EpochStats(epoch, *means, accuracy))
     return state
 
 
@@ -481,7 +469,8 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     """Accuracy of the fused branch prediction; perturbations excluded.
 
     ``dataset`` must have the state's classes and node-label alphabet. Its
-    batches are built once and kept on ``state``.
+    batches are built once and kept on ``state``, with the rows of a
+    dataset outside the fitted pair refined then and held by them alone.
     """
     _check_compatible(state.source, dataset)
     if len(dataset) == 0:
@@ -489,12 +478,17 @@ def evaluate(state: TrainState, dataset: DomainDataset) -> float:
     labels = dataset.eval_labels if dataset.graph_labels is None else dataset.graph_labels
     if labels is None:
         raise ConfigurationError("dataset has no labels to evaluate against")
-    graphs = range(len(dataset))
-    batches = _held(state.eval_batches, dataset, lambda: [
-        Batch(state, dataset, graphs[s:s + EVAL_CHUNK]) for s in graphs[::EVAL_CHUNK]])
+    if dataset not in state.eval_batches:
+        rows = state.histogram_rows.get(dataset)
+        if rows is None and state.refinement is not None:
+            rows = state.refinement.histograms(dataset.graphs)
+        graphs = range(len(dataset))
+        state.eval_batches[dataset] = [Batch(dataset.graphs, graphs[s:s + EVAL_CHUNK],
+                                             dataset.label_alphabet_size, rows)
+                                       for s in graphs[::EVAL_CHUNK]]
     predictions = []
     with ad.frozen(state.branch_params()):
-        for batch in batches:
+        for batch in state.eval_batches[dataset]:
             probs = []
             for branch in state.branches:
                 _, p, _ = branch.forward(ad.Tape(), batch)

@@ -297,7 +297,13 @@ def brute_force_kernel(oracle: ReferenceRefinement, g1: Graph, g2: Graph) -> int
                for a in l1 for b in l2)
 
 
-def _stored(state, b, src):
+def whole_batch(state, dataset) -> Batch:
+    """All of ``dataset`` as one batch, reading the state's kernel rows of it."""
+    return Batch(dataset.graphs, range(len(dataset)), dataset.label_alphabet_size,
+                 state.histogram_rows.get(dataset))
+
+
+def stored_perturbation(state, b, src):
     """Branch ``b``'s stored perturbations of the batch, read from the store as one constant."""
     rows = state.store.gather(b, src.indices)
     return None if rows is None else ad.constant(rows)
@@ -310,7 +316,7 @@ def _phase_discriminators(state, src, tgt):
         for b, (branch, disc, opt) in enumerate(
                 zip(state.branches, state.discriminators, state.disc_opts)):
             tape = ad.Tape()
-            z_s, p_s, _ = branch.forward(tape, src, _stored(state, b, src))
+            z_s, p_s, _ = branch.forward(tape, src, stored_perturbation(state, b, src))
             z_t, p_t, _ = branch.forward(tape, tgt)
             loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
             discriminator_update(tape, loss, opt)
@@ -339,7 +345,7 @@ def _phase_model(state, src, labels, tgt):
     cfg = state.config
     with ad.frozen(state.discriminator_params()):
         tape = ad.Tape()
-        outputs = [branch.forward(tape, src, _stored(state, b, src))
+        outputs = [branch.forward(tape, src, stored_perturbation(state, b, src))
                    for b, branch in enumerate(state.branches)]
         l_s = source_loss(tape, outputs, labels)
         total = l_s
@@ -380,11 +386,10 @@ def discriminator_domain_accuracy(state, b: int) -> float:
     and the discriminator are frozen and the perturbations are constants.
     """
     branch, disc = state.branches[b], state.discriminators[b]
-    src = Batch(state, state.source, range(len(state.source)))
-    tgt = Batch(state, state.target, range(len(state.target)))
+    src, tgt = whole_batch(state, state.source), whole_batch(state, state.target)
     with ad.frozen(branch.params() + disc.params()):
         tape = ad.Tape()
-        z_s, p_s, _ = branch.forward(tape, src, _stored(state, b, src))
+        z_s, p_s, _ = branch.forward(tape, src, stored_perturbation(state, b, src))
         z_t, p_t, _ = branch.forward(tape, tgt)
         return domain_accuracy(disc.logits(tape, z_s, p_s).data, disc.logits(tape, z_t, p_t).data)
 

@@ -567,6 +567,8 @@ class TestCheckpoint:
         (b"dagrl-ckpt-v2 2\n" + _entry("a", [1.0, 2.0], 1, 1) + _entry("b", [3.0], 1, 1), 3,
          "unprintable"),
         (b"dagrl-ckpt-v2 1\n" + b"w -1 -1\n", 2, "negative"),
+        # int() reads "0_2" as 2; a shape is plain ASCII digits.
+        (b"dagrl-ckpt-v2 1\na 1 0_2\n" + np.ones(2).tobytes(), 2, "shape"),
         (b"dagrl-ckpt-v1\nw 1 1\n1.0\n", 1, "expected 'dagrl-ckpt-v2"),
         (b"dagrl-ckpt-v2 2\n" + _entry("a", [1.0], 1, 1) + _entry("b", [2.0], 1, 2), 3,
          "8 payload bytes for shape \\(1, 2\\)"),
@@ -575,7 +577,7 @@ class TestCheckpoint:
         (b"dagrl-ckpt-v2 1\n" + _entry("a", [1.0], 1, 1) + b"\n", 1, "1 trailing bytes"),
         (b"dagrl-ckpt-v2 2\n" + _entry("a", [1.0], 1, 1) + _entry("a", [2.0], 1, 1), 3,
          "duplicate"),
-    ], ids=["shape", "value", "negative-shape", "v1-header", "short-payload",
+    ], ids=["shape", "value", "negative-shape", "underscore-shape", "v1-header", "short-payload",
             "missing-entry", "trailing-bytes", "duplicate-key"])
     def test_malformed_entry_is_format_error(self, tmp_path, content, line, reason):
         path = tmp_path / "bad.ckpt"

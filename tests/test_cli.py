@@ -44,6 +44,20 @@ def test_parse_seeds():
         parse_seeds("a,b")
 
 
+# int() also reads other digits and underscores ("1_0" as 10, "\u0663" as 3);
+# --pairs and --seeds do not.
+@pytest.mark.parametrize("raw", ["0_0,1", "0,\u0661"], ids=["underscore", "arabic-indic"])
+def test_pairs_outside_ascii_rejected(raw):
+    with pytest.raises(DagrlError, match="bad pair"):
+        parse_pairs(raw)
+
+
+@pytest.mark.parametrize("raw", ["1_0,2", "1,\u0663"], ids=["underscore", "arabic-indic"])
+def test_seeds_outside_ascii_rejected(raw):
+    with pytest.raises(DagrlError, match="bad seed list"):
+        parse_seeds(raw)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(
@@ -67,10 +81,12 @@ def test_config_file_unknown_key(tmp_path):
         parse_config_file(cfg)
 
 
-@pytest.mark.parametrize("line", ["epochs = many", "lambda1 = lots"])
+# The last three are numbers to int() and float() ("1_0" is 10), not to a config file.
+@pytest.mark.parametrize("line", ["epochs = many", "lambda1 = lots", "epochs = 1_0",
+                                  "lr = \u0661e-3", "hidden_dim = \u0663"])
 def test_config_file_bad_value_exit_2(tmp_path, synth_root, capsys, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"# comment\n{line}\n")
+    cfg.write_text(f"# comment\n{line}\n", encoding="utf-8")
     code = main(["run", "--data-root", str(synth_root), "--dataset", "SynthBench",
                  "--pairs", "0,1", "--seeds", "0", "--config", str(cfg),
                  "--out", str(tmp_path / "out")])

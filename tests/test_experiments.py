@@ -83,6 +83,18 @@ class TestPlanValidation:
         plan = make_plan(tmp_path, tmp_path, pairs=((np.int64(0), 1),), seeds=(np.int64(2),))
         assert plan.pairs == ((0, 1),) and plan.seeds == (2,)
 
+    @pytest.mark.parametrize("pairs", [([0, 1], [0, 1]), ([0, 1], (0, 1))],
+                             ids=["lists", "list-and-tuple"])
+    def test_repeated_pair_given_as_list_rejected(self, tmp_path, pairs):
+        # A list pair is the tuple it stands for: neither unhashable nor a new cell.
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("repeated pair in plan: [(0, 1)]")):
+            make_plan(tmp_path, tmp_path, pairs=pairs)
+
+    def test_list_pairs_become_tuples(self, tmp_path):
+        plan = make_plan(tmp_path, tmp_path, pairs=[[0, 1], [1, 0]])
+        assert plan.pairs == ((0, 1), (1, 0))
+
 
 class TestRunPlan:
     def test_single_cell_shape(self, bench_root, tmp_path):

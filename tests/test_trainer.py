@@ -105,7 +105,8 @@ class TestSourceLoss:
             for p in branch.params():
                 p.data[:] = 0.0
         tape = ad.Tape()
-        batch = Batch(state, source, range(4))
+        batch = Batch(source.graphs, range(4), source.label_alphabet_size,
+                      state.histogram_rows[source])
         outputs = [branch.forward(tape, batch) for branch in state.branches]
         loss = source_loss(tape, outputs, source.graph_labels[:4])
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
@@ -536,11 +537,11 @@ class TestAssemblyReuse:
         for state in states + states:
             evaluate(state, target)
         assert counts["batch"] == 2 * eval_chunks
-        first, second = (state.eval_batches[id(target)][1] for state in states)
+        first, second = (state.eval_batches[target] for state in states)
         assert not set(map(id, first)) & set(map(id, second))
         # The histogram rows too: taken from each state's own fit, never refined again.
         assert counts["fit"] == 2 and counts["histograms"] == 0
-        first, second = (state.histogram_rows[id(target)][1] for state in states)
+        first, second = (state.histogram_rows[target] for state in states)
         assert first is not second
 
     def test_a_copied_dataset_is_refined_once(self, tiny_pair, counts):
@@ -550,6 +551,30 @@ class TestAssemblyReuse:
         for _ in range(2):
             assert evaluate(state, copy) == evaluate(state, target)
         assert counts["histograms"] == 1
+
+    def test_a_copy_evaluates_chunk_by_chunk_as_the_target(self, tiny_pair, counts,
+                                                           monkeypatch):
+        # The copy's rows come from one refinement of its own, and each chunk
+        # batch reads the same rows as the fitted target's batch of that chunk.
+        monkeypatch.setattr(trainer, "EVAL_CHUNK", 5)
+        source, target = tiny_pair
+        state = build_state(toy_config(), source, target)
+        copy = replace(target)
+        assert evaluate(state, copy) == evaluate(state, target)
+        assert counts["histograms"] == 1
+        copied, fitted = state.eval_batches[copy], state.eval_batches[target]
+        assert len(copied) == len(fitted) == -(-len(target) // 5) > 1
+        for a, b in zip(copied, fitted):
+            assert a.indices == b.indices
+            assert_bitwise_csr(a.histograms, b.histograms)
+
+    @pytest.mark.parametrize("variant", ["full", "gin_only_dual"])
+    def test_rows_held_for_the_fitted_pair_only(self, tiny_pair, variant):
+        source, target = tiny_pair
+        state = build_state(toy_config(variant=variant), source, target)
+        evaluate(state, replace(target))
+        kernel = variant != "gin_only_dual"
+        assert set(state.histogram_rows) == ({source, target} if kernel else set())
 
     def test_cached_evaluate_equals_a_fresh_one(self, tiny_pair):
         source, target = tiny_pair
@@ -585,7 +610,7 @@ def test_rows_from_the_fit_equal_a_fresh_refinement(tiny_pair, variant):
     source, target = tiny_pair
     state = build_state(toy_config(variant=variant), source, target)
     for dataset in (source, target):
-        assert_bitwise_csr(state.histogram_rows[id(dataset)][1],
+        assert_bitwise_csr(state.histogram_rows[dataset],
                            state.refinement.histograms(dataset.graphs))
 
 
