@@ -70,6 +70,13 @@ def parse_seeds(raw: str):
         raise DagrlError(f"bad seed list {raw!r}; expected comma-separated integers")
 
 
+def parse_int(flag: str, raw: str) -> int:
+    try:
+        return plain_number(raw)
+    except ValueError:
+        raise DagrlError(f"bad {flag} {raw!r}; expected an integer") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dagrl",
                                      description="Domain-adaptive graph classification runs")
@@ -88,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="write a synthetic benchmark in the standard layout")
     synth.add_argument("--out", required=True, help="directory to write the dataset under")
     synth.add_argument("--name", default="SynthBench")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--graphs-per-block", type=int, default=40)
+    synth.add_argument("--seed", default="0")
+    synth.add_argument("--graphs-per-block", default="40")
     return parser
 
 
@@ -125,7 +132,9 @@ def command_run(args) -> int:
 
 
 def command_synth(args) -> int:
-    dataset = make_benchmark(seed=args.seed, graphs_per_block=args.graphs_per_block)
+    dataset = make_benchmark(seed=parse_int("--seed", args.seed),
+                             graphs_per_block=parse_int("--graphs-per-block",
+                                                        args.graphs_per_block))
     base = write_tudataset(dataset, args.out, args.name)
     print(f"wrote {len(dataset.graphs)} graphs to {base}")
     return 0

@@ -53,7 +53,8 @@ def plain_number(text: str, cast=int):
     (``"\u0663"`` as 3, ``"1_0"`` as 10); text holding either raises
     ``ValueError``, as text that ``cast`` refuses does. Every text input
     reads its numbers through this rule: dataset files, config files,
-    ``--pairs``, ``--seeds`` and checkpoint entry lines.
+    ``--pairs``, ``--seeds``, ``synth``'s ``--seed`` and
+    ``--graphs-per-block``, and checkpoint entry lines.
     """
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a plain ASCII number: {text!r}")

@@ -14,6 +14,7 @@ into a store. Subsets and batches are index gathers from a store
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -118,11 +119,17 @@ def pack(graphs) -> PackedGraphs:
 
 
 def _adjacency(u: np.ndarray, v: np.ndarray, total: int) -> sp.csr_matrix:
-    """The symmetric 0/1 CSR adjacency of undirected edges ``(u[i], v[i])``, columns sorted."""
-    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    adjacency = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(total, total))
-    adjacency.sort_indices()
-    return adjacency
+    """The symmetric 0/1 CSR adjacency of undirected edges ``(u[i], v[i])``, columns sorted.
+
+    An edge listed more than once, in either direction, is one edge.
+    """
+    # Sorted row * total + column keys are the CSR entries in row-major
+    # order. np.unique without a return flag hashes in numpy 2.4 and takes
+    # ten times as long as this sort.
+    keys = np.sort(np.concatenate((u * total + v, v * total + u)))
+    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], total)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=total))))
+    return sp.csr_matrix((np.ones(len(rows)), cols, indptr), shape=(total, total))
 
 
 def _whole_numbers(values, count: int, what: str) -> np.ndarray:
@@ -262,19 +269,56 @@ def _dataset_files(root_path, dataset_name: str) -> dict[str, Path]:
     }
 
 
+# The bytes a file read in one numpy call may hold. "." and "e" are not
+# among them: numpy before 2.0 reads "1.0" and "1e3" as integers.
+_PLAIN = b"0123456789+-, \n"
+
+
 def _read_ints(path: Path, pairs: bool = False):
     """Each nonblank line's integer, or with ``pairs`` its ``u, v`` row, and the line numbers.
 
     Reading stops at a malformed line, whose ``DatasetFormatError`` comes
     back third (``None`` if there is none) for :func:`_raise_first`. The
-    values are int64, or exact Python ints if one needs more bits. An
+    values are int64, or exact Python ints if one needs more bits.
+
+    A plain file, nonblank and holding only ASCII digits, ``+``, ``-``,
+    commas, spaces and newlines, is read in one ``np.loadtxt`` call. The
+    read stands only when it has one row of one integer (two with
+    ``pairs``) per line up to the last nonblank one: then no line was
+    blank or malformed, and the lines are numbered from 1. Every other
+    file, and a plain file whose read has another shape or that numpy
+    refuses (a value beyond int64 included), goes to :func:`_read_lines`,
+    which alone defines what a line may hold and builds each error naming
+    a line. This relies on numpy's integer reader refusing every plain
+    token that ``int()`` refuses, which was checked with numpy 2.4.6 only.
+    """
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
+        content = fh.read()
+    body = content.rstrip(" \n")  # blank lines at the end hold nothing
+    if body and body.isascii() and not body.encode("ascii").translate(None, _PLAIN):
+        lines = body.count("\n") + 1
+        try:
+            array = np.loadtxt(StringIO(body), dtype=np.int64, comments=None,
+                               delimiter="," if pairs else None, ndmin=2)
+        except (ValueError, OverflowError):
+            pass  # the line reader names the bad line
+        else:
+            # numpy skips an empty line and reads "1 2" as two columns, so
+            # either changes the shape.
+            if array.shape == (lines, 2 if pairs else 1):
+                return (array if pairs else array[:, 0]), range(1, lines + 1), None
+    return _read_lines(path, content, pairs)
+
+
+def _read_lines(path: Path, content: str, pairs: bool):
+    """:func:`_read_ints` on ``path``'s decoded ``content``, one line at a time.
+
+    This reader is the one definition of what a line may hold. An
     integer is read by :func:`plain_number`, so a line holding a
     non-ASCII digit or an underscore is malformed. Undecodable bytes
     become lone surrogates, which that rule rejects too.
     """
     values, lines, malformed = [], [], None
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline=None) as fh:
-        content = fh.read()
     # One check per file; only a file that fails it is checked number by number.
     read = int if content.isascii() and "_" not in content else plain_number
     for lineno, line in enumerate(content.split("\n"), start=1):
@@ -360,7 +404,8 @@ def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
 
     ends, lines, malformed = _read_ints(edge_file, pairs=True)
     u, v = ends[:, 0], ends[:, 1]
-    outside = (ends < 1).any(axis=1) | (ends > n).any(axis=1)
+    # Column by column: numpy reduces a row of two one row at a time.
+    outside = (u < 1) | (u > n) | (v < 1) | (v > n)
     # Outside ids look up node 1 instead; the range check reports them first.
     graphs = graph_of[np.where(outside[:, None], 1, ends).astype(np.int64) - 1]
     _raise_first(edge_file, lines, [
@@ -375,12 +420,12 @@ def parse_tudataset(root_path, dataset_name: str) -> DomainDataset:
     packed_id = np.empty(n, dtype=np.int64)
     packed_id[order] = np.arange(n)
     ends = packed_id[ends.astype(np.int64) - 1]
-    u, v = np.divmod(np.unique(ends.min(axis=1) * n + ends.max(axis=1)), n)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(graph_of, minlength=num_graphs))))
     node_alphabet, node_labels = np.unique(raw_node_labels, return_inverse=True)
     classes, graph_labels = np.unique(raw_graph_labels, return_inverse=True)
     return DomainDataset(
-        graphs=PackedGraphs(offsets, node_labels[order], _adjacency(u, v, n)),
+        graphs=PackedGraphs(offsets, node_labels[order],
+                            _adjacency(ends[:, 0], ends[:, 1], n)),
         num_classes=len(classes),
         label_alphabet_size=len(node_alphabet),
         graph_labels=tuple(graph_labels.tolist()),

@@ -147,8 +147,12 @@ class WlRefinement:
     def _rows(self, packed: PackedGraphs, cols: np.ndarray) -> sp.csr_matrix:
         """Canonical CSR counts of ``cols``, the vocabulary columns of depths 0..l's labels."""
         graph_of = np.repeat(np.arange(len(packed)), np.diff(packed.node_offsets))
-        rows = np.tile(graph_of, self.depth + 1)
-        return sp.csr_matrix((np.ones(len(cols)), (rows, cols)),
+        # Sorted (graph, column) keys are the CSR entries in row-major order.
+        keys, counts = np.unique(np.tile(graph_of, self.depth + 1) * self.vocab_size + cols,
+                                 return_counts=True)
+        rows, columns = np.divmod(keys, self.vocab_size)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(packed)))))
+        return sp.csr_matrix((counts.astype(np.float64), columns, indptr),
                              shape=(len(packed), self.vocab_size))
 
     def feature_row(self, g: Graph) -> sp.csr_matrix:

@@ -318,3 +318,13 @@ def test_synth_negative_seed_exit_2(tmp_path, capsys):
     assert code == 2
     assert "seed" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# int() also reads other digits and underscores; synth's number flags do not.
+@pytest.mark.parametrize("flag,raw", [("--seed", "1_0"), ("--graphs-per-block", "\u0664")],
+                         ids=["seed-underscore", "graphs-per-block-arabic-indic"])
+def test_synth_number_flags_outside_ascii_exit_2(tmp_path, capsys, flag, raw):
+    code = main(["synth", "--out", str(tmp_path), "--name", "Odd", flag, raw])
+    assert code == 2
+    assert f"bad {flag} {raw!r}; expected an integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

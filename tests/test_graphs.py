@@ -1,4 +1,5 @@
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -242,6 +243,42 @@ class TestParser:
         write_tudataset(ds, tmp_path, "rt")
         assert_same_dataset(parse_tudataset(tmp_path, "rt"), ds)
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_written_files_are_read_whole(self, tmp_path, monkeypatch, ending):
+        # The writer's files are plain, so the line reader never runs on them.
+        ds = DomainDataset(graphs=pack([path_graph(4), complete_graph(3)]), num_classes=2,
+                           label_alphabet_size=1, graph_labels=(1, 0))
+        for path in write_tudataset(ds, tmp_path, "rt").iterdir():
+            path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+
+        def line_reader(*args):
+            raise AssertionError("the line reader ran on a plain file")
+
+        monkeypatch.setattr(graphs_module, "_read_lines", line_reader)
+        assert_same_dataset(parse_tudataset(tmp_path, "rt"), ds)
+
+    @pytest.mark.parametrize("suffix,message", [
+        ("graph_indicator", "toy_graph_indicator.txt: no nodes listed"),
+        ("node_labels", "toy_node_labels.txt: 0 node labels for 3 indicator entries"),
+        ("graph_labels", "toy_graph_labels.txt: 0 labels for 2 graphs"),
+        ("A", None),
+    ])
+    @pytest.mark.parametrize("text", ["", "\n", " \n\n", "\r\n  "],
+                             ids=["empty", "newline", "spaces", "crlf"])
+    def test_empty_file_without_warning(self, tmp_path, suffix, message, text):
+        # numpy warns on a file with no data; such a file never reaches it.
+        write_fixture(tmp_path, "toy", indicator=[1, 1, 2], edges=[(1, 2), (2, 1)],
+                      graph_labels=[0, 1], node_labels=[0, 0, 0])
+        (tmp_path / "toy" / f"toy_{suffix}.txt").write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:  # no edges is a valid edge file
+                assert parse_tudataset(tmp_path, "toy").graphs.adjacency.nnz == 0
+                return
+            with pytest.raises(DatasetFormatError) as caught:
+                parse_tudataset(tmp_path, "toy")
+        assert (str(caught.value), caught.value.line) == (message, None)
+
     def test_failure_while_writing_edges_leaves_no_edge_file(self, tmp_path, monkeypatch):
         # The edge file fails after two lines; a truncated edge list would
         # still parse as a dataset with fewer edges.
@@ -275,10 +312,34 @@ class TestParser:
 
 # Lines a fuzzed file may gain: blank, malformed, huge, non-ASCII
 # ("\u0663" and "\uff13" are 3 to int()) or underscored integers, non-ASCII
-# space around an integer, and an undecodable byte.
+# space around an integer, and an undecodable byte; then near-plain lines
+# that numpy's whole-file read must take as int() does or leave to the
+# line reader: two numbers on a line, spaces, signs, leading zeros, and
+# the first value beyond int64.
 ODD_LINES = ["", "  ", "x", "1.5", "1,", "1, 2, 3", "a, b", "2, y", "\u0663", "\uff13, 1",
              "1_0", "2, 1_0", "1,\u20032", "\u00a02\u3000",
-             str(10 ** 25), f"1, {10 ** 25}", f"-{10 ** 25}", "0", "-1", "1\udcff"]
+             str(10 ** 25), f"1, {10 ** 25}", f"-{10 ** 25}", "0", "-1", "1\udcff",
+             "1 2", " 3 ", "+4", "007", "1 , 2", "-0", str(2 ** 63)]
+
+
+# Near-plain files, each read whole by numpy or handed to the line reader.
+@pytest.mark.parametrize("pairs,text", [
+    (False, "1\n2\n"), (False, "1 2\n"), (False, "1\n\n2\n"), (False, " \n1\n"),
+    (False, "1\n2\n\n \n"), (False, "+4\n007\n-0\n 3 \n"), (False, "1\r\n2"),
+    (False, f"{2 ** 63 - 1}\n{-2 ** 63}\n"), (False, f"1\n{2 ** 63}\n"), (False, "1,2\n"),
+    (False, "1.0\n"), (False, "1e3\n"), (True, "1, 2\n2,1\n"), (True, "1 , 2\n  3, 4  \n"),
+    (True, "1, 2, 3\n"), (True, "1,\n"), (True, "1 2\n"), (True, "1, 2\n\n2, 1\n"),
+    (True, f"1, {2 ** 63}\n"), (True, "+1, -0\n"), (True, "1\n2\n"),
+])
+def test_whole_file_read_equals_the_line_reader(tmp_path, pairs, text):
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode())
+    outcomes = [graphs_module._read_ints(path, pairs),
+                graphs_module._read_lines(path, path.read_text(), pairs)]
+    got, want = [(values.dtype, values.tolist(), list(lines),
+                  malformed and (str(malformed), malformed.line))
+                 for values, lines, malformed in outcomes]
+    assert got == want
 
 
 def fuzzed_files(rng) -> dict[str, list[str]]:
