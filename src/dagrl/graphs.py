@@ -13,6 +13,7 @@ into a store. Subsets and batches are index gathers from a store
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from io import StringIO
 from pathlib import Path
@@ -104,16 +105,15 @@ class PackedGraphs:
 
 def pack(graphs) -> PackedGraphs:
     """The :class:`Graph` records ``graphs``, in order, as one union; a node
-    id or node label that is not a whole number raises ``ContractViolation``."""
+    id or node label that is not a whole number in int64 raises ``ContractViolation``."""
     graphs = tuple(graphs)
     counts = np.fromiter((g.node_count for g in graphs), dtype=np.int64, count=len(graphs))
     offsets = np.concatenate(([0], np.cumsum(counts)))
     total = int(offsets[-1])
-    labels = _whole_numbers((label for g in graphs for label in g.node_labels), total,
-                            "node label")
+    labels = _whole_numbers([label for g in graphs for label in g.node_labels], "node label")
     edge_counts = [len(g.edges) for g in graphs]
-    ends = _whole_numbers((v for g in graphs for edge in g.edges for v in edge),
-                          2 * sum(edge_counts), "node id").reshape(-1, 2)
+    ends = _whole_numbers([v for g in graphs for edge in g.edges for v in edge],
+                          "node id").reshape(-1, 2)
     ends += np.repeat(offsets[:-1], edge_counts)[:, None]
     return PackedGraphs(offsets, labels, _adjacency(ends[:, 0], ends[:, 1], total))
 
@@ -132,13 +132,28 @@ def _adjacency(u: np.ndarray, v: np.ndarray, total: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(rows)), cols, indptr), shape=(total, total))
 
 
-def _whole_numbers(values, count: int, what: str) -> np.ndarray:
-    """``values`` as int64; one that is not a whole number raises ``ContractViolation``."""
-    exact = np.fromiter(values, dtype=np.float64, count=count)
-    with np.errstate(invalid="ignore"):  # NaN and infinities fail the comparison below
-        whole = exact.astype(np.int64)
-    if (whole != exact).any():
-        raise ContractViolation(f"{what} {exact[whole != exact][0]} is not an integer")
+def _whole_numbers(values: list, what: str) -> np.ndarray:
+    """``values`` as int64, read exactly; one that is not a whole number,
+    or lies outside int64, raises ``ContractViolation``."""
+    try:
+        floats = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64: each value is read below
+        floats = np.full(len(values), np.inf)
+    with np.errstate(invalid="ignore"):  # NaN and infinities are read below
+        whole = floats.astype(np.int64)
+    # float64 holds every whole number of magnitude below 2**53 exactly;
+    # any other value is read again on its own.
+    for i in np.flatnonzero(~(np.abs(floats) < 2.0 ** 53) | (whole != floats)).tolist():
+        value = values[i]
+        try:
+            exact = int(value)
+        except (TypeError, ValueError, OverflowError):
+            exact = None
+        if exact is None or exact != value:
+            raise ContractViolation(f"{what} {value} is not an integer")
+        if not -2 ** 63 <= exact < 2 ** 63:
+            raise ContractViolation(f"{what} {value} is outside int64")
+        whole[i] = exact
     return whole
 
 
@@ -146,12 +161,17 @@ def gather_rows(offsets: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
     """The rows of segments ``indices``, in order, and their offsets among them.
 
     Segment ``i`` owns rows ``offsets[i]:offsets[i + 1]``; an index outside
-    ``[0, len(offsets) - 1)`` raises ``ContractViolation``. Returns
+    ``[0, len(offsets) - 1)``, or indices that are not integers (a float,
+    a string or a boolean mask), raise ``ContractViolation``. Returns
     ``row_index``, the picked segments' row numbers concatenated, and
     ``local_offsets``: picked segment ``k`` is
     ``row_index[local_offsets[k]:local_offsets[k + 1]]``.
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
+    # numpy reads an empty list or range as float64.
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise ContractViolation(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     outside = (idx < 0) | (idx >= len(offsets) - 1)
     if outside.any():
         raise ContractViolation(f"index {idx[outside][0]} outside [0, {len(offsets) - 1})")
@@ -184,9 +204,16 @@ class DomainDataset:
         if self.graph_labels is not None and self.eval_labels is not None:
             raise ContractViolation("a dataset with graph_labels takes no eval_labels")
         for name, labels in (("graph_labels", self.graph_labels), ("eval_labels", self.eval_labels)):
-            if labels is not None and len(labels) != len(self):
+            if labels is None:
+                continue
+            if len(labels) != len(self):
                 raise ContractViolation(f"{name} has {len(labels)} entries for {len(self)} graphs")
-            for i, label in enumerate(labels or ()):
+            # A bool or a float class would be written as "True" or "1.0".
+            integers = {kind for kind in set(map(type, labels))
+                        if issubclass(kind, numbers.Integral) and kind is not bool}
+            for i, label in enumerate(labels):
+                if type(label) not in integers:
+                    raise ContractViolation(f"{name}[{i}] is {label!r}, not an integer")
                 if label not in range(self.num_classes):
                     raise ContractViolation(
                         f"{name}[{i}] is {label}, outside [0, {self.num_classes})")
@@ -235,8 +262,8 @@ def _pick(ds: DomainDataset, indices) -> tuple[PackedGraphs, tuple[int, ...]]:
     """Graphs ``indices`` of ``ds`` and their classes; each index once."""
     if ds.graph_labels is None:
         raise ConfigurationError("a target dataset holds no graph_labels to subset")
+    graphs = ds.graphs.take(indices)  # type- and range-checked
     idx = np.asarray(indices, dtype=np.int64)
-    graphs = ds.graphs.take(idx)  # range-checked
     repeated = np.flatnonzero(np.bincount(idx) > 1)
     if len(repeated):
         raise ContractViolation(f"index {repeated[0]} repeated")
@@ -319,8 +346,6 @@ def _read_lines(path: Path, content: str, pairs: bool):
     become lone surrogates, which that rule rejects too.
     """
     values, lines, malformed = [], [], None
-    # One check per file; only a file that fails it is checked number by number.
-    read = int if content.isascii() and "_" not in content else plain_number
     for lineno, line in enumerate(content.split("\n"), start=1):
         text = line.strip()
         if not text:
@@ -328,9 +353,9 @@ def _read_lines(path: Path, content: str, pairs: bool):
         try:
             if pairs:
                 u, v = text.split(",")
-                values += read(u), read(v)
+                values += plain_number(u), plain_number(v)
             else:
-                values.append(read(text))
+                values.append(plain_number(text))
         except ValueError:
             problem = ("expected an integer, got" if not pairs else "non-integer endpoint in"
                        if text.count(",") == 1 else "expected 'u, v', got")

@@ -15,10 +15,13 @@ branch adds one source forward with the stored perturbations as a leaf
 (for both adversaries) and the model's source forward on the rows the
 perturbation step returned: three forwards. An unperturbed branch adds
 one source forward, recorded for the model, which its discriminator
-also reads as constants: two. Runs are deterministic given the config
-seed: parameter groups and batch orders draw from independent child
-streams of one seed sequence, so structural variants stay
-bit-comparable.
+also reads as constants: two. Each step returns a :class:`StepRecord`:
+its ``LOSS_COLUMNS`` values and, per adversarial branch, the L_DA its
+discriminator ascended and that discriminator's domain accuracy on the
+batch pair. An epoch's :class:`EpochStats` holds their means. Runs are
+deterministic given the config seed: parameter groups and batch orders
+draw from independent child streams of one seed sequence, so
+structural variants stay bit-comparable.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +45,9 @@ from .adversarial import (
     DomainDiscriminator,
     PerturbationStore,
     discriminator_update,
+    domain_accuracy,
     domain_loss,
+    domain_loss_from_logits,
     perturbation_step,
 )
 from .errors import ConfigurationError, ContractViolation
@@ -63,7 +70,7 @@ VARIANTS = {
     "source_only": (("gin", False), ("gkn", False)),
 }
 
-# The loss columns of an epoch, as ``_train_step`` returns them and
+# The loss columns of an epoch, as a step record holds them and
 # ``export_loss_history`` heads them.
 LOSS_COLUMNS = ("L_S", "L_DA_C", "L_DA_K", "L")
 
@@ -143,14 +150,29 @@ class GknBranch(ad.Module):
         return self.head.forward(tape, batch.histograms, perturbation)
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """One step's ``LOSS_COLUMNS`` values, and per adversarial branch the
+    L_DA its discriminator ascended and that discriminator's domain
+    accuracy on the batch pair (both empty for ``source_only``)."""
+
+    losses: tuple[float, float, float, float]
+    adversary_losses: tuple[float, ...]
+    domain_accuracies: tuple[float, ...]
+
+
 @dataclass
 class EpochStats:
+    """The epoch means of its step records, and the target accuracy."""
+
     epoch: int
     source_loss: float
     domain_loss_first: float
     domain_loss_second: float
     total_loss: float
     target_accuracy: float | None
+    adversary_losses: tuple[float, ...]
+    domain_accuracies: tuple[float, ...]
 
 
 @dataclass
@@ -310,15 +332,22 @@ def fuse_predictions(prob_blocks) -> np.ndarray:
     return stacked.mean(axis=0).argmax(axis=1)
 
 
-def _adversary_step(state: TrainState, b: int, src: Batch, target, source):
+class _Adversary(NamedTuple):
+    """What one branch's discriminator and perturbation phases hand the step."""
+
+    loss: float  # the L_DA the discriminator ascended
+    accuracy: float  # the discriminator's domain accuracy on that L_DA's logits
+    perturbation: ad.Tensor | None  # the batch's updated perturbations, if any
+
+
+def _adversary_step(state: TrainState, b: int, src: Batch, target, source) -> _Adversary:
     """Branch ``b``'s discriminator ascent, then its perturbation step.
 
     ``source`` is an unperturbed branch's source forward, ``None`` for a
     perturbed one: then one source forward, with the stored perturbations
     as a leaf, serves both. The discriminator's own tape reads the
     forwards' values as constants. Call it with the branches frozen, so
-    that only the leaf gets a gradient. Returns L_DA and the batch's
-    updated perturbations as one constant, ``None`` if the branch has none.
+    that only the leaf gets a gradient.
     """
     branch, disc, opt = state.branches[b], state.discriminators[b], state.disc_opts[b]
     leaf = None
@@ -329,25 +358,28 @@ def _adversary_step(state: TrainState, b: int, src: Batch, target, source):
         source = branch.forward(tape, src, leaf)
     z_s, p_s, _ = source
     disc_tape = ad.Tape()
-    loss = domain_loss(disc_tape, disc, *(ad.constant(t.data) for t in (z_s, p_s, *target)))
+    # The operations of domain_loss, in its order, keeping the logits.
+    logits = [disc.logits(disc_tape, ad.constant(z.data), ad.constant(p.data))
+              for z, p in ((z_s, p_s), target)]
+    loss = domain_loss_from_logits(disc_tape, *logits)
+    accuracy = domain_accuracy(*(t.data for t in logits))
     discriminator_update(disc_tape, loss, opt)
     opt.zero_grad()
     if leaf is None:
-        return loss.item(), None
+        return _Adversary(loss.item(), accuracy, None)
     with ad.frozen(opt.params):
         logit = disc.logits(tape, z_s, p_s)
         # Disjoint graphs: the gradient of the summed log D splits into
         # each graph's own gradient.
         tape.backward(ad.sum_rows(tape, ad.log_sigmoid(tape, logit)))
-    return loss.item(), ad.constant(perturbation_step(state.store, b, src.indices, leaf.grad))
+    return _Adversary(loss.item(), accuracy,
+                      ad.constant(perturbation_step(state.store, b, src.indices, leaf.grad)))
 
 
-def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
-    """Both adversaries, then one model step; returns the ``LOSS_COLUMNS`` values."""
+def _train_step(state: TrainState, src: Batch, labels, tgt: Batch) -> StepRecord:
+    """Both adversaries, then one model step."""
     cfg = state.config
     tape = ad.Tape()
-    da = [0.0, 0.0]
-    perts = [None, None]
     targets = [branch.forward(tape, tgt)[:2]
                for branch, _ in zip(state.branches, state.discriminators)]
     # An unperturbed branch's one source forward serves its discriminator
@@ -355,23 +387,30 @@ def _train_step(state: TrainState, src: Batch, labels, tgt: Batch):
     sources = [branch.forward(tape, src) if state.store.rows[b] is None else None
                for b, branch in enumerate(state.branches)]
     with ad.frozen(state.branch_params()):
-        for b, target in enumerate(targets):
-            da[b], perts[b] = _adversary_step(state, b, src, target, sources[b])
+        adversaries = [_adversary_step(state, b, src, target, sources[b])
+                       for b, target in enumerate(targets)]
     with ad.frozen(state.discriminator_params()):
-        sources = [out if out is not None else branch.forward(tape, src, pert)
-                   for out, branch, pert in zip(sources, state.branches, perts)]
+        # Only an adversarial branch is perturbed, so source_only, with no
+        # adversaries, has both sources already.
+        sources = [out if out is not None else branch.forward(tape, src, adversary.perturbation)
+                   for out, branch, adversary in zip_longest(sources, state.branches, adversaries)]
         l_s = source_loss(tape, sources, labels)
-        total = l_s
-        for b, (disc, lam) in enumerate(zip(state.discriminators, (cfg.lambda1, cfg.lambda2))):
-            if lam == 0.0:
-                continue
-            term = domain_loss(tape, disc, *sources[b][:2], *targets[b])
-            da[b] = term.item()
-            total = ad.add(tape, total, ad.scale(tape, term, -lam))
+        total, terms = l_s, []
+        for disc, lam, out, target in zip(state.discriminators, (cfg.lambda1, cfg.lambda2),
+                                          sources, targets):
+            term = domain_loss(tape, disc, *out[:2], *target) if lam else None
+            if term is not None:
+                total = ad.add(tape, total, ad.scale(tape, term, -lam))
+            terms.append(term)
         tape.backward(total)
     state.model_opt.step()
     state.model_opt.zero_grad()
-    return l_s.item(), da[0], da[1], total.item()
+    # A branch's L_DA column: the model phase's term when its lambda > 0,
+    # else its adversary's L_DA, and 0.0 without a discriminator.
+    columns = [0.0 if adversary is None else adversary.loss if term is None else term.item()
+               for _, term, adversary in zip_longest(state.branches, terms, adversaries)]
+    return StepRecord((l_s.item(), *columns, total.item()),
+                      tuple(a.loss for a in adversaries), tuple(a.accuracy for a in adversaries))
 
 
 def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset) -> TrainState:
@@ -392,21 +431,24 @@ def train_epoch(state: TrainState, source: DomainDataset, target: DomainDataset)
     labels = np.array(source.graph_labels)[src_order]
     src_hist, tgt_hist = map(state.histogram_rows.get, (source, target))
 
-    batch_stats = []
+    records = []
     with _one_blas_thread():
         for start in range(0, len(src_order), size):
             rows = slice(start, start + size)
             src = Batch(source.graphs, src_order[rows], source.label_alphabet_size, src_hist)
             tgt = Batch(target.graphs, tgt_order[rows], target.label_alphabet_size, tgt_hist)
-            batch_stats.append(_train_step(state, src, labels[rows], tgt))
+            records.append(_train_step(state, src, labels[rows], tgt))
 
         epoch = len(state.history)
-        means = [float(np.mean(column)) for column in zip(*batch_stats)]
-        for name, value in zip(LOSS_COLUMNS, means):
+        losses, adversary_losses, domain_accuracies = (
+            tuple(float(np.mean(column)) for column in zip(*values))
+            for values in zip(*map(astuple, records)))
+        for name, value in zip(LOSS_COLUMNS, losses):
             if not np.isfinite(value):
-                raise ContractViolation(f"non-finite {name} in epoch {epoch}: {means}")
+                raise ContractViolation(f"non-finite {name} in epoch {epoch}: {losses}")
         accuracy = evaluate(state, target) if target.eval_labels is not None else None
-    state.history.append(EpochStats(epoch, *means, accuracy))
+    state.history.append(
+        EpochStats(epoch, *losses, accuracy, adversary_losses, domain_accuracies))
     return state
 
 
@@ -503,5 +545,7 @@ def export_loss_history(path, history) -> None:
     with atomic_write(path) as fh:
         fh.write(",".join(("epoch", *LOSS_COLUMNS, "target_accuracy")) + "\n")
         for e in history:
-            fh.write(",".join("" if v is None else repr(v) for v in astuple(e)) + "\n")
+            row = (e.epoch, e.source_loss, e.domain_loss_first, e.domain_loss_second,
+                   e.total_loss, e.target_accuracy)
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
 

@@ -20,7 +20,7 @@ from dagrl.adversarial import (
 from dagrl.gin import GraphBatch
 from dagrl.errors import DatasetFormatError
 from dagrl.graphs import DomainDataset, Graph, pack
-from dagrl.trainer import Batch, source_loss
+from dagrl.trainer import Batch, StepRecord, source_loss
 from dagrl.wl import WlRefinement
 
 
@@ -310,19 +310,27 @@ def stored_perturbation(state, b, src):
 
 
 def _phase_discriminators(state, src, tgt):
-    """Branches are frozen: each backward reaches one discriminator only."""
-    values = []
+    """Branches are frozen: each backward reaches one discriminator only.
+
+    Returns each discriminator's L_DA and its domain accuracy on the
+    batch pair, both before its ascent.
+    """
+    values, accuracies = [], []
     with ad.frozen(state.branch_params()):
         for b, (branch, disc, opt) in enumerate(
                 zip(state.branches, state.discriminators, state.disc_opts)):
             tape = ad.Tape()
             z_s, p_s, _ = branch.forward(tape, src, stored_perturbation(state, b, src))
             z_t, p_t, _ = branch.forward(tape, tgt)
+            with ad.frozen(disc.params()):
+                scratch = ad.Tape()
+                accuracies.append(domain_accuracy(disc.logits(scratch, z_s, p_s).data,
+                                                  disc.logits(scratch, z_t, p_t).data))
             loss = domain_loss(tape, disc, z_s, p_s, z_t, p_t)
             discriminator_update(tape, loss, opt)
             opt.zero_grad()
             values.append(loss.item())
-    return values
+    return values, accuracies
 
 
 def _phase_perturbations(state, src):
@@ -369,13 +377,13 @@ def reference_train_step(state, src, labels, tgt):
 
     Discriminators, then perturbations, then the model; every phase runs
     its branch forwards afresh, ten per step on two adversarial branches.
-    Returns ``(L_S, L_DA_C, L_DA_K, L)``.
+    Returns the step's ``StepRecord``.
     """
-    da_phase1 = _phase_discriminators(state, src, tgt) or [0.0, 0.0]
+    da_phase1, accuracies = _phase_discriminators(state, src, tgt)
     _phase_perturbations(state, src)
     l_s, total, da_phase3 = _phase_model(state, src, labels, tgt)
-    da = [p3 if p3 is not None else p1 for p3, p1 in zip(da_phase3, da_phase1)]
-    return l_s, da[0], da[1], total
+    da = [p3 if p3 is not None else p1 for p3, p1 in zip(da_phase3, da_phase1 or [0.0, 0.0])]
+    return StepRecord((l_s, *da, total), tuple(da_phase1), tuple(accuracies))
 
 
 def discriminator_domain_accuracy(state, b: int) -> float:

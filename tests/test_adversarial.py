@@ -142,6 +142,11 @@ class TestPerturbationStep:
         with pytest.raises(ContractViolation, match=re.escape(f"index {index} outside [0, 2)")):
             self.make_store().gather(0, [index])
 
+    @pytest.mark.parametrize("indices", [[1.0], [True, False], ["1"], np.array([0.5])], ids=repr)
+    def test_gather_of_indices_that_are_not_integers_rejected(self, indices):
+        with pytest.raises(ContractViolation, match="indices must be integers"):
+            self.make_store().gather(0, indices)
+
     def test_repeated_index_rejected(self):
         # Each graph's rows would be stepped twice from the same entries and
         # the scatter would keep only one of them.

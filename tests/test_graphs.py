@@ -444,6 +444,27 @@ class TestDatasetLabels:
         with pytest.raises(ContractViolation, match=r"eval_labels\[0\] is 7, outside \[0, 2\)"):
             replace(target, eval_labels=(7,) * len(target))
 
+    @pytest.mark.parametrize("field", ["graph_labels", "eval_labels"])
+    @pytest.mark.parametrize("label", [1.0, True, np.bool_(True), "1", np.float64(1.0)],
+                             ids=repr)
+    def test_class_that_is_not_an_integer_rejected(self, pair, field, label):
+        # Written out, a float or bool class is a line its own parser rejects.
+        source, target = pair
+        dataset = source if field == "graph_labels" else target
+        labels = getattr(dataset, field)
+        with pytest.raises(ContractViolation,
+                           match=rf"{field}\[1\] is {re.escape(repr(label))}, not an integer"):
+            replace(dataset, **{field: labels[:1] + (label,) + labels[2:]})
+
+    @pytest.mark.parametrize("field", ["graph_labels", "eval_labels"])
+    def test_numpy_integer_classes_round_trip(self, pair, field, tmp_path):
+        source, target = pair
+        dataset = source if field == "graph_labels" else target
+        classes = tuple(np.int64(label) for label in getattr(dataset, field))
+        dataset = replace(dataset, **{field: classes})
+        write_tudataset(dataset, tmp_path, "np")
+        assert parse_tudataset(tmp_path, "np").graph_labels == classes
+
     def test_source_with_eval_labels_rejected(self, pair):
         source, _ = pair
         with pytest.raises(ContractViolation,
@@ -597,6 +618,25 @@ class TestSubsets:
         with pytest.raises(ContractViolation, match="index 3 repeated"):
             subset(ds, [3, 1, 5, 3])
 
+    # A float would be truncated, a mask read as 0s and 1s, a string parsed.
+    NOT_INTEGERS = [[1.9, 0.2], [True, False], ["1", "0"], np.array([True, False, True]),
+                    np.array([1.0, 0.0])]
+
+    @pytest.mark.parametrize("gather", [subset_as_source, subset_as_target,
+                                        lambda ds, idx: ds.graphs.take(idx)],
+                             ids=["source", "target", "take"])
+    @pytest.mark.parametrize("indices", NOT_INTEGERS, ids=repr)
+    def test_indices_that_are_not_integers_rejected(self, ds, gather, indices):
+        with pytest.raises(ContractViolation, match="indices must be integers"):
+            gather(ds, indices)
+
+    @pytest.mark.parametrize("subset", [subset_as_source, subset_as_target])
+    @pytest.mark.parametrize("indices", [[], range(0), np.array([], dtype=np.int64)], ids=repr)
+    def test_empty_indices_accepted(self, ds, subset, indices):
+        # numpy reads an empty list or range as float64.
+        assert len(subset(ds, indices)) == 0
+        assert len(ds.graphs.take(indices)) == 0
+
 
 @pytest.mark.parametrize("graph, message", [
     (Graph(node_count=3, edges=((0, 1.5),), node_labels=(0, 0, 0)), "node id 1.5 "),
@@ -605,6 +645,27 @@ class TestSubsets:
 def test_fractional_value_rejected_at_packing(graph, message):
     # Packing into int64 arrays would truncate it to a valid-looking value.
     with pytest.raises(ContractViolation, match=message):
+        pack([graph])
+
+
+@pytest.mark.parametrize("value", [2 ** 53 + 1, 2 ** 63 - 1, np.int64(2 ** 62 + 3)])
+def test_large_values_packed_exactly(value):
+    # float64 rounds 2**53 + 1 to 2**53.
+    graphs = pack([Graph(2, ((0, 1),), (value, 3))])
+    assert graphs.node_labels.tolist() == [int(value), 3]
+    assert graphs.node_labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("graph, message", [
+    (Graph(node_count=2, edges=((0, 1),), node_labels=(2 ** 63 + 5, 1)),
+     f"node label {2 ** 63 + 5} is outside int64"),
+    (Graph(node_count=2, edges=((0, 1),), node_labels=(2 ** 2000, 1)), "is outside int64"),
+    (Graph(node_count=2, edges=((0, 1),), node_labels=(float("nan"), 1)),
+     "node label nan is not an integer"),
+    (Graph(node_count=2, edges=((0, 1),), node_labels=(2.0 ** 70, 1)), "outside int64"),
+], ids=["2**63+5", "2**2000", "nan", "2.0**70"])
+def test_value_outside_int64_rejected_at_packing(graph, message):
+    with pytest.raises(ContractViolation, match=re.escape(message)):
         pack([graph])
 
 

@@ -3,14 +3,14 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dagrl import autodiff as ad
-from dagrl.adversarial import DomainDiscriminator
+from dagrl.adversarial import DomainDiscriminator, domain_accuracy
 from dagrl.errors import ConfigurationError, ContractViolation
 from dagrl.graphs import DomainDataset, Graph, pack, subset_as_target
 from dagrl.gin import GinEncoder, GinLayer
@@ -21,6 +21,7 @@ from dagrl.trainer import (
     Batch,
     GinBranch,
     GknBranch,
+    StepRecord,
     TrainConfig,
     build_state,
     evaluate,
@@ -350,7 +351,8 @@ class TestTraining:
     def test_non_finite_loss_names_its_column(self, tiny_pair, monkeypatch):
         source, target = tiny_pair
         state = build_state(toy_config(), source, target)
-        monkeypatch.setattr(trainer, "_train_step", lambda *args: (0.7, 1.4, float("inf"), 0.5))
+        monkeypatch.setattr(trainer, "_train_step", lambda *args: StepRecord(
+            (0.7, 1.4, float("inf"), 0.5), (1.4, 0.3), (0.5, 0.5)))
         with pytest.raises(ContractViolation, match="non-finite L_DA_K in epoch 0"):
             train_epoch(state, source, target)
         assert state.history == []
@@ -413,7 +415,8 @@ class TestStatePair:
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_target_classes_never_reach_training(variant):
     # Flipping every target class changes the accuracy only: the same
-    # parameters and the same four losses come out of training.
+    # parameters, the same four losses and the same adversary records come
+    # out of training.
     source, target = make_shifted_pair(0, 10)
     flipped = replace(target, eval_labels=tuple(1 - label for label in target.eval_labels))
     config = toy_config(variant=variant)
@@ -421,7 +424,7 @@ def test_target_classes_never_reach_training(variant):
     arrays = [{k: v.tobytes() for k, v in state.named_arrays().items()} for state in runs]
     assert arrays[0] == arrays[1]
     for a, b in zip(runs[0].history, runs[1].history):
-        assert astuple(a)[:5] == astuple(b)[:5]
+        assert replace(a, target_accuracy=None) == replace(b, target_accuracy=None)
         assert a.target_accuracy + b.target_accuracy == pytest.approx(1.0)
 
 
@@ -664,6 +667,51 @@ class TestTrainStep:
         history, arrays = self.run(config, pair)
         monkeypatch.setattr(trainer, "_train_step", reference_train_step)
         assert (history, arrays) == self.run(config, pair)
+
+
+class TestStepRecord:
+    """Each step's record holds what its adversaries saw; the epoch holds their means."""
+
+    @pytest.mark.parametrize("name", sorted(STEP_CONFIGS))
+    def test_accuracy_from_the_logits_each_ascent_used(self, tiny_pair, monkeypatch, name):
+        source, target = tiny_pair
+        state = build_state(toy_config(epochs=1, **STEP_CONFIGS[name]), source, target)
+        ascents, records = [], []
+        from_logits, step = trainer.domain_loss_from_logits, trainer._train_step
+
+        def recording_from_logits(tape, source_logits, target_logits):
+            loss = from_logits(tape, source_logits, target_logits)
+            ascents.append((loss.item(), domain_accuracy(source_logits.data, target_logits.data)))
+            return loss
+
+        def recording_step(*args):
+            records.append(step(*args))
+            return records[-1]
+
+        monkeypatch.setattr(trainer, "domain_loss_from_logits", recording_from_logits)
+        monkeypatch.setattr(trainer, "_train_step", recording_step)
+        train_epoch(state, source, target)
+
+        branches = len(state.discriminators)
+        assert len(records) == -(-len(source) // 8)
+        assert len(ascents) == branches * len(records)
+        for k, record in enumerate(records):
+            mine = ascents[k * branches:(k + 1) * branches]
+            assert record.adversary_losses == tuple(loss for loss, _ in mine)
+            assert record.domain_accuracies == tuple(accuracy for _, accuracy in mine)
+            # A branch without a model-phase domain term reports its ascent's L_DA.
+            for b, lam in enumerate((state.config.lambda1, state.config.lambda2)[:branches]):
+                if lam == 0.0:
+                    assert record.losses[1 + b] == record.adversary_losses[b]
+        epoch = state.history[0]
+        for field in ("adversary_losses", "domain_accuracies"):
+            columns = zip(*(getattr(r, field) for r in records))
+            assert getattr(epoch, field) == tuple(float(np.mean(c)) for c in columns)
+        assert len(epoch.domain_accuracies) == len(epoch.adversary_losses) == branches
+        if name == "source_only":
+            assert branches == 0
+            assert all(r.adversary_losses == r.domain_accuracies == () for r in records)
+            assert all(r.losses[1:3] == (0.0, 0.0) for r in records)
 
 
 class TestPhaseScope:
